@@ -28,7 +28,6 @@ from .binomial import (
     bn_frobenius,
     bn_genus,
     bn_minimal_system,
-    bn_pseudo_frobenius,
     bn_report,
     bn_spec,
     decompose,
@@ -48,7 +47,6 @@ from .corepartitions import (
     is_admissible,
     is_s_core,
     is_triple_core,
-    numerical_set_from_gaps,
     partition_of,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "bn_frobenius",
     "bn_genus",
     "bn_minimal_system",
-    "bn_pseudo_frobenius",
     "bn_report",
     "bn_spec",
     "decompose",
@@ -90,7 +87,6 @@ __all__ = [
     "is_s_core",
     "is_triple_core",
     "minimal_generators",
-    "numerical_set_from_gaps",
     "p_adic_valuation",
     "partition_of",
     "sun_congruence_holds",

@@ -2,16 +2,21 @@
 
 For n with at least two prime factors the family has gcd 1 and generates a
 numerical semigroup directly; for n = p^m the gcd is p and the family is
-scaled by 1/p first.  Minimal generators, Apery set, Frobenius number, genus
-and pseudo-Frobenius set all have closed forms in terms of the C(n, p^j) for
-the prime powers p^j dividing n; everything in this module evaluates those
-forms exactly and can be cross-checked against the generic engine in
-`semigroup`.
+scaled by 1/p first.  Every closed form here is read off one "box": the
+Apery base (n, or p^(m-1) for n = p^m) and the generators C(n, p^j) (divided
+by p in the prime-power case), each with coordinate bound p.  The Apery set
+at the base is the set of sums of c * C(n, p^j) with 0 <= c < p; the minimal
+system, Frobenius number and genus are sums over the box.
+
+Only `bn_apery_closed` (and so `bn_report`) lists the Apery set, which has
+one element per residue class.  `decompose` and the triple completion in
+`corepartitions` look up single residues with `_apery_element`, whose box
+coordinates are base-p digits of the residue.  Everything can be
+cross-checked against the generic engine in `semigroup`.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .exactmath import binomial, factorize, is_prime
 from .semigroup import NumericalSemigroup
@@ -85,106 +90,102 @@ def bn_family(n: int) -> list[int]:
     return [v // spec.scale for v in vals]
 
 
-def _checked_spec(n: int) -> BinomialSemigroupSpec:
+@lru_cache(maxsize=16)
+def _box(n: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The Apery box of S(B_n): (base, ((value, p, e), ...)), values ascending.
+
+    The Apery set at `base` is the set of sums of c * value with 0 <= c < p,
+    one coordinate per generator.  The values are C(n, p^j) for the prime
+    powers p^j dividing `base`; for n = p^m the family is scaled by 1/p, so
+    the base is p^(m-1) and the values are C(n, p^j)/p for j < m.  With p^k
+    the p-part of `base`, e = k - j is the p-adic valuation of the value
+    (Kummer's theorem).  Prime n gives base 1 and no generators.
+    """
     spec = bn_spec(n)
-    if spec.is_prime_power and spec.factorization[0][1] == 1:
+    gens = []
+    for p, k in spec.factorization:
+        if p == spec.scale:
+            k -= 1
+        gens.extend((binomial(n, p**j) // spec.scale, p, k - j) for j in range(1, k + 1))
+    return n // spec.scale, tuple(sorted(gens))
+
+
+def _proper_box(n: int):
+    base, gens = _box(n)
+    if base == 1:
         raise DegenerateSemigroupError(n)
-    return spec
+    return base, gens
+
+
+def _apery_element(n: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """The Apery element of S(B_n) in the class r mod the base, and its box
+    coordinates, without listing the Apery set.
+
+    Mod the p-part p^k of the base, the generators of other primes vanish
+    and those of p have valuations 0..k-1, so each coordinate is one base-p
+    digit, solved from the lowest valuation up.
+    """
+    base, gens = _proper_box(n)
+    x = r % base
+    coords = [0] * len(gens)
+    for i in sorted(range(len(gens)), key=lambda i: gens[i][2]):
+        value, p, e = gens[i]
+        pe = p**e
+        coords[i] = x // pe * pow(value % (pe * p) // pe, -1, p) % p
+        x = (x - coords[i] * value) % base
+    if x:
+        raise RuntimeError(
+            f"residue {r} mod {base} has no closed-form Apery element for n = {n}; "
+            "this contradicts the construction")
+    return sum(c * g[0] for c, g in zip(coords, gens)), tuple(coords)
 
 
 def bn_minimal_system(n: int) -> list[int]:
-    """Minimal generators: C(n,1) plus C(n, p^j) over prime powers p^j | n.
+    """Minimal generators: the Apery base plus the box generators.
 
-    In the prime-power case n = p^m the family is scaled by 1/p and the
-    system is C(n, p^i)/p for 0 <= i < m.  For prime n this degenerates
+    That is C(n,1) plus C(n, p^j) over prime powers p^j | n, or the
+    C(n, p^i)/p for 0 <= i < m when n = p^m.  For prime n this degenerates
     to [1].
     """
-    spec = bn_spec(n)
-    if spec.is_prime_power:
-        p, m = spec.factorization[0]
-        return sorted(binomial(n, p**i) // p for i in range(m))
-    gens = [n]
-    for p, k in spec.factorization:
-        gens.extend(binomial(n, p**j) for j in range(1, k + 1))
-    return sorted(gens)
+    base, gens = _box(n)
+    return sorted((base, *(value for value, _, _ in gens)))
 
 
 def bn_embedding_dimension(n: int) -> int:
     """Size of the minimal system: 1 + sum of exponents, or m for n = p^m."""
-    spec = bn_spec(n)
-    if spec.is_prime_power:
-        return spec.factorization[0][1]
-    return 1 + sum(k for _, k in spec.factorization)
-
-
-@lru_cache(maxsize=None)
-def _apery_boxes(n):
-    """Closed-form Apery data: (base, ((generator, bound), ...), residue table).
-
-    The non-multiplicity generators carry per-coordinate coefficient bounds
-    (0 <= c < p for the generators coming from prime p); the distinct sums of
-    the bounded boxes are exactly the Apery set at the multiplicity.  The
-    residue table maps w mod base -> (w, coefficient tuple).
-    """
-    spec = _checked_spec(n)
-    if spec.is_prime_power:
-        p, m = spec.factorization[0]
-        base = p ** (m - 1)
-        boxed = sorted((binomial(n, p**i) // p, p) for i in range(1, m))
-    else:
-        base = n
-        boxed = sorted((binomial(n, p**j), p)
-                       for p, k in spec.factorization for j in range(1, k + 1))
-    table = {}
-    values = [v for v, _ in boxed]
-    for coeffs in product(*[range(bound) for _, bound in boxed]):
-        w = sum(c * v for c, v in zip(coeffs, values))
-        table[w % base] = (w, coeffs)
-    if len(table) != base:
-        raise RuntimeError(
-            f"closed-form Apery residues collide for n = {n}; this contradicts "
-            "the construction")
-    return base, tuple(boxed), table
+    return 1 + len(_box(n)[1])
 
 
 def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
-    """Apery set at the multiplicity, by the bounded-coefficient closed form."""
-    base, _, table = _apery_boxes(n)
-    return base, tuple(sorted(w for w, _ in table.values()))
+    """Apery set at the base, listed by summing the box one generator at a time.
+
+    This is the only function that enumerates the box; single residues come
+    from `_apery_element`.
+    """
+    base, gens = _proper_box(n)
+    sums = [0]
+    for value, p, _ in gens:
+        sums = [s + c * value for c in range(p) for s in sums]
+    if len({w % base for w in sums}) != base:
+        raise RuntimeError(
+            f"closed-form Apery residues collide for n = {n}; this contradicts "
+            "the construction")
+    return base, tuple(sorted(sums))
 
 
 def bn_frobenius(n: int) -> int:
-    """Frobenius number: sum over p^j | n of (p-1)*C(n, p^j), minus n.
-
-    Prime-power case: the same sum over 1 <= i < m of (p-1)*C(n, p^i)/p,
-    minus p^(m-1).
-    """
-    spec = _checked_spec(n)
-    if spec.is_prime_power:
-        p, m = spec.factorization[0]
-        return (p - 1) * sum(binomial(n, p**i) // p for i in range(1, m)) - p ** (m - 1)
-    return sum((p - 1) * binomial(n, p**j)
-               for p, k in spec.factorization for j in range(1, k + 1)) - n
+    """Frobenius number: max(Ap) - base, i.e. the sum of (p-1)*value over
+    the box generators, minus the base."""
+    base, gens = _proper_box(n)
+    return sum((p - 1) * value for value, p, _ in gens) - base
 
 
 def bn_genus(n: int) -> int:
     """Number of gaps; always (frobenius + 1)/2 since these semigroups are symmetric."""
-    spec = _checked_spec(n)
-    if spec.is_prime_power:
-        p, m = spec.factorization[0]
-        num = (p - 1) * sum(binomial(n, p**i) // p for i in range(1, m)) - (p ** (m - 1) - 1)
-    else:
-        num = sum((p - 1) * binomial(n, p**j)
-                  for p, k in spec.factorization for j in range(1, k + 1)) - (n - 1)
-    q, r = divmod(num, 2)
+    q, r = divmod(bn_frobenius(n) + 1, 2)
     if r:
         raise RuntimeError(f"closed-form genus for n = {n} is not an integer")
     return q
-
-
-def bn_pseudo_frobenius(n: int) -> list[int]:
-    """The pseudo-Frobenius set, always the singleton {frobenius}."""
-    return [bn_frobenius(n)]
 
 
 def bn_report(n: int) -> BinomialSemigroupReport:
@@ -218,16 +219,16 @@ def decompose(n: int, m: int) -> Representation:
     """
     if n < 2 or not 1 <= m <= n - 1:
         raise ValueError(f"decompose({n}, {m}) requires n >= 2 and 1 <= m <= n-1")
-    base, boxed, table = _apery_boxes(n)
     spec = bn_spec(n)
+    base, gens = _proper_box(n)
     value = binomial(n, m) // spec.scale
-    w, box_coeffs = table[value % base]
+    w, box_coeffs = _apery_element(n, value % base)
     q, r = divmod(value - w, base)
     if r or q < 0:
         raise RuntimeError(
             f"C({n},{m}) has no nonnegative representation over the minimal system; "
             "this contradicts the closed form")
-    basis = (base, *(v for v, _ in boxed))
+    basis = (base, *(v for v, _, _ in gens))
     coefficients = (q, *box_coeffs)
     if sum(c * b for c, b in zip(coefficients, basis)) != value:
         raise RuntimeError(f"representation of C({n},{m}) failed its reconstruction check")

@@ -162,7 +162,7 @@ def _run_decompose(args):
         "coefficients": list(rep.coefficients),
         "value": rep.value,
         "scaled": rep.scaled,
-        "binomial": bn.binomial(args.n, args.m),
+        "binomial": rep.value * bn.bn_spec(args.n).scale,
     }
     terms = " + ".join(f"{c}*{b}" for c, b in zip(rep.coefficients, rep.basis) if c)
     label = f"C({args.n},{args.m})" + ("/p" if rep.scaled else "")
@@ -184,7 +184,7 @@ def _run_core(args):
         S = core.NumericalSet(S_engine.gaps())
         echo = {"generators": list(args.semigroup)}
     else:
-        S = core.numerical_set_from_gaps(args.gaps or ())
+        S = core.NumericalSet(args.gaps or ())
         echo = {"gaps": list(args.gaps or ())}
     lam = core.partition_of(S)
     hooks = core.hook_set(lam)

@@ -5,7 +5,7 @@ A numerical set is a co-finite subset of the nonnegative integers containing
 part per gap, counting the smaller members), whose hook-length set is the
 complement of the stabilizer set A(S) = {x : x + s in S for all s in S}.
 The triple-core machinery asks whether s, s+1 and s+p all lie in A(S) with
-s + p below the Frobenius number; the closed-form Apery tables from
+s + p below the Frobenius number; the closed-form Apery lookups from
 `binomial` let those questions be answered for the binomial-coefficient
 semigroups at sizes where the gap set itself is astronomically large.
 """
@@ -13,7 +13,7 @@ semigroups at sizes where the gap set itself is astronomically large.
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .binomial import bn_apery_closed, bn_frobenius, bn_spec
+from .binomial import _apery_element, _box, bn_frobenius, bn_spec
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
 ENUM_BOUND = 10**4   # largest Frobenius number enumerate_admissible will sweep
@@ -107,11 +107,6 @@ class Partition:
         return Partition(cols)
 
 
-def numerical_set_from_gaps(gaps, bound: int = SET_BOUND) -> NumericalSet:
-    """The numerical set whose complement in N is exactly `gaps`."""
-    return NumericalSet(gaps, bound)
-
-
 def a_set(S: NumericalSet) -> NumericalSet:
     """A(S) = {x >= 0 : x + s in S for all s in S}; a subset of S, equal to S
     when S is additively closed.  Only s up to F(S) need checking."""
@@ -192,15 +187,20 @@ class AdmissiblePairResult:
     count: int
 
 
-def _closed_tables(n: int, force_base: bool):
-    spec = bn_spec(n)
-    if spec.is_prime_power and spec.factorization[0][1] > 1 and not force_base:
-        raise ValueError(
-            f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
-            f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True to run "
-            "against that base")
-    base, ap = bn_apery_closed(n)
-    return base, bn_frobenius(n), {w % base: w for w in ap}
+def _complete(reps: tuple[int, int, int], base: int, p: int) -> tuple[int, int, int]:
+    """Complete the largest of the class representatives of s, s+1, s+p into
+    a triple (t, t+1, t+p) in those classes, each entry at least its
+    representative and so in the semigroup.
+
+    t is the largest representative raised by 0 when it is the class of s,
+    by base - 1 when it is the class of s+1, and by the least multiple of
+    the base that is >= p, minus p, when it is the class of s+p; that last
+    shift keeps t above its own representative when p > base.
+    """
+    top = max(reps)
+    at = reps.index(top)
+    t = top + (0, base - 1, -(-p // base) * base - p)[at]
+    return t, t + 1, t + p
 
 
 def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> AdmissiblePairResult:
@@ -209,43 +209,37 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
     The three target residues s_seed, s_seed+1, s_seed+p (mod the Apery base)
     each select one Apery element; the largest of the three is completed into
     a triple congruent to (s, s+1, s+p) by index-specific shifts, then pushed
-    below the Frobenius number when needed.  The returned count is F - triple[2],
-    plus one when the difference is not a multiple of the base.  A count <= 0
-    signals that the run did not land on an admissible triple.
+    below the Frobenius number when needed.  Completion is skipped, and the
+    class representatives come back as they are, when the largest is >= F.
+    The returned count is F - triple[2], plus one when the difference is not
+    a multiple of the base.  A count <= 0 signals that the run did not land
+    on an admissible triple.
 
     Prime powers use base p^(m-1) instead of n and require force_base=True,
     as that substitution goes beyond the construction the count is defined for.
     """
-    base, f, by_residue = _closed_tables(n, force_base)
+    spec = bn_spec(n)
+    if spec.is_prime_power and spec.factorization[0][1] > 1 and not force_base:
+        raise ValueError(
+            f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
+            f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True to run "
+            "against that base")
+    f = bn_frobenius(n)
+    base, _ = _box(n)
     residues = (s_seed % base, (s_seed + 1) % base, (s_seed + p) % base)
     if len(set(residues)) != 3:
         raise ValueError(
             f"target residues {residues} collide mod {base}; s={s_seed}, p={p}")
-    lst = [s_seed, by_residue[residues[0]], by_residue[residues[1]], by_residue[residues[2]]]
-    maxvalue = max(lst[1:])
-    maxindex = lst.index(maxvalue, 1)
-    if maxvalue < f:
-        if maxindex == 1:
-            lst[2] = maxvalue + 1
-            lst[3] = maxvalue + p
-        elif maxindex == 2:
-            lst[1] = maxvalue + (base - 1)
-            lst[2] = lst[1] + 1
-            lst[3] = lst[1] + p
-        else:
-            lst[1] = maxvalue + (base - p)
-            lst[2] = lst[1] + 1
-            lst[3] = lst[1] + p
-    diff = f - lst[3]
+    reps = tuple(_apery_element(n, r)[0] for r in residues)
+    triple = reps if max(reps) >= f else _complete(reps, base, p)
+    diff = f - triple[2]
     if diff <= 0:
         # floor division, so diff in (-base, 0) yields a zero shift
         shift = (diff // base + 1) * base
-        lst[1] -= shift
-        lst[2] -= shift
-        lst[3] -= shift
-        diff = f - lst[3]
+        triple = tuple(x - shift for x in triple)
+        diff = f - triple[2]
     count = diff if diff % base == 0 else diff + 1
-    return AdmissiblePairResult((lst[1], lst[2], lst[3]), count)
+    return AdmissiblePairResult(triple, count)
 
 
 def exists_admissible_bn(n: int, p: int) -> int:
@@ -263,24 +257,17 @@ def exists_admissible_bn(n: int, p: int) -> int:
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    base, f, by_residue = _closed_tables(n, force_base=True)
+    f = bn_frobenius(n)
+    base, _ = _box(n)
     if p % base == 0 or (p - 1) % base == 0:
         raise ValueError(
             f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
 
     def member(x):
-        return x >= 0 and x >= by_residue[x % base]
+        return x >= 0 and x >= _apery_element(n, x)[0]
 
     for seed in range(base):
-        w = [by_residue[(seed + d) % base] for d in (0, 1, p)]
-        top = max(w)
-        at = w.index(top)
-        if at == 0:
-            triple = (top, top + 1, top + p)
-        elif at == 1:
-            triple = (top + base - 1, top + base, top + base - 1 + p)
-        else:
-            triple = (top + base - p, top + base - p + 1, top + base)
+        triple = _complete(tuple(_apery_element(n, seed + d)[0] for d in (0, 1, p)), base, p)
         if triple[2] >= f:
             k = (triple[2] - f) // base + 1
             triple = tuple(x - k * base for x in triple)

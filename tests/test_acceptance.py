@@ -30,7 +30,6 @@ from frobinom.corepartitions import (
     enumerate_admissible,
     exists_admissible_bn,
     hook_set,
-    numerical_set_from_gaps,
     partition_of,
 )
 from frobinom.exactmath import (
@@ -135,7 +134,7 @@ def test_criterion_6_core_partition_golden_examples():
     t0 = time.perf_counter()
     failures = []
 
-    S1 = numerical_set_from_gaps([2, 5, 6, 8])
+    S1 = NumericalSet([2, 5, 6, 8])
     if partition_of(S1) != Partition((5, 4, 4, 2)):
         failures.append(("partition", S1))
     if hook_set(partition_of(S1)) != list(range(1, 9)):
@@ -150,7 +149,7 @@ def test_criterion_6_core_partition_golden_examples():
         failures.append(("admissible pairs of <5,7,9>", enumerate_admissible(S2)))
 
     head = {0, 12, 19, 24, 28, 31, 34, 36, 38, 40, 42, 43, 45, 46, 47, 48}
-    well_tempered = numerical_set_from_gaps(
+    well_tempered = NumericalSet(
         [x for x in range(1, 45) if x not in head])
     if well_tempered.frobenius != 44:
         failures.append(("well-tempered frobenius", well_tempered.frobenius))
@@ -167,7 +166,7 @@ def test_criterion_7_hook_set_theorem_exhaustive():
     for f in range(1, 11):
         for r in range(f):
             for extra in combinations(range(1, f), r):
-                S = numerical_set_from_gaps(list(extra) + [f])
+                S = NumericalSet(list(extra) + [f])
                 A = a_set(S)
                 expected = [x for x in range(1, f + 1) if x not in A]
                 if hook_set(partition_of(S)) != expected or 0 not in A:

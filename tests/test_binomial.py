@@ -1,16 +1,18 @@
 """Closed forms for the binomial-coefficient semigroups vs the generic engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobinom.binomial import (
     DegenerateSemigroupError,
+    _apery_element,
+    _box,
     bn_apery_closed,
     bn_embedding_dimension,
     bn_family,
     bn_frobenius,
     bn_genus,
     bn_minimal_system,
-    bn_pseudo_frobenius,
     bn_report,
     bn_spec,
     decompose,
@@ -88,6 +90,43 @@ class TestAperyClosed:
             assert max(ap) - base == bn_frobenius(n)
 
 
+def _least_by_residue(n):
+    base, ap = bn_apery_closed(n)
+    return base, {w % base: w for w in ap}
+
+
+class TestAperyLookup:
+    def test_every_residue_up_to_200(self):
+        for n in range(4, 201):
+            if is_prime(n):
+                continue
+            base, least = _least_by_residue(n)
+            assert [_apery_element(n, r)[0] for r in range(base)] == \
+                [least[r] for r in range(base)], n
+
+    @given(st.integers(4, 3000).filter(lambda n: not is_prime(n)), st.integers(0, 10**12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_listing_and_rebuilds(self, n, r):
+        base, least = _least_by_residue(n)
+        _, gens = _box(n)
+        w, coords = _apery_element(n, r)
+        assert w == least[r % base]
+        assert len(coords) == len(gens)
+        assert all(0 <= c < p for c, (_, p, _) in zip(coords, gens))
+        assert sum(c * value for c, (value, _, _) in zip(coords, gens)) == w
+
+    @given(st.integers(4, 40).filter(lambda n: not is_prime(n)), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_engine_up_to_40(self, n, r):
+        base, _ = _box(n)
+        engine = NumericalSemigroup(bn_family(n)).apery_set(base)
+        assert _apery_element(n, r)[0] == engine[r]
+
+    def test_prime_rejected(self):
+        with pytest.raises(DegenerateSemigroupError):
+            _apery_element(13, 4)
+
+
 class TestClosedQuantities:
     def test_frobenius_golden_values(self):
         assert bn_frobenius(50) == 505642434227223
@@ -109,9 +148,9 @@ class TestClosedQuantities:
             assert 2 * bn_genus(n) == bn_frobenius(n) + 1, n
 
     def test_pseudo_frobenius_examples(self):
-        assert bn_pseudo_frobenius(6) == [49]
-        assert bn_pseudo_frobenius(9) == [53]  # Sylvester on <3,28>: 3*28-3-28
-        assert bn_pseudo_frobenius(70) == [7241062721]
+        assert bn_report(6).pseudo_frobenius == (49,)
+        assert bn_report(9).pseudo_frobenius == (53,)  # Sylvester on <3,28>: 3*28-3-28
+        assert bn_report(70).pseudo_frobenius == (7241062721,)
 
     def test_report_fields(self):
         rep = bn_report(6)

@@ -4,7 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from frobinom.binomial import bn_apery_closed, bn_frobenius
+import frobinom.binomial
+import frobinom.corepartitions
+from frobinom.binomial import _apery_element, bn_apery_closed, bn_frobenius, decompose
 from frobinom.corepartitions import (
     NumericalSet,
     Partition,
@@ -16,10 +18,9 @@ from frobinom.corepartitions import (
     is_admissible,
     is_s_core,
     is_triple_core,
-    numerical_set_from_gaps,
     partition_of,
 )
-from frobinom.exactmath import factorize, is_prime
+from frobinom.exactmath import binomial, factorize, is_prime
 from frobinom.semigroup import NumericalSemigroup
 
 
@@ -45,14 +46,14 @@ def bn_member(n, x):
 
 class TestNumericalSet:
     def test_from_gaps_example(self):
-        S = numerical_set_from_gaps([2, 5, 6, 8])
+        S = NumericalSet([2, 5, 6, 8])
         assert S.frobenius == 8
         assert S.members_below_frobenius() == [0, 1, 3, 4, 7]
         assert all(x in S for x in (9, 10, 11, 100))
         assert S.gaps() == [2, 5, 6, 8]
 
     def test_whole_numbers(self):
-        S = numerical_set_from_gaps([])
+        S = NumericalSet([])
         assert S.frobenius == -1
         assert 0 in S and 7 in S
 
@@ -63,22 +64,22 @@ class TestNumericalSet:
 
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
-            numerical_set_from_gaps([0, 3])
+            NumericalSet([0, 3])
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
-            numerical_set_from_gaps([10**7])
-        numerical_set_from_gaps([10**7], bound=10**8)
+            NumericalSet([10**7])
+        NumericalSet([10**7], bound=10**8)
 
 
 class TestASet:
     def test_worked_example(self):
-        A = a_set(numerical_set_from_gaps([2, 5, 6, 8]))
+        A = a_set(NumericalSet([2, 5, 6, 8]))
         assert A.gaps() == [1, 2, 3, 4, 5, 6, 7, 8]  # A = {0, 9, 10, ...}
         assert 0 in A and 9 in A and 8 not in A
 
     def test_whole_numbers_fixed(self):
-        assert a_set(numerical_set_from_gaps([])) == numerical_set_from_gaps([])
+        assert a_set(NumericalSet([])) == NumericalSet([])
 
     def test_semigroup_is_fixed_point(self):
         S = semigroup_set(5, 7, 9)
@@ -88,7 +89,7 @@ class TestASet:
 
     def test_subset_of_s_and_contains_zero(self):
         for gaps in ([1], [3, 5], [1, 2, 9], [4, 6, 7, 11]):
-            S = numerical_set_from_gaps(gaps)
+            S = NumericalSet(gaps)
             A = a_set(S)
             assert 0 in A
             assert all(x in S for x in A.members_below_frobenius())
@@ -109,9 +110,9 @@ class TestPartitionType:
 
 class TestAssociatedPartition:
     def test_worked_examples(self):
-        assert partition_of(numerical_set_from_gaps([2, 5, 6, 8])) == Partition((5, 4, 4, 2))
+        assert partition_of(NumericalSet([2, 5, 6, 8])) == Partition((5, 4, 4, 2))
         assert partition_of(semigroup_set(5, 7, 9)) == Partition((6, 5, 3, 2, 1, 1, 1, 1))
-        assert partition_of(numerical_set_from_gaps([])) == Partition(())
+        assert partition_of(NumericalSet([])) == Partition(())
 
     def test_well_tempered_partition(self):
         expected = (12, 10, 9, 8, 7, 6, 6, 5, 5, 4, 4, 4, 3, 3, 3, 3,
@@ -120,7 +121,7 @@ class TestAssociatedPartition:
 
     def test_shape_invariants(self):
         for gaps in ([2, 5, 6, 8], [1], [1, 2, 3, 9], [4, 7, 13]):
-            S = numerical_set_from_gaps(gaps)
+            S = NumericalSet(gaps)
             lam = partition_of(S)
             assert len(lam) == len(S.gaps())
             members_below_f = [x for x in range(S.frobenius) if x in S]
@@ -146,7 +147,7 @@ class TestHookSet:
         for f in range(1, 13):
             for r in range(f):
                 for extra in combinations(range(1, f), r):
-                    S = numerical_set_from_gaps(list(extra) + [f])
+                    S = NumericalSet(list(extra) + [f])
                     A = a_set(S)
                     missing = [x for x in range(1, f + 1) if x not in A]
                     assert hook_set(partition_of(S)) == missing
@@ -172,7 +173,7 @@ class TestTripleCore:
         assert is_triple_core(semigroup_set(5, 7, 9), 9, 3)
 
     def test_above_frobenius_always_core(self):
-        S = numerical_set_from_gaps([2, 5, 6, 8])
+        S = NumericalSet([2, 5, 6, 8])
         for p in (2, 3, 7):
             assert is_triple_core(S, 9, p)
             assert is_triple_core(S, 25, p)
@@ -184,7 +185,7 @@ class TestTripleCore:
         assert not is_admissible(S, 42, 3)
 
     def test_validation(self):
-        S = numerical_set_from_gaps([1])
+        S = NumericalSet([1])
         with pytest.raises(ValueError):
             is_triple_core(S, 0, 2)
         with pytest.raises(ValueError):
@@ -216,10 +217,10 @@ class TestAdmissible:
 
     def test_tiny_sets_have_none(self):
         for gaps in ([1], [1, 2], [1, 3]):
-            assert enumerate_admissible(numerical_set_from_gaps(gaps)) == []
+            assert enumerate_admissible(NumericalSet(gaps)) == []
 
     def test_bound_enforced(self):
-        S = numerical_set_from_gaps([10**5])
+        S = NumericalSet([10**5])
         with pytest.raises(ValueError):
             enumerate_admissible(S)
 
@@ -274,13 +275,14 @@ class TestAlgorithm1:
         assert all(bn_member(8, x) for x in out.triple)
 
     def test_membership_invariant_sweep(self):
-        # all composite n <= 12, 2 <= p <= 5, seeds across two periods
+        # all composite n <= 12, 2 <= p < 30 (so also p > base), seeds
+        # across two periods
         for n in range(4, 13):
             if is_prime(n):
                 continue
             force = len(factorize(n)) == 1
             base, _ = bn_apery_closed(n)
-            for p in range(2, 6):
+            for p in range(2, 30):
                 for seed in range(2 * base):
                     residues = {seed % base, (seed + 1) % base, (seed + p) % base}
                     if len(residues) != 3:
@@ -357,3 +359,32 @@ def test_algorithm1_count_does_not_match_enumeration_at_n6():
     assert len(pairs) == 87
     assert len([1 for s, p in pairs if p == 2]) == 6
     assert len([1 for s, p in pairs if s % 6 == 1]) == 0
+
+
+def test_point_queries_at_max_n_list_no_apery_set(monkeypatch):
+    # n = 10^6 = 2^6 * 5^6 is the CLI bound; its Apery set has 10^6 elements
+    # of about 35000 digits, so the point queries must look residues up
+    def listing_forbidden(n):
+        raise AssertionError(f"bn_apery_closed({n}) called by a point query")
+
+    monkeypatch.setattr(frobinom.binomial, "bn_apery_closed", listing_forbidden)
+    monkeypatch.setattr(frobinom.corepartitions, "bn_apery_closed", listing_forbidden,
+                        raising=False)
+    n = 10**6
+    f = bn_frobenius(n)
+
+    def member(x):
+        return x >= 0 and x >= _apery_element(n, x)[0]
+
+    rep = decompose(n, 7)
+    assert all(c >= 0 for c in rep.coefficients)
+    assert sum(c * b for c, b in zip(rep.coefficients, rep.basis)) == binomial(n, 7)
+
+    out = algorithm1(n, 1, 2)
+    assert all(member(x) for x in out.triple)
+    assert out.triple[1] == out.triple[0] + 1 and out.triple[2] == out.triple[0] + 2
+    assert out.triple[2] < f
+
+    s = exists_admissible_bn(n, 7)
+    assert s >= 1 and s + 7 < f
+    assert all(member(x) for x in (s, s + 1, s + 7))
