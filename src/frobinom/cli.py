@@ -308,6 +308,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         echo, result, text, code = args.handler(args)
+        # rendered inside the try: str() of an int over the interpreter's
+        # digit limit raises ValueError here, as it does in the text handlers
+        if args.format == "json":
+            envelope = {
+                "command": args.command,
+                "input": echo,
+                "result": result,
+                "timing_ms": int((time.perf_counter() - started) * 1000),
+            }
+            lines = [json.dumps(_stringify(envelope), sort_keys=True)]
+        else:
+            lines = text
     except UsageError as exc:
         print(f"frobinom: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -317,18 +329,8 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"frobinom: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    if args.format == "json":
-        envelope = {
-            "command": args.command,
-            "input": echo,
-            "result": result,
-            "timing_ms": elapsed_ms,
-        }
-        print(json.dumps(_stringify(envelope), sort_keys=True))
-    else:
-        for line in text:
-            print(line)
+    for line in lines:
+        print(line)
     return code
 
 

@@ -114,6 +114,18 @@ class TestDecompose:
         code, _, _ = run(capsys, "decompose", "10", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("n, m", [("15625", "5153"), ("16807", "4644")])
+    def test_json_only_digit_limit_is_an_error_not_a_traceback(self, capsys, n, m):
+        # value has 4300 digits, which str() still converts; the JSON-only
+        # field binomial = value * p has 4301, one over the default limit
+        code, _, _ = run(capsys, "decompose", n, m)
+        assert code == 0
+        code, out, err = run(capsys, "decompose", n, m, "--format", "json")
+        assert code not in (1, 3)
+        assert "Traceback" not in err
+        if code:
+            assert out == "" and err.startswith("frobinom: ") and err.count("\n") == 1
+
 
 class TestCore:
     def test_from_semigroup(self, capsys):

@@ -1,12 +1,13 @@
 """Numerical sets, partitions, hook sets, admissible pairs, triple completion."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
 import frobinom.binomial
 import frobinom.corepartitions
-from frobinom.binomial import _apery_element, bn_apery_closed, bn_frobenius, decompose
+from frobinom.binomial import _apery_element, bn_apery_closed, bn_frobenius, bn_spec, decompose
 from frobinom.corepartitions import (
     NumericalSet,
     Partition,
@@ -388,3 +389,24 @@ def test_point_queries_at_max_n_list_no_apery_set(monkeypatch):
     s = exists_admissible_bn(n, 7)
     assert s >= 1 and s + 7 < f
     assert all(member(x) for x in (s, s + 1, s + 7))
+
+
+def lucas_residue(n, k, q):
+    """C(n, k) mod the prime q, digit by digit in base q (Lucas's theorem)."""
+    out = 1
+    while n or k:
+        out = out * comb(n % q, k % q) % q
+        n, k = n // q, k // q
+    return out
+
+
+def test_costliest_decompose_at_max_n():
+    # C(10^6, 5 * 10^5), about 10^6 bits, is the largest C(n, m) the CLI accepts
+    n, m = 10**6, 5 * 10**5
+    rep = decompose(n, m)
+    assert all(c >= 0 for c in rep.coefficients)
+    assert sum(c * b for c, b in zip(rep.coefficients, rep.basis)) == rep.value
+    full = rep.value * bn_spec(n).scale
+    assert 999_980 < full.bit_length() <= 10**6
+    for q in (3, 7, 11, 13, 999_983):
+        assert full % q == lucas_residue(n, m, q), q

@@ -1,13 +1,21 @@
 """Exact-arithmetic primitives, cross-checked against independent oracles.
 
-The binomial oracle is a Pascal-triangle DP; valuations are checked three
-ways (carry counting, divide-out loop, floor-sum formula).
+The binomial oracle is a Pascal-triangle DP for small n and math.comb for
+large n, where binomial may take the prime product tree; valuations are
+checked three ways (carry counting, divide-out loop, floor-sum formula).
 """
 
-import pytest
-from hypothesis import given, strategies as st
+from math import comb, isqrt
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import frobinom.exactmath
+from frobinom.cli import MAX_N
 from frobinom.exactmath import (
+    PRIME_CACHE_CAP,
+    TREE_K2_PER_N,
+    TREE_MIN_K,
     binom_residue_lemma,
     binomial,
     binomial_valuation_kummer,
@@ -64,6 +72,110 @@ class TestBinomial:
             binomial(5, -1)
         with pytest.raises(ValueError):
             binomial(-2, 0)
+
+
+def dispatch_thresholds(n):
+    """The least j = min(k, n-k) allowed on the tree path by each of the two rules."""
+    return TREE_MIN_K, isqrt(TREE_K2_PER_N * n - 1) + 1
+
+
+def near_thresholds(n):
+    """k at, one below and one above each threshold, and their mirrors n - k."""
+    ks = set()
+    for t in dispatch_thresholds(n):
+        for j in (t - 1, t, t + 1):
+            if 0 <= j <= n // 2:
+                ks.update((j, n - j))
+    return sorted(ks)
+
+
+LARGE_N = st.integers(2 * TREE_MIN_K, 2 * 10**5)
+
+
+class TestBinomialDispatch:
+    """binomial against math.comb on both sides of the switch to the product tree."""
+
+    def test_tree_taken_exactly_from_the_thresholds(self, monkeypatch):
+        calls = []
+        tree = frobinom.exactmath._binomial_from_primes
+
+        def recording_tree(n, j):
+            calls.append((n, j))
+            return tree(n, j)
+
+        monkeypatch.setattr(frobinom.exactmath, "_binomial_from_primes", recording_tree)
+        # the square rule binds at 2 * 10^4 (j**2 = 32 n exactly at j = 800) and
+        # at 10^5 (j >= 1789); TREE_MIN_K = 400 binds at 1000
+        for n, least in ((2 * 10**4, 800), (10**5, 1789), (1000, TREE_MIN_K)):
+            assert max(dispatch_thresholds(n)) == least
+            for k in (least - 1, n - least + 1):
+                calls.clear()
+                assert binomial(n, k) == comb(n, k) and not calls
+            for k in (least, n - least, n // 2):
+                calls.clear()
+                assert binomial(n, k) == comb(n, k) and calls == [(n, min(k, n - k))]
+
+    def test_tree_itself_matches_comb_below_the_thresholds(self):
+        # binomial never sends these to the tree; checked so the thresholds
+        # can move without leaving small cases untested
+        for n in range(2, 201):
+            for j in range(1, n // 2 + 1):
+                assert frobinom.exactmath._binomial_from_primes(n, j) == comb(n, j), (n, j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(LARGE_N)
+    def test_matches_comb_at_each_threshold(self, n):
+        for k in near_thresholds(n):
+            assert binomial(n, k) == comb(n, k), (n, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(LARGE_N, st.integers(0, 2 * 10**4), st.booleans())
+    def test_matches_comb_and_is_symmetric(self, n, j, mirror):
+        j = min(j, n // 2)
+        k = n - j if mirror else j
+        expected = comb(n, k)
+        assert binomial(n, k) == expected
+        assert binomial(n, n - k) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 * 10**4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_matches_comb_for_every_k(self, nk):
+        n, k = nk
+        assert binomial(n, k) == comb(n, k)
+
+    @given(st.integers(0, 2 * 10**5))
+    def test_edges(self, n):
+        for k in {0, 1, n - 1, n}:
+            if 0 <= k <= n:
+                assert binomial(n, k) == (1 if k in (0, n) else n)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(PRIME_CACHE_CAP + 1, PRIME_CACHE_CAP + 10**5), st.integers(0, 50))
+    def test_above_cache_cap_uses_comb_and_sieves_nothing(self, n, extra):
+        # both thresholds admit this j, so only the cap keeps it off the tree
+        j = max(dispatch_thresholds(n)) + extra
+        assert binomial(n, j) == comb(n, j)
+        assert frobinom.exactmath._sieve[0] <= PRIME_CACHE_CAP
+
+    def test_prime_cache_doubles_and_stops_at_the_cap(self, monkeypatch):
+        primes_up_to = frobinom.exactmath._primes_up_to
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", (1, []))
+        assert primes_up_to(1000) == [p for p in range(1001) if is_prime(p)]
+        assert primes_up_to(1001) == [p for p in range(2001) if is_prime(p)]
+        primes_up_to(PRIME_CACHE_CAP // 2 + 1)
+        primes_up_to(PRIME_CACHE_CAP // 2 + 2)
+        assert frobinom.exactmath._sieve[0] == PRIME_CACHE_CAP
+
+    def test_cache_cap_covers_the_cli_bound(self):
+        assert PRIME_CACHE_CAP >= MAX_N
+
+    @settings(max_examples=30, deadline=None)
+    @given(LARGE_N, st.integers(0, 2000))
+    def test_kummer_valuation_of_tree_results(self, n, extra):
+        k = min(max(dispatch_thresholds(n)) + extra, n // 2)
+        b = binomial(n, k)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert binomial_valuation_kummer(p, n, k) == p_adic_valuation(p, b), (p, n, k)
 
 
 class TestFactorize:
