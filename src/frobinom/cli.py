@@ -111,16 +111,17 @@ def _run_report(args):
 def _run_semigroup(args):
     S = NumericalSemigroup(args.generators)
     table = S.apery_set(args.apery_base)
-    genus = S.genus()
+    frobenius, genus = S.frobenius(), S.genus()
+    pseudo_frobenius = S.pseudo_frobenius()
     result = {
         "minimal_generators": list(S.generators),
         "multiplicity": S.multiplicity,
         "apery_base": table.base,
         "apery_set": sorted(table.entries),
-        "frobenius": S.frobenius(),
+        "frobenius": frobenius,
         "genus": genus,
-        "pseudo_frobenius": S.pseudo_frobenius(),
-        "type": S.type(),
+        "pseudo_frobenius": pseudo_frobenius,
+        "type": len(pseudo_frobenius),
         "symmetric": S.is_symmetric(),
         "telescopic": S.is_telescopic(),
     }
@@ -128,8 +129,8 @@ def _run_semigroup(args):
         f"minimal generators  {_fmt_list(S.generators)}",
         f"multiplicity        {S.multiplicity}",
         f"apery base          {table.base}",
-        f"apery set           {_fmt_list(sorted(table.entries))}",
-        f"frobenius           {S.frobenius()}",
+        f"apery set           {_fmt_list(result['apery_set'])}",
+        f"frobenius           {frobenius}",
         f"genus               {genus}",
     ]
     if genus <= core.SET_BOUND:
@@ -140,13 +141,13 @@ def _run_semigroup(args):
         text.append(f"gaps                {_fmt_list(gaps)}")
     else:
         # 1 is always the least gap of a proper semigroup
-        result["gaps_elided"] = {"count": genus, "min": 1, "max": S.frobenius()}
-        text.append(f"gaps                ({genus} gaps; min 1, max {S.frobenius()})")
+        result["gaps_elided"] = {"count": genus, "min": 1, "max": frobenius}
+        text.append(f"gaps                ({genus} gaps; min 1, max {frobenius})")
     text += [
-        f"pseudo-frobenius    {_fmt_list(S.pseudo_frobenius())}",
-        f"type                {S.type()}",
-        f"symmetric           {str(S.is_symmetric()).lower()}",
-        f"telescopic          {str(S.is_telescopic()).lower()}",
+        f"pseudo-frobenius    {_fmt_list(pseudo_frobenius)}",
+        f"type                {result['type']}",
+        f"symmetric           {str(result['symmetric']).lower()}",
+        f"telescopic          {str(result['telescopic']).lower()}",
     ]
     echo = {"generators": list(args.generators), "apery_base": args.apery_base}
     return echo, result, text, EXIT_OK
@@ -177,11 +178,7 @@ def _run_decompose(args):
 
 def _run_core(args):
     if args.semigroup is not None:
-        S_engine = NumericalSemigroup(args.semigroup)
-        if S_engine.frobenius() > core.SET_BOUND:
-            raise ValueError(
-                f"Frobenius number {S_engine.frobenius()} exceeds the bound {core.SET_BOUND}")
-        S = core.NumericalSet(S_engine.gaps())
+        S = core.NumericalSet.from_semigroup(NumericalSemigroup(args.semigroup))
         echo = {"generators": list(args.semigroup)}
     else:
         S = core.NumericalSet(args.gaps or ())

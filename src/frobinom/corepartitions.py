@@ -4,6 +4,7 @@ A numerical set is a co-finite subset of the nonnegative integers containing
 0, with no closure requirement.  Each one has an associated partition (one
 part per gap, counting the smaller members), whose hook-length set is the
 complement of the stabilizer set A(S) = {x : x + s in S for all s in S}.
+Hooks are read from A(S), which is computed on a bitmask of the gaps.
 The triple-core machinery asks whether s, s+1 and s+p all lie in A(S) with
 s + p below the Frobenius number; the closed-form Apery lookups from
 `binomial` let those questions be answered for the binomial-coefficient
@@ -97,46 +98,53 @@ class Partition:
     def __repr__(self):
         return f"Partition{self.parts}"
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+
+_GAP_DIGIT = bytes.maketrans(b"\x00\x01", b"10")  # NumericalSet._member -> gap digits
+_SWAP = str.maketrans("01", "10")
+
+
+def _a_set_gaps(gaps: int) -> list[int]:
+    """Gaps of A(S), ascending, from the mask of the gaps g of S (bit g set).
+
+    x is missing from A(S) iff x = g - s for a gap g and a member s, so the
+    result is the OR of gaps >> s over the members; with fewer gaps than
+    members, both masks are mirrored in F, x = (F - s) - (F - g), to shift
+    once per gap instead.  Masks go in and out as binary strings, linear in F.
+    """
+    digits = bin(gaps)[:1:-1]  # digits[i] is bit i: "1" for a gap
+    shifts = digits.translate(_SWAP)  # "1" at each shift s: here, the members
+    if 2 * digits.count("1") < len(digits):
+        shifts, gaps = digits[::-1], int(shifts, 2)
+    bad = 0
+    for s, digit in enumerate(shifts):
+        if digit == "1":
+            bad |= gaps >> s
+    return [x for x, digit in enumerate(bin(bad)[:1:-1]) if digit == "1"]
 
 
 def a_set(S: NumericalSet) -> NumericalSet:
     """A(S) = {x >= 0 : x + s in S for all s in S}; a subset of S, equal to S
-    when S is additively closed.  Only s up to F(S) need checking."""
-    f = S.frobenius
-    members = S.members_below_frobenius()
-    new_gaps = [x for x in range(1, f + 1)
-                if any(not S.contains(x + s) for s in members)]
-    return NumericalSet(new_gaps)
+    when S is additively closed."""
+    return NumericalSet(_a_set_gaps(int(S._member[::-1].translate(_GAP_DIGIT) or b"0", 2)))
 
 
 def partition_of(S: NumericalSet) -> Partition:
-    """Associated partition: one part per gap, counting the members below it."""
-    parts = []
-    members_seen = 0
-    for x in range(S.frobenius + 1):
-        if S.contains(x):
-            members_seen += 1
-        else:
-            parts.append(members_seen)
-    parts.reverse()
-    return Partition(parts)
+    """Associated partition: one part per gap g_i (i from 0), the g_i - i members below it."""
+    return Partition([g - i for i, g in enumerate(S.gaps())][::-1])
 
 
 def hook_set(partition: Partition) -> list[int]:
-    """Distinct hook lengths over the cells of the Young diagram, ascending."""
-    parts = partition.parts
-    conj = partition.conjugate().parts
-    hooks = {parts[i] + conj[j] - i - j - 1
-             for i in range(len(parts)) for j in range(parts[i])}
-    return sorted(hooks)
+    """Distinct hook lengths over the cells of the Young diagram, ascending.
+
+    They are the positive integers missing from A(S), where S is the set whose
+    gaps are p_i + i for the parts p_0 <= p_1 <= ... (Keith and Nath,
+    "Partitions with prescribed hooksets", 2011).
+    """
+    # one digit above the largest gap, parts[0] + len - 1, keeps it nonempty
+    digits = bytearray(b"0" * (max(partition.parts, default=0) + len(partition) + 1))
+    for i, p in enumerate(reversed(partition.parts)):
+        digits[p + i] = ord("1")
+    return _a_set_gaps(int(digits[::-1], 2))
 
 
 def is_s_core(partition: Partition, s: int) -> bool:

@@ -6,9 +6,13 @@ generating sets: minimal generators, Apery tables, Frobenius number, genus,
 gaps, pseudo-Frobenius numbers, symmetry and the telescopic chain condition.
 It serves as the brute-force oracle against which the closed forms in
 `binomial` are cross-checked.
+
+Apery tables come from the round robin of Böcker and Lipták ("A fast and
+simple algorithm for the money changing problem", Algorithmica 2007): one
+generator is added to a table mod m in O(m), so one pass over the sorted
+candidates keeps one table and finds the minimal system on the way.
 """
 
-import heapq
 from dataclasses import dataclass
 from math import gcd, inf
 
@@ -38,45 +42,36 @@ class AperyTable:
         return max(self.entries)
 
 
-def _shortest_per_residue(generators, base):
-    """Least nonnegative combination of the generators in each class mod base.
-
-    Dijkstra on the graph whose nodes are residues mod base, with an edge
-    r -> (r + g) mod base of weight g per generator.  Unreachable classes
-    (possible while the running gcd exceeds 1) come back as math.inf.
-    """
-    dist = [inf] * base
-    dist[0] = 0
-    heap = [(0, 0)]
-    steps = [g for g in generators if g % base]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if d > dist[r]:
+def _add_generator(table, g):
+    """Update `table`, the least element (math.inf if none) in each class mod
+    base, for any number of copies of g.  The classes that agree mod
+    gcd(base, g) form a cycle under +g; one walk round it from its least
+    entry, which cannot improve, settles the rest.  O(base) in all."""
+    base = len(table)
+    d = gcd(base, g)
+    for start in range(d):
+        w = min(table[start::d])
+        if w == inf:
             continue
-        for g in steps:
-            r2 = (r + g) % base
-            d2 = d + g
-            if d2 < dist[r2]:
-                dist[r2] = d2
-                heapq.heappush(heap, (d2, r2))
-    return dist
+        for _ in range(base // d - 1):
+            w += g
+            r = w % base
+            if w < table[r]:
+                table[r] = w
+            else:
+                w = table[r]
 
 
-def _minimal_system(gens):
-    # gens: sorted, deduplicated, positive.  An element is redundant iff it is
-    # a nonnegative combination of the smaller kept ones, which we read off a
-    # running per-residue table of the kept prefix.
-    kept = [gens[0]]
-    base = gens[0]
-    if base == 1:
-        return kept
-    table = _shortest_per_residue(kept, base)
-    for v in gens[1:]:
-        if v >= table[v % base]:
-            continue
-        kept.append(v)
-        table = _shortest_per_residue(kept, base)
-    return kept
+def _apery_table(generators, base):
+    """Least element of <base, generators> in each class mod base, and the
+    generators that did not lie in <base, the earlier ones>."""
+    table = [0] + [inf] * (base - 1)
+    new = []
+    for g in generators:
+        if g < table[g % base]:
+            new.append(g)
+            _add_generator(table, g)
+    return table, new
 
 
 def minimal_generators(raw) -> list[int]:
@@ -89,7 +84,7 @@ def minimal_generators(raw) -> list[int]:
     g = gcd(*gens)
     if g != 1:
         raise NotANumericalSemigroup(g)
-    return _minimal_system(gens)
+    return [gens[0], *_apery_table(gens, gens[0])[1]]
 
 
 class NumericalSemigroup:
@@ -104,8 +99,7 @@ class NumericalSemigroup:
         self.generators = tuple(minimal_generators(generators))
         self.multiplicity = self.generators[0]
         self.apery = AperyTable(
-            self.multiplicity,
-            tuple(_shortest_per_residue(self.generators, self.multiplicity)))
+            self.multiplicity, tuple(_apery_table(self.generators, self.multiplicity)[0]))
 
     def __repr__(self):
         return f"NumericalSemigroup({list(self.generators)})"
@@ -116,7 +110,7 @@ class NumericalSemigroup:
             return self.apery
         if x < 1 or not self.contains(x):
             raise ValueError(f"{x} is not a nonzero element of {self!r}")
-        return AperyTable(x, tuple(_shortest_per_residue(self.generators, x)))
+        return AperyTable(x, tuple(_apery_table(self.generators, x)[0]))
 
     def contains(self, m: int) -> bool:
         if m < 0:
@@ -150,13 +144,13 @@ class NumericalSemigroup:
     def pseudo_frobenius(self) -> list[int]:
         """Integers v not in S with v + s in S for every nonzero s in S.
 
-        Computed as {w - multiplicity : w maximal in the Apery set}, where w
-        is maximal iff no other Apery element exceeds it by an element of S.
+        Computed as {w - multiplicity : w maximal in the Apery set}.  The Apery
+        set is closed under taking summands, so w is maximal iff w + g is not
+        in it for any minimal generator g other than the multiplicity: O(m*e).
         """
-        ents = self.apery.entries
-        out = [w - self.multiplicity
-               for w in ents
-               if not any(w2 != w and self.contains(w2 - w) for w2 in ents)]
+        ents, m = self.apery.entries, self.multiplicity
+        out = [w - m for w in ents
+               if all(ents[(w + g) % m] != w + g for g in self.generators[1:])]
         out.sort()
         return out
 

@@ -4,6 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobinom.binomial
 import frobinom.corepartitions
@@ -36,6 +37,39 @@ WELL_TEMPERED_HEAD = [0, 12, 19, 24, 28, 31, 34, 36, 38, 40, 42, 43, 45, 46, 47,
 def well_tempered():
     members = set(WELL_TEMPERED_HEAD)
     return NumericalSet([x for x in range(1, 45) if x not in members])
+
+
+def conjugate(parts):
+    """Oracle: the column lengths of the Young diagram with these rows."""
+    cols = [0] * (parts[0] if parts else 0)
+    for p in parts:
+        for j in range(p):
+            cols[j] += 1
+    return tuple(cols)
+
+
+def cell_hooks(partition):
+    """Oracle: distinct hook lengths, arm + leg + 1, cell by cell."""
+    parts = partition.parts
+    conj = conjugate(parts)
+    return sorted({parts[i] + conj[j] - i - j - 1
+                   for i in range(len(parts)) for j in range(parts[i])})
+
+
+def definition_a_set_gaps(S):
+    """Oracle: the positive integers missing from A(S), straight from its definition."""
+    members = S.members_below_frobenius()
+    return [x for x in range(1, S.frobenius + 1)
+            if any(not S.contains(x + s) for s in members)]
+
+
+def set_of(partition):
+    """The numerical set of a partition: its ascending parts p_i give the gaps p_i + i."""
+    return NumericalSet([p + i for i, p in enumerate(reversed(partition.parts))])
+
+
+partitions = st.lists(st.integers(1, 60), max_size=30).map(
+    lambda xs: Partition(sorted(xs, reverse=True)))
 
 
 def bn_member(n, x):
@@ -105,8 +139,11 @@ class TestPartitionType:
         assert len(Partition(())) == 0
 
     def test_conjugate(self):
-        assert Partition((5, 4, 4, 2)).conjugate() == Partition((4, 4, 3, 3, 1))
-        assert Partition(()).conjugate() == Partition(())
+        # the oracle behind cell_hooks
+        assert conjugate((5, 4, 4, 2)) == (4, 4, 3, 3, 1)
+        assert conjugate((4, 4, 3, 3, 1)) == (5, 4, 4, 2)
+        assert conjugate((1, 1, 1)) == (3,)
+        assert conjugate(()) == ()
 
 
 class TestAssociatedPartition:
@@ -128,6 +165,10 @@ class TestAssociatedPartition:
             members_below_f = [x for x in range(S.frobenius) if x in S]
             assert lam.parts[0] == len(members_below_f)
 
+    @given(partitions)
+    def test_roundtrip_through_numerical_set(self, lam):
+        assert partition_of(set_of(lam)) == lam
+
 
 class TestHookSet:
     def test_worked_examples(self):
@@ -143,17 +184,36 @@ class TestHookSet:
 
     def test_theorem_exhaustive_up_to_f_12(self):
         # every numerical set with Frobenius number <= 12: hook lengths of the
-        # associated partition = positive integers missing from A(S)
+        # associated partition, cell by cell = positive integers missing from
+        # A(S) by definition; the library reads both off one gap mask
         checked = 0
         for f in range(1, 13):
             for r in range(f):
                 for extra in combinations(range(1, f), r):
                     S = NumericalSet(list(extra) + [f])
-                    A = a_set(S)
-                    missing = [x for x in range(1, f + 1) if x not in A]
-                    assert hook_set(partition_of(S)) == missing
+                    missing = definition_a_set_gaps(S)
+                    assert a_set(S).gaps() == missing
+                    lam = partition_of(S)
+                    assert hook_set(lam) == cell_hooks(lam) == missing
                     checked += 1
         assert checked == 2**12 - 1
+
+    @given(partitions)
+    @settings(max_examples=200)
+    def test_against_cell_by_cell(self, lam):
+        assert hook_set(lam) == cell_hooks(lam)
+
+    def test_thin_shapes(self):
+        # one row, one column and a hook: few gaps or few members
+        for lam in (Partition((3000,)), Partition((1,) * 3000), Partition((900,) + (1,) * 700)):
+            assert hook_set(lam) == cell_hooks(lam)
+
+    def test_large_semigroup(self):
+        # F = 18977; the hooks of a semigroup's partition are its gaps
+        S = semigroup_set(301, 307, 311)
+        assert S.frobenius == 18977
+        assert a_set(S) == S
+        assert hook_set(partition_of(S)) == S.gaps()
 
 
 class TestSCore:
@@ -167,6 +227,62 @@ class TestSCore:
     def test_validation(self):
         with pytest.raises(ValueError):
             is_s_core(Partition((2, 1)), 0)
+
+
+def core_gap_sets(steps):
+    """Gap sets of the numerical sets closed under adding each step: the
+    down-sets, under subtracting a step, of the gaps of <steps>."""
+    gaps = NumericalSemigroup(list(steps)).gaps()
+    found = []
+
+    def grow(i, chosen):
+        if i == len(gaps):
+            found.append(sorted(chosen))
+            return
+        grow(i + 1, chosen)
+        g = gaps[i]
+        if all(g - t <= 0 or g - t in chosen for t in steps):
+            chosen.add(g)
+            grow(i + 1, chosen)
+            chosen.remove(g)
+
+    grow(0, set())
+    return found
+
+
+class TestSimultaneousCores:
+    # a numerical set's partition is a t-core iff t lies in A(S), i.e. iff the
+    # set is closed under +t; counts and sizes are classical theorems
+
+    @pytest.mark.parametrize("s, t", [(3, 5), (4, 7), (5, 8), (7, 9), (8, 9), (9, 10)])
+    def test_count_largest_and_mean_size(self, s, t):
+        sizes = []
+        for gaps in core_gap_sets((s, t)):
+            lam = partition_of(NumericalSet(gaps))
+            assert is_s_core(lam, s) and is_s_core(lam, t), gaps
+            sizes.append(sum(lam.parts))
+        assert len(sizes) == comb(s + t, s) // (s + t)               # Anderson 2002
+        assert max(sizes) == (s * s - 1) * (t * t - 1) // 24          # Olsson-Stanton 2007
+        assert 24 * sum(sizes) == len(sizes) * (s + t + 1) * (s - 1) * (t - 1)  # Johnson 2018
+
+    def test_cores_are_exactly_the_closed_sets(self):
+        # every gap subset of <4, 7>: a (4, 7)-core iff closed under +4 and +7
+        gaps = NumericalSemigroup([4, 7]).gaps()
+        closed = {tuple(g) for g in core_gap_sets((4, 7))}
+        for r in range(len(gaps) + 1):
+            for subset in combinations(gaps, r):
+                lam = partition_of(NumericalSet(subset))
+                assert (is_s_core(lam, 4) and is_s_core(lam, 7)) == (subset in closed)
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_consecutive_triple_cores_are_motzkin(self, s):
+        # (s, s+1, s+2)-cores: Amdeberhan-Leven 2015, Yang-Zhong-Zhou 2015
+        motzkin = [1, 1, 2, 4, 9, 21, 51, 127]
+        cores = core_gap_sets((s, s + 1, s + 2))
+        for gaps in cores:
+            lam = partition_of(NumericalSet(gaps))
+            assert all(is_s_core(lam, t) for t in (s, s + 1, s + 2)), gaps
+        assert len(cores) == motzkin[s]
 
 
 class TestTripleCore:

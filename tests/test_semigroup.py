@@ -4,8 +4,10 @@ The oracle enumerates actual semigroup membership over an interval by DP,
 with no shortest-path machinery, so the two routes share nothing.
 """
 
+from math import gcd
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobinom.exactmath import binomial
 from frobinom.semigroup import (
@@ -98,10 +100,23 @@ class TestAperySet:
         assert list(S.apery.entries) == oracle == [0, 16, 7, 18, 9]
 
     def test_explicit_base(self):
+        # a generator, and members that are not generators
         S = NumericalSemigroup([6, 15, 20])
-        table = S.apery_set(15)
-        assert table.base == 15
-        assert table.entries == tuple(dp_apery([6, 15, 20], 15, 200))
+        for x in (15, 12, 35):
+            table = S.apery_set(x)
+            assert table.base == x
+            assert table.entries == tuple(dp_apery([6, 15, 20], x, 300)), x
+
+    @given(gen_sets, st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_member_bases_against_dp(self, gens, k):
+        try:
+            S = NumericalSemigroup(gens)
+        except NotANumericalSemigroup:
+            return
+        x = S.generators[-1] + k * S.multiplicity
+        limit = max(S.frobenius(), 0) + 2 * x + 1
+        assert S.apery_set(x).entries == tuple(dp_apery(S.generators, x, limit))
 
     def test_non_member_base_rejected(self):
         S = NumericalSemigroup([6, 15, 20])
@@ -205,6 +220,25 @@ class TestPseudoFrobenius:
         if S.frobenius() > 500:
             return
         assert S.pseudo_frobenius() == brute_pseudo_frobenius(S)
+
+
+class TestLargeSizes:
+    def test_interval_m_to_2m_at_997(self):
+        # <m, m+1, ..., 2m-1> is {0} together with [m, infinity): every
+        # candidate is minimal and every gap is pseudo-Frobenius
+        m = 997
+        S = NumericalSemigroup(range(m, 2 * m))
+        assert S.generators == tuple(range(m, 2 * m))
+        assert S.frobenius() == S.genus() == S.type() == m - 1
+        assert S.pseudo_frobenius() == list(range(1, m))
+
+    @given(st.integers(2, 3000), st.integers(1, 40), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_roberts_arithmetic_sequences(self, a, k, d):
+        # Roberts (1956): F(a, a+d, ..., a+kd) = (floor((a-2)/k) + 1) a + (d-1)(a-1) - 1
+        assume(gcd(a, d) == 1)
+        S = NumericalSemigroup([a + i * d for i in range(k + 1)])
+        assert S.frobenius() == ((a - 2) // k + 1) * a + (d - 1) * (a - 1) - 1
 
 
 class TestSymmetryAndTelescopic:
