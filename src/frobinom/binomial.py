@@ -8,14 +8,17 @@ by p in the prime-power case), each with coordinate bound p.  The Apery set
 at the base is the set of sums of c * C(n, p^j) with 0 <= c < p; the minimal
 system, Frobenius number and genus are sums over the box.
 
-Only `bn_apery_closed` (and so `bn_report`) lists the Apery set, which has
-one element per residue class.  `decompose` and the triple completion in
-`corepartitions` look up single residues with `_apery_element`, whose box
-coordinates are base-p digits of the residue.  Everything can be
-cross-checked against the generic engine in `semigroup`.
+`bn_report` carries the box itself, as `apery_box`, so it costs O(box) at
+any n.  Only `bn_apery_closed` lists the Apery set, which has one element
+per residue class: the CLI's `report` calls it when the base is at most
+1000, and `verify_closed_vs_oracle` to compare the set with the engine's.
+`decompose` and the triple completion in `corepartitions` look up single
+residues with `_apery_element`, whose box coordinates are base-p digits of
+the residue.  Everything can be cross-checked against the generic engine in
+`semigroup`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exactmath import binomial, factorize, is_prime
@@ -32,44 +35,37 @@ class DegenerateSemigroupError(ValueError):
         self.n = n
 
 
-@dataclass(frozen=True)
-class BinomialSemigroupSpec:
-    """Factorization-level data for the family of binomials with upper index n."""
-    n: int
-    factorization: tuple[tuple[int, int], ...]
-    is_prime_power: bool
-    scale: int  # gcd of the family: p when n = p^m, else 1
+class BinomialSemigroupSpec(namedtuple(
+        "BinomialSemigroupSpec", "n factorization is_prime_power scale")):
+    """Factorization-level data for the family of binomials with upper index n.
+
+    factorization is ((p, k), ...); scale is the gcd of the family: p when
+    n = p^m, else 1.
+    """
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinomialSemigroupReport:
-    """All closed-form quantities for the semigroup of one upper index n."""
-    n: int
-    minimal_generators: tuple[int, ...]
-    embedding_dimension: int
-    apery_base: int
-    apery_set: tuple[int, ...]
-    frobenius: int
-    genus: int
-    pseudo_frobenius: tuple[int, ...]
-    type: int
-    symmetric: bool
-    telescopic: bool
+class BinomialSemigroupReport(namedtuple("BinomialSemigroupReport", (
+        "n minimal_generators embedding_dimension apery_base apery_box frobenius "
+        "genus pseudo_frobenius type symmetric telescopic"))):
+    """All closed-form quantities for the semigroup of one upper index n.
+
+    apery_box = (base, ((value, bound), ...)) describes the Apery set at the
+    base exactly: it is the set of sums of c * value with 0 <= c < bound.
+    `bn_apery_closed` lists it.
+    """
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(namedtuple(
+        "Representation", "target basis coefficients value scaled")):
     """One binomial written as a nonnegative combination of the minimal system.
 
     coefficients[i] multiplies basis[i]; the weighted sum equals `value`,
     which is C(n, m) itself, or C(n, m)/p in the scaled prime-power case
-    (`scaled` records which).
+    (`scaled` records which).  target is (n, m).
     """
-    target: tuple[int, int]
-    basis: tuple[int, ...]
-    coefficients: tuple[int, ...]
-    value: int
-    scaled: bool
+    __slots__ = ()
 
 
 def bn_spec(n: int) -> BinomialSemigroupSpec:
@@ -189,16 +185,16 @@ def bn_genus(n: int) -> int:
 
 
 def bn_report(n: int) -> BinomialSemigroupReport:
-    """All closed-form quantities in one record."""
-    gens = tuple(bn_minimal_system(n))
-    base, ap = bn_apery_closed(n)
+    """All closed-form quantities in one record, with the Apery set as its
+    box: O(box), whatever the size of the set."""
+    base, gens = _proper_box(n)
     f = bn_frobenius(n)
     return BinomialSemigroupReport(
         n=n,
-        minimal_generators=gens,
+        minimal_generators=tuple(bn_minimal_system(n)),
         embedding_dimension=bn_embedding_dimension(n),
         apery_base=base,
-        apery_set=ap,
+        apery_box=(base, tuple((value, p) for value, p, _ in gens)),
         frobenius=f,
         genus=bn_genus(n),
         pseudo_frobenius=(f,),
@@ -282,11 +278,12 @@ def identity_pm_check(p: int, m: int, r: int) -> tuple[int, bool]:
     return lead, lead * n + fixed == target
 
 
-@dataclass(frozen=True)
-class OracleComparison:
-    """Field-by-field comparison of the closed forms against the generic engine."""
-    n: int
-    fields: dict
+class OracleComparison(namedtuple("OracleComparison", "n fields")):
+    """Field-by-field comparison of the closed forms against the generic engine.
+
+    fields maps each name to (closed form, engine).
+    """
+    __slots__ = ()
 
     @property
     def mismatches(self) -> list[str]:
@@ -306,12 +303,13 @@ def verify_closed_vs_oracle(n: int, max_n: int = 30) -> OracleComparison:
     if n > max_n:
         raise ValueError(f"n = {n} exceeds the verification bound {max_n}")
     report = bn_report(n)
+    base, apery = bn_apery_closed(n)
     engine = NumericalSemigroup(bn_family(n))
-    oracle_apery = engine.apery_set(report.apery_base)
+    oracle_apery = engine.apery_set(base)
     fields = {
         "minimal_generators": (report.minimal_generators, engine.generators),
         "embedding_dimension": (report.embedding_dimension, len(engine.generators)),
-        "apery_set": (report.apery_set, tuple(sorted(oracle_apery.entries))),
+        "apery_set": (apery, tuple(sorted(oracle_apery.entries))),
         "frobenius": (report.frobenius, engine.frobenius()),
         "genus": (report.genus, engine.genus()),
         "pseudo_frobenius": (report.pseudo_frobenius, tuple(engine.pseudo_frobenius())),

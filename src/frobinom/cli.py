@@ -5,6 +5,13 @@ Default output is human-readable text; --format json emits a deterministic
 envelope {command, input, result, timing_ms} with sorted keys and every
 integer rendered as a decimal string, so consumers never lose precision.
 
+Text output elides lists longer than ELIDE_ABOVE as count, min and max.
+`report` emits the Apery set's box (`apery_box`: the base and the
+generators with their coordinate bounds, which rebuild the set exactly) and
+lists the set only when the base is at most ELIDE_ABOVE; above that, JSON
+carries `apery_set_elided` = {count, min, max} in its place and the text
+line is read off the box, so `report` costs O(box) at every n.
+
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
 invariant violation, 64 usage error.
 """
@@ -26,7 +33,7 @@ EXIT_INTERNAL = 3
 EXIT_USAGE = 64
 
 MAX_N = 10**6          # hard cap on the upper index accepted by the CLI
-ELIDE_ABOVE = 1000     # text output elides lists longer than this
+ELIDE_ABOVE = 1000     # text elides lists longer than this; report lists Ap up to this base
 VERIFY_CAP = 40        # largest --max-n the verify sweep accepts
 
 
@@ -74,14 +81,25 @@ def _run_report(args):
     _check_n(args.n)
     spec = bn.bn_spec(args.n)
     report = bn.bn_report(args.n)
+    base, box = report.apery_box
+    top = report.frobenius + base  # max of the Apery set
+    if base <= ELIDE_ABOVE:
+        listed = bn.bn_apery_closed(args.n)[1]
+        apery = {"apery_set": list(listed)}
+    else:
+        # one element per class mod the base, each up to the size of F:
+        # the box and the extremes stand in for the listing
+        listed = None
+        apery = {"apery_set_elided": {"count": base, "min": 0, "max": top}}
     result = {
         "n": report.n,
         "factorization": [list(pair) for pair in spec.factorization],
         "scale": spec.scale,
         "minimal_generators": list(report.minimal_generators),
         "embedding_dimension": report.embedding_dimension,
-        "apery_base": report.apery_base,
-        "apery_set": list(report.apery_set),
+        "apery_base": base,
+        "apery_box": {"base": base, "generators": [list(g) for g in box]},
+        **apery,
         "frobenius": report.frobenius,
         "genus": report.genus,
         "pseudo_frobenius": list(report.pseudo_frobenius),
@@ -89,6 +107,8 @@ def _run_report(args):
         "symmetric": report.symmetric,
         "telescopic": report.telescopic,
     }
+    # the lines render in order, so an over-long integer fails on the same
+    # line as it would with the set listed
     text = [
         f"n                   {report.n}",
         "factorization       " + " * ".join(
@@ -96,8 +116,9 @@ def _run_report(args):
         f"scale               {spec.scale}",
         f"minimal generators  {_fmt_list(report.minimal_generators)}",
         f"embedding dimension {report.embedding_dimension}",
-        f"apery base          {report.apery_base}",
-        f"apery set           {_fmt_list(report.apery_set)}",
+        f"apery base          {base}",
+        "apery set           " + (_fmt_list(listed) if listed is not None
+                                  else f"({base} elements; min 0, max {top})"),
         f"frobenius           {report.frobenius}",
         f"genus               {report.genus}",
         f"pseudo-frobenius    {_fmt_list(report.pseudo_frobenius)}",

@@ -12,7 +12,7 @@ semigroups at sizes where the gap set itself is astronomically large.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .binomial import _apery_element, _box, bn_frobenius, bn_spec
 
@@ -187,12 +187,10 @@ def enumerate_admissible(S: NumericalSet, bound: int = ENUM_BOUND) -> list[tuple
     return out
 
 
-@dataclass(frozen=True)
-class AdmissiblePairResult:
+class AdmissiblePairResult(namedtuple("AdmissiblePairResult", "triple count")):
     """Output of the triple-completion algorithm: the triple (s, s+1, s+p) and
     its associated count."""
-    triple: tuple[int, int, int]
-    count: int
+    __slots__ = ()
 
 
 def _complete(reps: tuple[int, int, int], base: int, p: int) -> tuple[int, int, int]:

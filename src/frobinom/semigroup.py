@@ -13,7 +13,6 @@ generator is added to a table mod m in O(m), so one pass over the sorted
 candidates keeps one table and finds the minimal system on the way.
 """
 
-from dataclasses import dataclass
 from math import gcd, inf
 
 
@@ -26,14 +25,34 @@ class NotANumericalSemigroup(ValueError):
         self.gcd = gcd_value
 
 
-@dataclass(frozen=True)
 class AperyTable:
     """Least element of the semigroup in each residue class mod `base`.
 
     entries[r] is the smallest element congruent to r; entries[0] is 0.
+    Immutable: `base` and `entries` are fixed at construction.
     """
-    base: int
-    entries: tuple[int, ...]
+    __slots__ = ("base", "entries")
+
+    def __init__(self, base: int, entries: tuple[int, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an AperyTable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an AperyTable")
+
+    def __repr__(self):
+        return f"AperyTable(base={self.base!r}, entries={self.entries!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, AperyTable):
+            return NotImplemented
+        return (self.base, self.entries) == (other.base, other.entries)
+
+    def __hash__(self):
+        return hash((self.base, self.entries))
 
     def __getitem__(self, residue: int) -> int:
         return self.entries[residue % self.base]

@@ -162,6 +162,20 @@ class TestClosedQuantities:
         assert bn_report(9).minimal_generators == (3, 28)
         assert bn_report(9).frobenius == 53
 
+    def test_report_carries_the_box(self):
+        assert bn_report(6).apery_box == (6, ((15, 2), (20, 3)))
+        assert bn_report(9).apery_box == (3, ((28, 3),))
+        assert bn_report(12).apery_box == (12, ((66, 2), (220, 3), (495, 2)))
+        with pytest.raises(DegenerateSemigroupError):
+            bn_report(13)
+
+    def test_records_are_immutable(self):
+        for record, field in ((bn_report(6), "frobenius"), (bn_spec(6), "scale"),
+                              (decompose(6, 3), "value"),
+                              (verify_closed_vs_oracle(6), "fields")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
 
 class TestDecompose:
     def test_canonical_examples(self):
@@ -294,6 +308,13 @@ class TestOracleEquivalence:
         for n in COMPOSITES_30:
             cmp = verify_closed_vs_oracle(n)
             assert cmp.all_match, (n, cmp.mismatches)
+
+    def test_full_sweep_up_to_200(self):
+        # bn_report no longer lists the Apery set; the comparison lists it
+        for n in range(4, 201):
+            if not is_prime(n):
+                cmp = verify_closed_vs_oracle(n, max_n=200)
+                assert cmp.all_match, (n, cmp.mismatches)
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,17 @@
 """CLI surface: exit codes, text output, and the JSON envelope contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import frobinom.binomial
+from frobinom.binomial import bn_apery_closed, bn_family, bn_frobenius
 from frobinom.cli import main
+from frobinom.exactmath import is_prime
+from frobinom.semigroup import NumericalSemigroup
 
 
 def run(capsys, *argv):
@@ -60,6 +67,88 @@ class TestReport:
     def test_oversized_n_exits_64(self, capsys):
         code, _, err = run(capsys, "report", str(10**6 + 1))
         assert code == 64
+
+
+def text_line(out, label):
+    (line,) = [x for x in out.splitlines() if x.startswith(label + " ")]
+    return line[len(label):].strip()
+
+
+def rebuild(box):
+    """The Apery set from a JSON apery_box: every sum of c * value, 0 <= c < bound."""
+    sums = [0]
+    for value, bound in box["generators"]:
+        sums = [s + c * int(value) for c in range(int(bound)) for s in sums]
+    return sorted(sums)
+
+
+class TestReportBox:
+    @pytest.mark.parametrize("n", [2310, 4000, 15625, 30030])
+    def test_elided_set_matches_the_listing(self, capsys, n):
+        base, ap = bn_apery_closed(n)
+        assert base > 1000
+        code, out, _ = run(capsys, "report", str(n))
+        assert code == 0
+        assert text_line(out, "apery set") == \
+            f"({len(ap)} elements; min {min(ap)}, max {max(ap)})"
+        code, env, _ = run_json(capsys, "report", str(n))
+        assert code == 0
+        result = env["result"]
+        assert "apery_set" not in result
+        assert result["apery_set_elided"] == {
+            "count": str(len(ap)), "min": str(min(ap)), "max": str(max(ap))}
+        assert rebuild(result["apery_box"]) == list(ap)
+
+    def test_box_rebuilds_the_set_up_to_200(self, capsys):
+        for n in range(4, 201):
+            if is_prime(n):
+                continue
+            code, env, _ = run_json(capsys, "report", str(n))
+            assert code == 0, n
+            result = env["result"]
+            box = result["apery_box"]
+            assert box["base"] == result["apery_base"], n
+            assert [str(w) for w in rebuild(box)] == result["apery_set"], n
+            if n <= 40:
+                base = int(box["base"])
+                engine = NumericalSemigroup(bn_family(n)).apery_set(base)
+                assert rebuild(box) == sorted(engine.entries), n
+
+    @pytest.mark.parametrize("n", [510510, 10**6])
+    def test_largest_reports_list_no_apery_set(self, capsys, monkeypatch, n):
+        # 10^6 = 2^6 * 5^6 has 10^6 Apery elements of about 35000 digits;
+        # its answers exceed the default int-to-str limit, which is lifted
+        # here so that the report itself is checked
+        def listing_forbidden(n):
+            raise AssertionError(f"bn_apery_closed({n}) called by report")
+
+        monkeypatch.setattr(frobinom.binomial, "bn_apery_closed", listing_forbidden)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run(capsys, "report", str(n))
+            code_json, env, _ = run_json(capsys, "report", str(n))
+            top = str(bn_frobenius(n) + n)
+            box = env["result"]["apery_box"]
+            box_top = str(sum((int(b) - 1) * int(v) for v, b in box["generators"]))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == code_json == 0
+        assert text_line(out, "apery set") == f"({n} elements; min 0, max {top})"
+        result = env["result"]
+        assert result["apery_set_elided"] == {"count": str(n), "min": "0", "max": top}
+        assert "apery_set" not in result
+        assert box["base"] == str(n)
+        assert box_top == top
+
+
+def test_cli_import_loads_no_dataclasses():
+    src = os.path.dirname(os.path.dirname(frobinom.binomial.__file__))
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import frobinom.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestSemigroup:

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frobinom.exactmath import binomial
 from frobinom.semigroup import (
+    AperyTable,
     NotANumericalSemigroup,
     NumericalSemigroup,
     minimal_generators,
@@ -106,6 +107,19 @@ class TestAperySet:
             table = S.apery_set(x)
             assert table.base == x
             assert table.entries == tuple(dp_apery([6, 15, 20], x, 300)), x
+
+    def test_table_is_an_immutable_value(self):
+        table = NumericalSemigroup([6, 15, 20]).apery
+        assert table == AperyTable(6, (0, 55, 20, 15, 40, 35))
+        assert hash(table) == hash(AperyTable(6, (0, 55, 20, 15, 40, 35)))
+        assert table != AperyTable(6, (0, 55, 20, 15, 40, 36))
+        assert (table[7], table.max()) == (55, 55)
+        assert repr(table) == "AperyTable(base=6, entries=(0, 55, 20, 15, 40, 35))"
+        for attempt in (lambda: setattr(table, "base", 5),
+                        lambda: setattr(table, "other", 1),
+                        lambda: delattr(table, "entries")):
+            with pytest.raises(AttributeError):
+                attempt()
 
     @given(gen_sets, st.integers(0, 3))
     @settings(max_examples=60)
