@@ -6,6 +6,9 @@ envelope {command, input, result, timing_ms} with sorted keys and every
 integer rendered as a decimal string, so consumers never lose precision.
 
 Text output elides lists longer than ELIDE_ABOVE as count, min and max.
+`semigroup` lists the gaps only when the genus is at most ELIDE_ABOVE;
+above that, text and JSON (`gaps_elided`) give count, min and max, and the
+Apery set in the same output determines the gaps.
 `report` emits the Apery set's box (`apery_box`: the base and the
 generators with their coordinate bounds, which rebuild the set exactly) and
 lists the set only when the base is at most ELIDE_ABOVE; above that, JSON
@@ -33,7 +36,8 @@ EXIT_INTERNAL = 3
 EXIT_USAGE = 64
 
 MAX_N = 10**6          # hard cap on the upper index accepted by the CLI
-ELIDE_ABOVE = 1000     # text elides lists longer than this; report lists Ap up to this base
+ELIDE_ABOVE = 1000     # text elides lists longer than this; report lists Ap up to this
+                       # base, semigroup the gaps up to this genus
 VERIFY_CAP = 40        # largest --max-n the verify sweep accepts
 
 
@@ -154,9 +158,7 @@ def _run_semigroup(args):
         f"frobenius           {frobenius}",
         f"genus               {genus}",
     ]
-    if genus <= core.SET_BOUND:
-        # JSON stays complete as long as the gap list is materializable;
-        # the text line still elides beyond ELIDE_ABOVE
+    if genus <= ELIDE_ABOVE:
         gaps = S.gaps()
         result["gaps"] = gaps
         text.append(f"gaps                {_fmt_list(gaps)}")
@@ -205,20 +207,22 @@ def _run_core(args):
         S = core.NumericalSet(args.gaps or ())
         echo = {"gaps": list(args.gaps or ())}
     lam = core.partition_of(S)
-    hooks = core.hook_set(lam)
     A = core.a_set(S)
+    # by the hook theorem the hooks of lam are the gaps of A(S)
+    hooks = A.gaps()
+    gaps = S.gaps()
     result = {
         "frobenius": S.frobenius,
-        "gaps": S.gaps(),
+        "gaps": gaps,
         "partition": list(lam.parts),
         "hook_set": hooks,
-        "a_set_gaps": A.gaps(),
+        "a_set_gaps": hooks,
         "a_set_frobenius": A.frobenius,
     }
     a_shown = A.members_below_frobenius() + [A.frobenius + 1]
     text = [
         f"frobenius  {S.frobenius}",
-        f"gaps       {_fmt_list(S.gaps())}",
+        f"gaps       {_fmt_list(gaps)}",
         f"partition  {tuple(lam.parts)}",
         f"hook set   {_fmt_list(hooks)}",
         f"A(S)       {{{', '.join(str(x) for x in a_shown)}, ...}}",
@@ -235,7 +239,7 @@ def _run_admissible(args):
         f"count   {out.count}",
     ]
     echo = {"n": args.n, "s_seed": args.s_seed, "p": args.p,
-            "force_base": bool(args.force_base)}
+            "force_base": args.force_base}
     return echo, result, text, EXIT_OK
 
 
@@ -273,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="frobinom",
                      description="Numerical semigroups generated by binomial coefficients")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--max-n", type=int, default=30, help=argparse.SUPPRESS)
-    parser.add_argument("--force-base", action="store_true", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p):
@@ -308,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("s_seed", type=int)
     p.add_argument("p", type=int)
-    p.add_argument("--force-base", action="store_true", default=argparse.SUPPRESS)
+    p.add_argument("--force-base", action="store_true")
     common(p)
     p.set_defaults(handler=_run_admissible)
 
     p = sub.add_parser("verify", help="closed forms vs the generic engine, plus arithmetic self-checks")
-    p.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-n", type=int, default=30)
     common(p)
     p.set_defaults(handler=_run_verify)
 

@@ -21,26 +21,27 @@ ENUM_BOUND = 10**4   # largest Frobenius number enumerate_admissible will sweep
 
 
 class NumericalSet:
-    """Co-finite subset of N containing 0, stored as a bitmap up to its Frobenius number."""
+    """Co-finite subset of N containing 0, stored as a bitmap up to its
+    Frobenius number, which may not exceed SET_BOUND."""
 
-    def __init__(self, gaps=(), bound: int = SET_BOUND):
+    def __init__(self, gaps=()):
         gaps = sorted(set(gaps))
         if gaps and gaps[0] < 1:
             raise ValueError("gaps must be positive (0 always belongs to the set)")
         frobenius = gaps[-1] if gaps else -1
-        if frobenius > bound:
-            raise ValueError(f"Frobenius number {frobenius} exceeds the bound {bound}")
+        if frobenius > SET_BOUND:
+            raise ValueError(f"Frobenius number {frobenius} exceeds the bound {SET_BOUND}")
         self.frobenius = frobenius
         self._member = bytearray(b"\x01" * (frobenius + 1))
         for g in gaps:
             self._member[g] = 0
 
     @classmethod
-    def from_semigroup(cls, semigroup, bound: int = SET_BOUND) -> "NumericalSet":
-        if semigroup.frobenius() > bound:
+    def from_semigroup(cls, semigroup) -> "NumericalSet":
+        if semigroup.frobenius() > SET_BOUND:
             raise ValueError(
-                f"Frobenius number {semigroup.frobenius()} exceeds the bound {bound}")
-        return cls(semigroup.gaps(), bound)
+                f"Frobenius number {semigroup.frobenius()} exceeds the bound {SET_BOUND}")
+        return cls(semigroup.gaps())
 
     def contains(self, m: int) -> bool:
         if m < 0:
@@ -171,11 +172,12 @@ def is_admissible(S: NumericalSet, s: int, p: int) -> bool:
     return is_triple_core(S, s, p) and s + p < S.frobenius
 
 
-def enumerate_admissible(S: NumericalSet, bound: int = ENUM_BOUND) -> list[tuple[int, int]]:
-    """All admissible pairs (s, p), sorted by s then p, by finite brute force."""
+def enumerate_admissible(S: NumericalSet) -> list[tuple[int, int]]:
+    """All admissible pairs (s, p), sorted by s then p, by finite brute force
+    over F(S) <= ENUM_BOUND."""
     f = S.frobenius
-    if f > bound:
-        raise ValueError(f"Frobenius number {f} exceeds the enumeration bound {bound}")
+    if f > ENUM_BOUND:
+        raise ValueError(f"Frobenius number {f} exceeds the enumeration bound {ENUM_BOUND}")
     A = a_set(S)
     members = [x for x in range(f) if x in A]
     out = []

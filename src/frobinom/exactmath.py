@@ -238,9 +238,7 @@ def _legendre_valuation(p: int, n: int, k: int) -> int:
     return total
 
 
-def invariant_report(pascal_max: int = 60, kummer_max: int = 60,
-                     residue_max: int = 300, sun_m_max: int = 12,
-                     gcd_max: int = 200) -> list[tuple[str, bool]]:
+def invariant_report() -> list[tuple[str, bool]]:
     """Run this module's self-consistency sweeps; returns (label, passed) rows.
 
     Used by the CLI `verify` command.  The pytest suite runs the same checks
@@ -250,16 +248,16 @@ def invariant_report(pascal_max: int = 60, kummer_max: int = 60,
 
     ok = True
     row = [1]
-    for n in range(1, pascal_max + 1):
+    for n in range(1, 61):
         row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]
         for k in range(n + 1):
             if binomial(n, k) != row[k] or binomial(n, k) != binomial(n, n - k):
                 ok = False
-    rows.append((f"pascal recurrence and symmetry, n <= {pascal_max}", ok))
+    rows.append(("pascal recurrence and symmetry, n <= 60", ok))
 
     ok = True
     for p in (2, 3, 5, 7, 11, 13):
-        for n in range(kummer_max + 1):
+        for n in range(61):
             for k in range(n + 1):
                 v = binomial_valuation_kummer(p, n, k)
                 if v != _legendre_valuation(p, n, k):
@@ -267,7 +265,7 @@ def invariant_report(pascal_max: int = 60, kummer_max: int = 60,
                 b = binomial(n, k)
                 if b >= 1 and v != p_adic_valuation(p, b):
                     ok = False
-    rows.append((f"carry count = divide-out valuation = floor-sum formula, n <= {kummer_max}", ok))
+    rows.append(("carry count = divide-out valuation = floor-sum formula, n <= 60", ok))
 
     # The sweeps here stay below TREE_MIN_K, so check the product tree against
     # math.comb at the least j = min(k, n-k) it takes, and one below it: at
@@ -285,7 +283,7 @@ def invariant_report(pascal_max: int = 60, kummer_max: int = 60,
     # k <= 2 with p odd, or k = 1 with p = 2 (the p = 2 correction term breaks
     # it otherwise: C(8,4) = 70 == 6 (mod 8), not 2).  Sweep that domain.
     ok = True
-    for n in range(2, residue_max + 1):
+    for n in range(2, 301):
         for p, kmax in factorize(n):
             for k in range(1, kmax + 1):
                 if (p == 2 and k >= 2) or k >= 3:
@@ -293,7 +291,7 @@ def invariant_report(pascal_max: int = 60, kummer_max: int = 60,
                 lhs, rhs = binom_residue_lemma(n, p, k)
                 if lhs != rhs:
                     ok = False
-    rows.append((f"binomial residue congruence on its provable domain, n <= {residue_max}", ok))
+    rows.append(("binomial residue congruence on its provable domain, n <= 300", ok))
 
     # At a = 0 the quotient is 1 while the p = 2 right-hand side is not, so
     # the congruence only holds from a >= 1 for p = 2.
@@ -302,18 +300,18 @@ def invariant_report(pascal_max: int = 60, kummer_max: int = 60,
         for a in range(3):
             if p == 2 and a == 0:
                 continue
-            for m in range(sun_m_max + 1):
+            for m in range(13):
                 for n2 in range(m + 1):
                     if not sun_congruence_holds(p, a, m, n2):
                         ok = False
-    rows.append((f"prime-power quotient congruence (a >= 1 for p = 2), p in 2..7, m <= {sun_m_max}", ok))
+    rows.append(("prime-power quotient congruence (a >= 1 for p = 2), p in 2..7, m <= 12", ok))
 
     ok = True
-    for n in range(2, gcd_max + 1):
+    for n in range(2, 201):
         fac = factorize(n)
         expected = fac[0][0] if len(fac) == 1 else 1
         if gcd_list([binomial(n, k) for k in range(1, n)]) != expected:
             ok = False
-    rows.append((f"gcd of binomial family: p for prime powers else 1, n <= {gcd_max}", ok))
+    rows.append(("gcd of binomial family: p for prime powers else 1, n <= 200", ok))
 
     return rows

@@ -13,6 +13,7 @@ generator is added to a table mod m in O(m), so one pass over the sorted
 candidates keeps one table and finds the minimal system on the way.
 """
 
+from collections import namedtuple
 from math import gcd, inf
 
 
@@ -25,40 +26,12 @@ class NotANumericalSemigroup(ValueError):
         self.gcd = gcd_value
 
 
-class AperyTable:
+class AperyTable(namedtuple("AperyTable", "base entries")):
     """Least element of the semigroup in each residue class mod `base`.
 
     entries[r] is the smallest element congruent to r; entries[0] is 0.
-    Immutable: `base` and `entries` are fixed at construction.
     """
-    __slots__ = ("base", "entries")
-
-    def __init__(self, base: int, entries: tuple[int, ...]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an AperyTable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an AperyTable")
-
-    def __repr__(self):
-        return f"AperyTable(base={self.base!r}, entries={self.entries!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, AperyTable):
-            return NotImplemented
-        return (self.base, self.entries) == (other.base, other.entries)
-
-    def __hash__(self):
-        return hash((self.base, self.entries))
-
-    def __getitem__(self, residue: int) -> int:
-        return self.entries[residue % self.base]
-
-    def max(self) -> int:
-        return max(self.entries)
+    __slots__ = ()
 
 
 def _add_generator(table, g):
@@ -140,7 +113,7 @@ class NumericalSemigroup:
 
     def frobenius(self) -> int:
         """Largest integer not in the semigroup; -1 when there are no gaps."""
-        return self.apery.max() - self.multiplicity
+        return max(self.apery.entries) - self.multiplicity
 
     def genus(self) -> int:
         """Number of gaps, from the Apery table: sum(entries)/x - (x-1)/2."""

@@ -2,12 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import frobinom.binomial
+import frobinom.corepartitions
 from frobinom.binomial import bn_apery_closed, bn_family, bn_frobenius
 from frobinom.cli import main
 from frobinom.exactmath import is_prime
@@ -179,6 +181,25 @@ class TestSemigroup:
         assert code == 0
         assert "252821217113612 gaps" in out
 
+    def test_gaps_listed_up_to_genus_1000(self, capsys):
+        code, env, _ = run_json(capsys, "semigroup", "45", "46")
+        assert code == 0
+        result = env["result"]
+        assert result["genus"] == "990"
+        assert result["gaps"] == [str(g) for g in NumericalSemigroup([45, 46]).gaps()]
+        assert "gaps_elided" not in result
+
+    def test_gaps_elided_above_genus_1000(self, capsys):
+        gaps = NumericalSemigroup([46, 47]).gaps()
+        assert (len(gaps), min(gaps), max(gaps)) == (1035, 1, 2069)
+        code, env, _ = run_json(capsys, "semigroup", "46", "47")
+        assert code == 0
+        assert env["result"]["gaps_elided"] == {"count": "1035", "min": "1", "max": "2069"}
+        assert "gaps" not in env["result"]
+        code, out, _ = run(capsys, "semigroup", "46", "47")
+        assert code == 0
+        assert text_line(out, "gaps") == "(1035 gaps; min 1, max 2069)"
+
 
 class TestDecompose:
     def test_canonical(self, capsys):
@@ -238,6 +259,31 @@ class TestCore:
     def test_zero_gap_exits_2(self, capsys):
         code, _, _ = run(capsys, "core", "--gaps", "0", "3")
         assert code == 2
+
+    def test_a_set_computed_once(self, capsys, monkeypatch):
+        calls = []
+        a_set_gaps = frobinom.corepartitions._a_set_gaps
+
+        def counted(mask):
+            calls.append(mask)
+            return a_set_gaps(mask)
+
+        monkeypatch.setattr(frobinom.corepartitions, "_a_set_gaps", counted)
+        code, _, _ = run_json(capsys, "core", "--gaps", "2", "5", "6", "8")
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hook_set_is_cell_by_cell(self, capsys, seed):
+        rng = random.Random(seed)
+        gaps = rng.sample(range(1, 60), rng.randint(1, 25))
+        code, env, _ = run_json(capsys, "core", "--gaps", *map(str, gaps))
+        assert code == 0
+        rows = [int(p) for p in env["result"]["partition"]]
+        cols = [sum(1 for r in rows if r > j) for j in range(rows[0])]
+        hooks = sorted({rows[i] - j + cols[j] - i - 1
+                        for i in range(len(rows)) for j in range(rows[i])})
+        assert env["result"]["hook_set"] == [str(h) for h in hooks]
 
 
 class TestAdmissible:
@@ -308,3 +354,12 @@ class TestEnvelope:
         code, out, _ = run(capsys, "--format", "json", "report", "6")
         assert code == 0
         assert json.loads(out)["result"]["frobenius"] == "49"
+
+    @pytest.mark.parametrize("argv", [
+        ("--max-n", "4", "verify"),
+        ("--force-base", "admissible", "8", "1", "2"),
+    ])
+    def test_subcommand_options_before_the_subcommand_exit_64(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 64

@@ -104,7 +104,6 @@ class TestNumericalSet:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             NumericalSet([10**7])
-        NumericalSet([10**7], bound=10**8)
 
 
 class TestASet:

@@ -113,7 +113,7 @@ class TestAperySet:
         assert table == AperyTable(6, (0, 55, 20, 15, 40, 35))
         assert hash(table) == hash(AperyTable(6, (0, 55, 20, 15, 40, 35)))
         assert table != AperyTable(6, (0, 55, 20, 15, 40, 36))
-        assert (table[7], table.max()) == (55, 55)
+        assert (table.entries[7 % table.base], max(table.entries)) == (55, 55)
         assert repr(table) == "AperyTable(base=6, entries=(0, 55, 20, 15, 40, 35))"
         for attempt in (lambda: setattr(table, "base", 5),
                         lambda: setattr(table, "other", 1),
