@@ -7,7 +7,6 @@ admissible-pair machinery built on top.
 """
 
 from .exactmath import (
-    binomial,
     binomial_valuation_kummer,
     binom_residue_lemma,
     factorize,
@@ -64,7 +63,6 @@ __all__ = [
     "a_set",
     "algorithm1",
     "binom_residue_lemma",
-    "binomial",
     "binomial_valuation_kummer",
     "bn_apery_closed",
     "bn_embedding_dimension",

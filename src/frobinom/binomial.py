@@ -16,6 +16,15 @@ per residue class: the CLI's `report` calls it when the base is at most
 residues with `_apery_element`, whose box coordinates are base-p digits of
 the residue.  Everything can be cross-checked against the generic engine in
 `semigroup`.
+
+All per-n data lives in one cached record, `_box(n)`, built once per n
+(the 16 most recent are kept): the spec, the base, the box generators, F,
+and the digit-solve steps, each (index, p^e, p, inverse mod p of the
+generator's unit digit, generator mod base).  A lookup reads only the
+steps, solving the coordinates in word-size integers, and touches the
+generators once, in the sum that forms the element.  `bn_spec` factors n
+for the record; the closed forms and the point queries read the record and
+neither factor n nor sum the box again.
 """
 
 from collections import namedtuple
@@ -86,9 +95,21 @@ def bn_family(n: int) -> list[int]:
     return [v // spec.scale for v in vals]
 
 
+class _Box(namedtuple("_Box", "spec base gens steps frobenius")):
+    """The cached per-n record of S(B_n): everything a point query reads.
+
+    gens are the box generators (value, p, e), values ascending.  steps are
+    the digit solves of `_apery_element` in valuation order, one per
+    generator: (index into gens, p^e, p, inverse mod p of the generator's
+    unit base-p digit, value mod base), all word-size.  frobenius is the sum
+    of (p - 1) * value over the box, minus the base.
+    """
+    __slots__ = ()
+
+
 @lru_cache(maxsize=16)
-def _box(n: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """The Apery box of S(B_n): (base, ((value, p, e), ...)), values ascending.
+def _box(n: int) -> _Box:
+    """The Apery box of S(B_n) and its lookup data, built once per n.
 
     The Apery set at `base` is the set of sums of c * value with 0 <= c < p,
     one coordinate per generator.  The values are C(n, p^j) for the prime
@@ -103,14 +124,22 @@ def _box(n: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         if p == spec.scale:
             k -= 1
         gens.extend((binomial(n, p**j) // spec.scale, p, k - j) for j in range(1, k + 1))
-    return n // spec.scale, tuple(sorted(gens))
+    gens.sort()
+    base = n // spec.scale
+    steps = []
+    for i in sorted(range(len(gens)), key=lambda i: gens[i][2]):
+        value, p, e = gens[i]
+        pe = p**e
+        steps.append((i, pe, p, pow(value % (pe * p) // pe, -1, p), value % base))
+    frobenius = sum((p - 1) * value for value, p, _ in gens) - base
+    return _Box(spec, base, tuple(gens), tuple(steps), frobenius)
 
 
-def _proper_box(n: int):
-    base, gens = _box(n)
-    if base == 1:
+def _proper_box(n: int) -> _Box:
+    box = _box(n)
+    if box.base == 1:
         raise DegenerateSemigroupError(n)
-    return base, gens
+    return box
 
 
 def _apery_element(n: int, r: int) -> tuple[int, tuple[int, ...]]:
@@ -119,21 +148,20 @@ def _apery_element(n: int, r: int) -> tuple[int, tuple[int, ...]]:
 
     Mod the p-part p^k of the base, the generators of other primes vanish
     and those of p have valuations 0..k-1, so each coordinate is one base-p
-    digit, solved from the lowest valuation up.
+    digit, solved from the lowest valuation up, from the record's steps.
     """
-    base, gens = _proper_box(n)
+    box = _proper_box(n)
+    base = box.base
     x = r % base
-    coords = [0] * len(gens)
-    for i in sorted(range(len(gens)), key=lambda i: gens[i][2]):
-        value, p, e = gens[i]
-        pe = p**e
-        coords[i] = x // pe * pow(value % (pe * p) // pe, -1, p) % p
-        x = (x - coords[i] * value) % base
+    coords = [0] * len(box.gens)
+    for i, pe, p, inverse, residue in box.steps:
+        c = coords[i] = x // pe * inverse % p
+        x = (x - c * residue) % base
     if x:
         raise RuntimeError(
             f"residue {r} mod {base} has no closed-form Apery element for n = {n}; "
             "this contradicts the construction")
-    return sum(c * g[0] for c, g in zip(coords, gens)), tuple(coords)
+    return sum(c * g[0] for c, g in zip(coords, box.gens)), tuple(coords)
 
 
 def bn_minimal_system(n: int) -> list[int]:
@@ -143,13 +171,13 @@ def bn_minimal_system(n: int) -> list[int]:
     C(n, p^i)/p for 0 <= i < m when n = p^m.  For prime n this degenerates
     to [1].
     """
-    base, gens = _box(n)
-    return sorted((base, *(value for value, _, _ in gens)))
+    box = _box(n)
+    return sorted((box.base, *(value for value, _, _ in box.gens)))
 
 
 def bn_embedding_dimension(n: int) -> int:
     """Size of the minimal system: 1 + sum of exponents, or m for n = p^m."""
-    return 1 + len(_box(n)[1])
+    return 1 + len(_box(n).gens)
 
 
 def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
@@ -158,9 +186,10 @@ def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
     This is the only function that enumerates the box; single residues come
     from `_apery_element`.
     """
-    base, gens = _proper_box(n)
+    box = _proper_box(n)
+    base = box.base
     sums = [0]
-    for value, p, _ in gens:
+    for value, p, _ in box.gens:
         sums = [s + c * value for c in range(p) for s in sums]
     if len({w % base for w in sums}) != base:
         raise RuntimeError(
@@ -171,9 +200,8 @@ def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
 
 def bn_frobenius(n: int) -> int:
     """Frobenius number: max(Ap) - base, i.e. the sum of (p-1)*value over
-    the box generators, minus the base."""
-    base, gens = _proper_box(n)
-    return sum((p - 1) * value for value, p, _ in gens) - base
+    the box generators, minus the base; the record holds it."""
+    return _proper_box(n).frobenius
 
 
 def bn_genus(n: int) -> int:
@@ -187,14 +215,15 @@ def bn_genus(n: int) -> int:
 def bn_report(n: int) -> BinomialSemigroupReport:
     """All closed-form quantities in one record, with the Apery set as its
     box: O(box), whatever the size of the set."""
-    base, gens = _proper_box(n)
+    box = _proper_box(n)
+    base = box.base
     f = bn_frobenius(n)
     return BinomialSemigroupReport(
         n=n,
         minimal_generators=tuple(bn_minimal_system(n)),
         embedding_dimension=bn_embedding_dimension(n),
         apery_base=base,
-        apery_box=(base, tuple((value, p) for value, p, _ in gens)),
+        apery_box=(base, tuple((value, p) for value, p, _ in box.gens)),
         frobenius=f,
         genus=bn_genus(n),
         pseudo_frobenius=(f,),
@@ -215,20 +244,20 @@ def decompose(n: int, m: int) -> Representation:
     """
     if n < 2 or not 1 <= m <= n - 1:
         raise ValueError(f"decompose({n}, {m}) requires n >= 2 and 1 <= m <= n-1")
-    spec = bn_spec(n)
-    base, gens = _proper_box(n)
-    value = binomial(n, m) // spec.scale
+    box = _proper_box(n)
+    base, scale = box.base, box.spec.scale
+    value = binomial(n, m) // scale
     w, box_coeffs = _apery_element(n, value % base)
     q, r = divmod(value - w, base)
     if r or q < 0:
         raise RuntimeError(
             f"C({n},{m}) has no nonnegative representation over the minimal system; "
             "this contradicts the closed form")
-    basis = (base, *(v for v, _, _ in gens))
+    basis = (base, *(v for v, _, _ in box.gens))
     coefficients = (q, *box_coeffs)
     if sum(c * b for c, b in zip(coefficients, basis)) != value:
         raise RuntimeError(f"representation of C({n},{m}) failed its reconstruction check")
-    return Representation((n, m), basis, coefficients, value, spec.scale > 1)
+    return Representation((n, m), basis, coefficients, value, scale > 1)
 
 
 def identity_pq_check(p: int, q: int, r: int) -> tuple[int, bool]:

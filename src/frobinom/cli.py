@@ -78,6 +78,12 @@ def _check_n(n):
         raise UsageError(f"n = {n} exceeds the CLI bound {MAX_N}")
 
 
+def _check_generators(generators):
+    # the engine's Apery table has one entry per unit of the multiplicity
+    if min(generators) > MAX_N:
+        raise UsageError(f"multiplicity {min(generators)} exceeds the CLI bound {MAX_N}")
+
+
 # --- subcommand handlers ---------------------------------------------------
 # each returns (input_echo, result_payload, text_lines, exit_code)
 
@@ -134,6 +140,9 @@ def _run_report(args):
 
 
 def _run_semigroup(args):
+    _check_generators(args.generators)
+    if args.apery_base is not None and args.apery_base > MAX_N:
+        raise UsageError(f"--apery-base {args.apery_base} exceeds the CLI bound {MAX_N}")
     S = NumericalSemigroup(args.generators)
     table = S.apery_set(args.apery_base)
     frobenius, genus = S.frobenius(), S.genus()
@@ -201,6 +210,7 @@ def _run_decompose(args):
 
 def _run_core(args):
     if args.semigroup is not None:
+        _check_generators(args.semigroup)
         S = core.NumericalSet.from_semigroup(NumericalSemigroup(args.semigroup))
         echo = {"generators": list(args.semigroup)}
     else:
@@ -223,9 +233,11 @@ def _run_core(args):
     text = [
         f"frobenius  {S.frobenius}",
         f"gaps       {_fmt_list(gaps)}",
-        f"partition  {tuple(lam.parts)}",
+        "partition  " + (str(tuple(lam.parts)) if len(lam) <= ELIDE_ABOVE
+                         else _fmt_list(lam.parts)),
         f"hook set   {_fmt_list(hooks)}",
-        f"A(S)       {{{', '.join(str(x) for x in a_shown)}, ...}}",
+        "A(S)       " + (f"{{{', '.join(str(x) for x in a_shown)}, ...}}"
+                         if len(a_shown) <= ELIDE_ABOVE else _fmt_list(a_shown)),
     ]
     return echo, result, text, EXIT_OK
 

@@ -14,7 +14,7 @@ semigroups at sizes where the gap set itself is astronomically large.
 from bisect import bisect_left
 from collections import namedtuple
 
-from .binomial import _apery_element, _box, bn_frobenius, bn_spec
+from .binomial import _apery_element, _box, _proper_box
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
 ENUM_BOUND = 10**4   # largest Frobenius number enumerate_admissible will sweep
@@ -226,14 +226,14 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
     Prime powers use base p^(m-1) instead of n and require force_base=True,
     as that substitution goes beyond the construction the count is defined for.
     """
-    spec = bn_spec(n)
+    spec = _box(n).spec
     if spec.is_prime_power and spec.factorization[0][1] > 1 and not force_base:
         raise ValueError(
             f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
             f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True to run "
             "against that base")
-    f = bn_frobenius(n)
-    base, _ = _box(n)
+    box = _proper_box(n)
+    f, base = box.frobenius, box.base
     residues = (s_seed % base, (s_seed + 1) % base, (s_seed + p) % base)
     if len(set(residues)) != 3:
         raise ValueError(
@@ -265,21 +265,20 @@ def exists_admissible_bn(n: int, p: int) -> int:
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    f = bn_frobenius(n)
-    base, _ = _box(n)
+    box = _proper_box(n)
+    f, base = box.frobenius, box.base
     if p % base == 0 or (p - 1) % base == 0:
         raise ValueError(
             f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
-
-    def member(x):
-        return x >= 0 and x >= _apery_element(n, x)[0]
-
     for seed in range(base):
-        triple = _complete(tuple(_apery_element(n, seed + d)[0] for d in (0, 1, p)), base, p)
+        reps = tuple(_apery_element(n, seed + d)[0] for d in (0, 1, p))
+        triple = _complete(reps, base, p)
         if triple[2] >= f:
             k = (triple[2] - f) // base + 1
             triple = tuple(x - k * base for x in triple)
-        if triple[0] >= 1 and triple[2] < f and all(member(x) for x in triple):
+        # each entry lies in the class of its representative, so it is in
+        # the semigroup iff it is at least that representative
+        if triple[0] >= 1 and triple[2] < f and all(x >= w for x, w in zip(triple, reps)):
             return triple[0]
     raise RuntimeError(
         f"exhausted all {base} seed classes without an admissible s for n={n}, p={p}")

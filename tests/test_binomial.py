@@ -108,7 +108,7 @@ class TestAperyLookup:
     @settings(max_examples=150, deadline=None)
     def test_matches_listing_and_rebuilds(self, n, r):
         base, least = _least_by_residue(n)
-        _, gens = _box(n)
+        gens = _box(n).gens
         w, coords = _apery_element(n, r)
         assert w == least[r % base]
         assert len(coords) == len(gens)
@@ -118,13 +118,34 @@ class TestAperyLookup:
     @given(st.integers(4, 40).filter(lambda n: not is_prime(n)), st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
     def test_matches_engine_up_to_40(self, n, r):
-        base, _ = _box(n)
+        base = _box(n).base
         engine = NumericalSemigroup(bn_family(n)).apery_set(base)
         assert _apery_element(n, r)[0] == engine.entries[r % base]
 
     def test_prime_rejected(self):
         with pytest.raises(DegenerateSemigroupError):
             _apery_element(13, 4)
+
+    @given(st.sampled_from([59049, 100000, 510510, 10**6]), st.integers(0, 10**12))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_steps_match_the_per_call_solve(self, n, r):
+        assert _apery_element(n, r) == _per_call_digit_solve(n, r)
+
+
+def _per_call_digit_solve(n, r):
+    """The lookup without the record's steps: p^e, the inverse and the
+    reductions are recomputed from the full generators on every call."""
+    box = _box(n)
+    base, gens = box.base, box.gens
+    x = r % base
+    coords = [0] * len(gens)
+    for i in sorted(range(len(gens)), key=lambda i: gens[i][2]):
+        value, p, e = gens[i]
+        pe = p**e
+        coords[i] = x // pe * pow(value % (pe * p) // pe, -1, p) % p
+        x = (x - coords[i] * value) % base
+    assert x == 0, (n, r)
+    return sum(c * g[0] for c, g in zip(coords, gens)), tuple(coords)
 
 
 class TestClosedQuantities:

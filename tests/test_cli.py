@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import frobinom.binomial
+import frobinom.cli
 import frobinom.corepartitions
 from frobinom.binomial import bn_apery_closed, bn_family, bn_frobenius
 from frobinom.cli import main
@@ -200,6 +201,22 @@ class TestSemigroup:
         assert code == 0
         assert text_line(out, "gaps") == "(1035 gaps; min 1, max 2069)"
 
+    def test_multiplicity_above_max_n_exits_64(self, capsys, monkeypatch):
+        monkeypatch.setattr(frobinom.cli, "NumericalSemigroup", engine_forbidden)
+        code, _, err = run(capsys, "semigroup", str(10**6 + 1), str(10**6 + 2))
+        assert code == 64
+        assert "multiplicity 1000001 exceeds" in err
+
+    def test_apery_base_above_max_n_exits_64(self, capsys, monkeypatch):
+        monkeypatch.setattr(frobinom.cli, "NumericalSemigroup", engine_forbidden)
+        code, _, err = run(capsys, "semigroup", "5", "7", "--apery-base", str(10**6 + 1))
+        assert code == 64
+        assert "--apery-base 1000001 exceeds" in err
+
+
+def engine_forbidden(generators):
+    raise AssertionError(f"engine built for {generators}")
+
 
 class TestDecompose:
     def test_canonical(self, capsys):
@@ -259,6 +276,35 @@ class TestCore:
     def test_zero_gap_exits_2(self, capsys):
         code, _, _ = run(capsys, "core", "--gaps", "0", "3")
         assert code == 2
+
+    def test_multiplicity_above_max_n_exits_64(self, capsys, monkeypatch):
+        monkeypatch.setattr(frobinom.cli, "NumericalSemigroup", engine_forbidden)
+        code, _, err = run(capsys, "core", "--semigroup", str(10**6 + 1), str(10**6 + 2))
+        assert code == 64
+        assert "multiplicity 1000001 exceeds" in err
+
+    def test_text_elides_partition_and_a_set_above_1000(self, capsys):
+        # <46, 47>: genus 1035 (one part each) and 1035 members below F = 2069
+        S = NumericalSemigroup([46, 47])
+        parts = [g - i for i, g in enumerate(S.gaps())][::-1]
+        assert (len(parts), min(parts), max(parts)) == (1035, 1, 1035)
+        code, out, _ = run(capsys, "core", "--semigroup", "46", "47")
+        assert code == 0
+        assert text_line(out, "partition") == "(1035 elements; min 1, max 1035)"
+        assert text_line(out, "A(S)") == "(1036 elements; min 0, max 2070)"
+        code, env, _ = run_json(capsys, "core", "--semigroup", "46", "47")
+        assert code == 0
+        assert env["result"]["partition"] == [str(p) for p in parts]
+
+    def test_text_lists_partition_and_a_set_up_to_1000(self, capsys):
+        # <45, 46>: genus 990 and 990 members below F = 1979
+        S = NumericalSemigroup([45, 46])
+        parts = tuple([g - i for i, g in enumerate(S.gaps())][::-1])
+        members = [x for x in range(1980) if S.contains(x)]
+        code, out, _ = run(capsys, "core", "--semigroup", "45", "46")
+        assert code == 0
+        assert text_line(out, "partition") == str(parts)
+        assert text_line(out, "A(S)") == "{" + ", ".join(map(str, members)) + ", 1980, ...}"
 
     def test_a_set_computed_once(self, capsys, monkeypatch):
         calls = []

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import frobinom.binomial
 import frobinom.corepartitions
-from frobinom.binomial import _apery_element, bn_apery_closed, bn_frobenius, bn_spec, decompose
+from frobinom.binomial import (
+    _apery_element, _box, bn_apery_closed, bn_frobenius, bn_spec, decompose)
 from frobinom.corepartitions import (
     NumericalSet,
+    _complete,
     Partition,
     a_set,
     algorithm1,
@@ -463,6 +465,60 @@ class TestExistsAdmissible:
     def test_p_validation(self):
         with pytest.raises(ValueError):
             exists_admissible_bn(6, 1)
+
+    def test_matches_fresh_lookups_up_to_300(self):
+        # same s, or the same error, as deciding membership of every entry
+        # with its own Apery lookup
+        for n in range(4, 301):
+            if is_prime(n):
+                continue
+            base = _box(n).base
+            for p in range(2, min(base, 40)):
+                assert _outcome(exists_admissible_bn, n, p) == \
+                    _outcome(_exists_with_fresh_lookups, n, p), (n, p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _exists_with_fresh_lookups(n, p):
+    """exists_admissible_bn with one Apery lookup per entry of each candidate."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
+    f = bn_frobenius(n)
+    base = _box(n).base
+    if p % base == 0 or (p - 1) % base == 0:
+        raise ValueError(
+            f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
+    for seed in range(base):
+        triple = _complete(tuple(_apery_element(n, seed + d)[0] for d in (0, 1, p)), base, p)
+        if triple[2] >= f:
+            k = (triple[2] - f) // base + 1
+            triple = tuple(x - k * base for x in triple)
+        if triple[0] >= 1 and triple[2] < f and all(
+                x >= 0 and x >= _apery_element(n, x)[0] for x in triple):
+            return triple[0]
+    raise RuntimeError(
+        f"exhausted all {base} seed classes without an admissible s for n={n}, p={p}")
+
+
+def test_algorithm1_factorizes_once_per_n(monkeypatch):
+    # the spec, box and lookup steps of n are one cached record
+    real, calls = frobinom.binomial.factorize, []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(frobinom.binomial, "factorize", counted)
+    _box.cache_clear()
+    for s in range(100):
+        algorithm1(30030, s, 7)
+    assert len(calls) <= 1
 
 
 def test_algorithm1_count_does_not_match_enumeration_at_n6():

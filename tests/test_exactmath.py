@@ -311,3 +311,16 @@ class TestGcdList:
 def test_invariant_report_all_pass():
     rows = invariant_report()
     assert rows and all(ok for _, ok in rows), [name for name, ok in rows if not ok]
+
+
+def test_package_exports_no_modules():
+    # frobinom.binomial is the closed-form submodule; the binomial function
+    # lives in frobinom.exactmath
+    import inspect
+
+    import frobinom
+
+    for name in frobinom.__all__:
+        assert not inspect.ismodule(getattr(frobinom, name)), name
+    assert inspect.ismodule(frobinom.binomial)
+    assert frobinom.exactmath.binomial(10, 3) == 120
