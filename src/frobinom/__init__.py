@@ -10,7 +10,6 @@ from .exactmath import (
     binomial_valuation_kummer,
     binom_residue_lemma,
     factorize,
-    gcd_list,
     is_prime,
     p_adic_valuation,
     sun_congruence_holds,
@@ -76,7 +75,6 @@ __all__ = [
     "enumerate_admissible",
     "exists_admissible_bn",
     "factorize",
-    "gcd_list",
     "hook_set",
     "identity_pm_check",
     "identity_pq_check",

@@ -17,14 +17,17 @@ residues with `_apery_element`, whose box coordinates are base-p digits of
 the residue.  Everything can be cross-checked against the generic engine in
 `semigroup`.
 
-All per-n data lives in one cached record, `_box(n)`, built once per n
-(the 16 most recent are kept): the spec, the base, the box generators, F,
+Per-n data is cached in two stages (the 16 most recent n of each).  The
+spec stage, `_spec(n)`, is `bn_spec`: the factorization, the prime-power
+flag and the scale, with no binomial computed, so a check that needs only
+the spec (such as `algorithm1`'s prime-power rejection) stays cheap.  The
+box stage, `_box(n)`, is built from it: the base, the box generators, F,
 and the digit-solve steps, each (index, p^e, p, inverse mod p of the
 generator's unit digit, generator mod base).  A lookup reads only the
 steps, solving the coordinates in word-size integers, and touches the
-generators once, in the sum that forms the element.  `bn_spec` factors n
-for the record; the closed forms and the point queries read the record and
-neither factor n nor sum the box again.
+generators once, in the sum that forms the element.  The closed forms and
+the point queries read the two stages and neither factor n nor sum the box
+again.
 """
 
 from collections import namedtuple
@@ -95,8 +98,15 @@ def bn_family(n: int) -> list[int]:
     return [v // spec.scale for v in vals]
 
 
-class _Box(namedtuple("_Box", "spec base gens steps frobenius")):
-    """The cached per-n record of S(B_n): everything a point query reads.
+@lru_cache(maxsize=16)
+def _spec(n: int) -> BinomialSemigroupSpec:
+    """The spec stage of the per-n record: `bn_spec`, cached."""
+    return bn_spec(n)
+
+
+class _Box(namedtuple("_Box", "base gens steps frobenius")):
+    """The box stage of the per-n record of S(B_n): everything a point query
+    reads besides the spec.
 
     gens are the box generators (value, p, e), values ascending.  steps are
     the digit solves of `_apery_element` in valuation order, one per
@@ -109,7 +119,8 @@ class _Box(namedtuple("_Box", "spec base gens steps frobenius")):
 
 @lru_cache(maxsize=16)
 def _box(n: int) -> _Box:
-    """The Apery box of S(B_n) and its lookup data, built once per n.
+    """The Apery box of S(B_n) and its lookup data, built once per n from
+    the spec stage.
 
     The Apery set at `base` is the set of sums of c * value with 0 <= c < p,
     one coordinate per generator.  The values are C(n, p^j) for the prime
@@ -118,7 +129,7 @@ def _box(n: int) -> _Box:
     the p-part of `base`, e = k - j is the p-adic valuation of the value
     (Kummer's theorem).  Prime n gives base 1 and no generators.
     """
-    spec = bn_spec(n)
+    spec = _spec(n)
     gens = []
     for p, k in spec.factorization:
         if p == spec.scale:
@@ -132,7 +143,7 @@ def _box(n: int) -> _Box:
         pe = p**e
         steps.append((i, pe, p, pow(value % (pe * p) // pe, -1, p), value % base))
     frobenius = sum((p - 1) * value for value, p, _ in gens) - base
-    return _Box(spec, base, tuple(gens), tuple(steps), frobenius)
+    return _Box(base, tuple(gens), tuple(steps), frobenius)
 
 
 def _proper_box(n: int) -> _Box:
@@ -245,7 +256,7 @@ def decompose(n: int, m: int) -> Representation:
     if n < 2 or not 1 <= m <= n - 1:
         raise ValueError(f"decompose({n}, {m}) requires n >= 2 and 1 <= m <= n-1")
     box = _proper_box(n)
-    base, scale = box.base, box.spec.scale
+    base, scale = box.base, _spec(n).scale
     value = binomial(n, m) // scale
     w, box_coeffs = _apery_element(n, value % base)
     q, r = divmod(value - w, base)

@@ -212,12 +212,14 @@ def _run_core(args):
     if args.semigroup is not None:
         _check_generators(args.semigroup)
         S = core.NumericalSet.from_semigroup(NumericalSemigroup(args.semigroup))
+        # a semigroup is closed under addition, so A(S) = S
+        A = S
         echo = {"generators": list(args.semigroup)}
     else:
         S = core.NumericalSet(args.gaps or ())
+        A = core.a_set(S)
         echo = {"gaps": list(args.gaps or ())}
     lam = core.partition_of(S)
-    A = core.a_set(S)
     # by the hook theorem the hooks of lam are the gaps of A(S)
     hooks = A.gaps()
     gaps = S.gaps()

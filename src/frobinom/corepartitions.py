@@ -14,7 +14,7 @@ semigroups at sizes where the gap set itself is astronomically large.
 from bisect import bisect_left
 from collections import namedtuple
 
-from .binomial import _apery_element, _box, _proper_box
+from .binomial import _apery_element, _proper_box, _spec
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
 ENUM_BOUND = 10**4   # largest Frobenius number enumerate_admissible will sweep
@@ -211,22 +211,37 @@ def _complete(reps: tuple[int, int, int], base: int, p: int) -> tuple[int, int, 
     return t, t + 1, t + p
 
 
+def _triple(n: int, s: int, p: int, base: int):
+    """The Apery representatives of the classes of s, s+1, s+p and their
+    completion; the classes collide for every s when p is 0 or 1 mod base."""
+    if p % base in (0, 1):
+        raise ValueError(
+            f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
+    reps = tuple(_apery_element(n, s + d)[0] for d in (0, 1, p))
+    return reps, _complete(reps, base, p)
+
+
 def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> AdmissiblePairResult:
     """Triple completion over the closed-form Apery set of the binomial semigroup.
 
     The three target residues s_seed, s_seed+1, s_seed+p (mod the Apery base)
     each select one Apery element; the largest of the three is completed into
-    a triple congruent to (s, s+1, s+p) by index-specific shifts, then pushed
-    below the Frobenius number when needed.  Completion is skipped, and the
-    class representatives come back as they are, when the largest is >= F.
-    The returned count is F - triple[2], plus one when the difference is not
-    a multiple of the base.  A count <= 0 signals that the run did not land
-    on an admissible triple.
+    a triple congruent to (s, s+1, s+p) by index-specific shifts.  Completion
+    is skipped, and the class representatives come back as they are, when
+    the largest is >= F.  When the last entry t2 is >= F, the triple is then
+    lowered by (floor((F - t2) / base) + 1) * base: by one base when t2 = F,
+    not at all when F < t2 <= F + base, and when t2 > F + base that shift is
+    negative and moves the triple up by whole bases (n = 6, s = 3, p = 11
+    completes to (45, 46, 56) and returns (51, 52, 62)).  The returned count
+    is F - triple[2], plus one when the difference is not a multiple of the
+    base.  So the count is <= 0 exactly when triple[2] >= F, which signals
+    that the run did not land on an admissible triple.
 
     Prime powers use base p^(m-1) instead of n and require force_base=True,
-    as that substitution goes beyond the construction the count is defined for.
+    as that substitution goes beyond the construction the count is defined
+    for; they are rejected from the factorization, before any binomial.
     """
-    spec = _box(n).spec
+    spec = _spec(n)
     if spec.is_prime_power and spec.factorization[0][1] > 1 and not force_base:
         raise ValueError(
             f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
@@ -234,15 +249,11 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
             "against that base")
     box = _proper_box(n)
     f, base = box.frobenius, box.base
-    residues = (s_seed % base, (s_seed + 1) % base, (s_seed + p) % base)
-    if len(set(residues)) != 3:
-        raise ValueError(
-            f"target residues {residues} collide mod {base}; s={s_seed}, p={p}")
-    reps = tuple(_apery_element(n, r)[0] for r in residues)
-    triple = reps if max(reps) >= f else _complete(reps, base, p)
+    reps, completed = _triple(n, s_seed, p, base)
+    triple = reps if max(reps) >= f else completed
     diff = f - triple[2]
     if diff <= 0:
-        # floor division, so diff in (-base, 0) yields a zero shift
+        # floor division, so diff in [-base, 0) yields a zero shift
         shift = (diff // base + 1) * base
         triple = tuple(x - shift for x in triple)
         diff = f - triple[2]
@@ -267,12 +278,8 @@ def exists_admissible_bn(n: int, p: int) -> int:
         raise ValueError(f"need p >= 2, got {p}")
     box = _proper_box(n)
     f, base = box.frobenius, box.base
-    if p % base == 0 or (p - 1) % base == 0:
-        raise ValueError(
-            f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
     for seed in range(base):
-        reps = tuple(_apery_element(n, seed + d)[0] for d in (0, 1, p))
-        triple = _complete(reps, base, p)
+        reps, triple = _triple(n, seed, p, base)
         if triple[2] >= f:
             k = (triple[2] - f) // base + 1
             triple = tuple(x - k * base for x in triple)

@@ -220,14 +220,6 @@ def binom_residue_lemma(n: int, p: int, k: int) -> tuple[int, int]:
     return binomial(n, pk) % n, (n // pk) % n
 
 
-def gcd_list(values) -> int:
-    """Greatest common divisor of a nonempty collection of integers."""
-    values = list(values)
-    if not values:
-        raise ValueError("gcd of an empty list")
-    return gcd(*values)
-
-
 def _legendre_valuation(p: int, n: int, k: int) -> int:
     # sum of floor(n/p^i) - floor(k/p^i) - floor((n-k)/p^i)
     total = 0
@@ -310,7 +302,7 @@ def invariant_report() -> list[tuple[str, bool]]:
     for n in range(2, 201):
         fac = factorize(n)
         expected = fac[0][0] if len(fac) == 1 else 1
-        if gcd_list([binomial(n, k) for k in range(1, n)]) != expected:
+        if gcd(*(binomial(n, k) for k in range(1, n))) != expected:
             ok = False
     rows.append(("gcd of binomial family: p for prime powers else 1, n <= 200", ok))
 

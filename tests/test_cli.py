@@ -1,5 +1,7 @@
 """CLI surface: exit codes, text output, and the JSON envelope contract."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobinom.binomial
 import frobinom.cli
@@ -319,6 +322,23 @@ class TestCore:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("gens", [(5, 7, 9), (3, 28), (6, 15, 20), (12, 19, 24), (46, 47)])
+    def test_semigroup_reads_a_set_as_s(self, capsys, monkeypatch, gens):
+        # the same output as the gap set of the semigroup, with no A(S) computed
+        gaps = [str(g) for g in NumericalSemigroup(list(gens)).gaps()]
+        by_gaps = run(capsys, "core", "--gaps", *gaps)
+        _, by_gaps_json, _ = run_json(capsys, "core", "--gaps", *gaps)
+
+        def a_set_forbidden(mask):
+            raise AssertionError("A(S) computed for core --semigroup")
+
+        monkeypatch.setattr(frobinom.corepartitions, "_a_set_gaps", a_set_forbidden)
+        argv = ("core", "--semigroup", *map(str, gens))
+        assert run(capsys, *argv) == by_gaps
+        code, env, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert env["result"] == by_gaps_json["result"]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_hook_set_is_cell_by_cell(self, capsys, seed):
         rng = random.Random(seed)
@@ -409,3 +429,43 @@ class TestEnvelope:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 64
+
+
+SMALL = st.integers(-5, 60)
+
+
+@st.composite
+def small_argv(draw):
+    """One argument vector for any of the six commands, small integers only."""
+    def ints(lo, hi):
+        return [str(x) for x in draw(st.lists(SMALL, min_size=lo, max_size=hi))]
+
+    command = draw(st.sampled_from(
+        ("report", "semigroup", "decompose", "core", "admissible", "verify")))
+    if command == "report":
+        args = ints(1, 1)
+    elif command == "semigroup":
+        args = ints(1, 4)
+        if draw(st.booleans()):
+            args += ["--apery-base", str(draw(SMALL))]
+    elif command == "decompose":
+        args = ints(2, 2)
+    elif command == "core":
+        args = ["--gaps", *ints(0, 6)] if draw(st.booleans()) else ["--semigroup", *ints(1, 3)]
+    elif command == "admissible":
+        args = ints(3, 3) + draw(st.sampled_from([[], ["--force-base"]]))
+    else:
+        args = ["--max-n", str(draw(st.integers(-5, 12)))]
+    return [command, *args, "--format", draw(st.sampled_from(("text", "json")))]
+
+
+@given(small_argv())
+@settings(max_examples=300, deadline=None)
+def test_every_small_call_exits_with_a_documented_code(argv):
+    # exit codes are the contract: 0/1/2/3/64, never an escaped exception
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3, 64), argv

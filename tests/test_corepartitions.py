@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import frobinom.binomial
 import frobinom.corepartitions
 from frobinom.binomial import (
-    _apery_element, _box, bn_apery_closed, bn_frobenius, bn_spec, decompose)
+    _apery_element, _box, _spec, bn_apery_closed, bn_frobenius, bn_spec, decompose)
 from frobinom.corepartitions import (
     NumericalSet,
     _complete,
@@ -392,6 +392,35 @@ class TestAlgorithm1:
         out = algorithm1(8, 1, 2, force_base=True)  # base 4 instead of n
         assert all(bn_member(8, x) for x in out.triple)
 
+    def test_shift_lifts_a_triple_past_f_plus_base(self):
+        # at n = 6 (F = 49, base 6) the completion (45, 46, 56) has t2 above
+        # F + base, so the shift (floor((49 - 56) / 6) + 1) * 6 = -6 lifts it
+        reps = tuple(_apery_element(6, 3 + d)[0] for d in (0, 1, 11))
+        assert max(reps) < 49
+        assert _complete(reps, 6, 11) == (45, 46, 56)
+        assert algorithm1(6, 3, 11) == ((51, 52, 62), -12)
+
+    def test_count_is_nonpositive_exactly_when_past_f(self):
+        # composite n < 80, 2 <= p < 24, 0 <= s < min(base, 24), wherever
+        # completion ran; 25 of those runs complete above F + base
+        lifted = 0
+        for n in range(4, 80):
+            if is_prime(n):
+                continue
+            f, base = bn_frobenius(n), _box(n).base
+            force = len(factorize(n)) == 1
+            for p in range(2, 24):
+                if p % base in (0, 1):
+                    continue
+                for s in range(min(base, 24)):
+                    reps = tuple(_apery_element(n, s + d)[0] for d in (0, 1, p))
+                    if max(reps) >= f:
+                        continue
+                    lifted += _complete(reps, base, p)[2] > f + base
+                    out = algorithm1(n, s, p, force_base=force)
+                    assert (out.count <= 0) == (out.triple[2] >= f), (n, s, p)
+        assert lifted == 25
+
     def test_membership_invariant_sweep(self):
         # all composite n <= 12, 2 <= p < 30 (so also p > base), seeds
         # across two periods
@@ -507,7 +536,7 @@ def _exists_with_fresh_lookups(n, p):
 
 
 def test_algorithm1_factorizes_once_per_n(monkeypatch):
-    # the spec, box and lookup steps of n are one cached record
+    # the spec and box stages of the record of n are each cached
     real, calls = frobinom.binomial.factorize, []
 
     def counted(n):
@@ -515,10 +544,22 @@ def test_algorithm1_factorizes_once_per_n(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(frobinom.binomial, "factorize", counted)
+    _spec.cache_clear()
     _box.cache_clear()
     for s in range(100):
         algorithm1(30030, s, 7)
     assert len(calls) <= 1
+
+
+def test_prime_power_rejected_before_any_binomial(monkeypatch):
+    # the rejection reads only the spec stage of the record
+    def binomial_forbidden(n, k):
+        raise AssertionError(f"C({n}, {k}) computed for a rejected prime power")
+
+    monkeypatch.setattr(frobinom.binomial, "binomial", binomial_forbidden)
+    _box.cache_clear()
+    with pytest.raises(ValueError, match=r"Apery base is 2\*\*18"):
+        algorithm1(2**19, 1, 2)
 
 
 def test_algorithm1_count_does_not_match_enumeration_at_n6():

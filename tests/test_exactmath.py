@@ -5,7 +5,7 @@ large n, where binomial may take the prime product tree; valuations are
 checked three ways (carry counting, divide-out loop, floor-sum formula).
 """
 
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,6 @@ from frobinom.exactmath import (
     binomial,
     binomial_valuation_kummer,
     factorize,
-    gcd_list,
     invariant_report,
     is_prime,
     p_adic_valuation,
@@ -291,21 +290,12 @@ class TestResidueLemma:
 
 
 class TestGcdList:
-    def test_examples(self):
-        assert gcd_list([6, 15, 20, 15, 6]) == 1
-        assert gcd_list([42]) == 42
-        assert gcd_list([8, 28, 56, 70, 56, 28, 8]) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gcd_list([])
-
     def test_binomial_family_gcd_up_to_200(self):
         # p when n is a power of the prime p, else 1
         for n in range(2, 201):
             fac = factorize(n)
             expected = fac[0][0] if len(fac) == 1 else 1
-            assert gcd_list([binomial(n, k) for k in range(1, n)]) == expected, n
+            assert gcd(*(binomial(n, k) for k in range(1, n))) == expected, n
 
 
 def test_invariant_report_all_pass():
