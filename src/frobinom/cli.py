@@ -102,20 +102,11 @@ def _run_report(args):
         listed = None
         apery = {"apery_set_elided": {"count": base, "min": 0, "max": top}}
     result = {
-        "n": report.n,
-        "factorization": [list(pair) for pair in spec.factorization],
+        **report._asdict(),
+        "factorization": spec.factorization,
         "scale": spec.scale,
-        "minimal_generators": list(report.minimal_generators),
-        "embedding_dimension": report.embedding_dimension,
-        "apery_base": base,
-        "apery_box": {"base": base, "generators": [list(g) for g in box]},
+        "apery_box": {"base": base, "generators": box},
         **apery,
-        "frobenius": report.frobenius,
-        "genus": report.genus,
-        "pseudo_frobenius": list(report.pseudo_frobenius),
-        "type": report.type,
-        "symmetric": report.symmetric,
-        "telescopic": report.telescopic,
     }
     # the lines render in order, so an over-long integer fails on the same
     # line as it would with the set listed
@@ -214,15 +205,15 @@ def _run_core(args):
         S = core.NumericalSet.from_semigroup(NumericalSemigroup(args.semigroup))
         # a semigroup is closed under addition, so A(S) = S
         A = S
+        gaps = hooks = S.gaps()
         echo = {"generators": list(args.semigroup)}
     else:
         S = core.NumericalSet(args.gaps or ())
         A = core.a_set(S)
+        gaps, hooks = S.gaps(), A.gaps()
         echo = {"gaps": list(args.gaps or ())}
     lam = core.partition_of(S)
     # by the hook theorem the hooks of lam are the gaps of A(S)
-    hooks = A.gaps()
-    gaps = S.gaps()
     result = {
         "frobenius": S.frobenius,
         "gaps": gaps,
@@ -247,7 +238,7 @@ def _run_core(args):
 def _run_admissible(args):
     _check_n(args.n)
     out = core.algorithm1(args.n, args.s_seed, args.p, force_base=args.force_base)
-    result = {"triple": list(out.triple), "count": out.count}
+    result = out._asdict()
     text = [
         f"triple  ({out.triple[0]}, {out.triple[1]}, {out.triple[2]})",
         f"count   {out.count}",

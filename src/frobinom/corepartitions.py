@@ -4,7 +4,7 @@ A numerical set is a co-finite subset of the nonnegative integers containing
 0, with no closure requirement.  Each one has an associated partition (one
 part per gap, counting the smaller members), whose hook-length set is the
 complement of the stabilizer set A(S) = {x : x + s in S for all s in S}.
-Hooks are read from A(S), which is computed on a bitmask of the gaps.
+Hooks are read from A(S), which one kernel computes from the set's bitmap.
 The triple-core machinery asks whether s, s+1 and s+p all lie in A(S) with
 s + p below the Frobenius number; the closed-form Apery lookups from
 `binomial` let those questions be answered for the binomial-coefficient
@@ -100,33 +100,34 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-_GAP_DIGIT = bytes.maketrans(b"\x00\x01", b"10")  # NumericalSet._member -> gap digits
-_SWAP = str.maketrans("01", "10")
+_GAP_DIGITS = bytes.maketrans(b"\x00\x01", b"10")     # NumericalSet._member -> "1" at each gap
+_MEMBER_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # NumericalSet._member -> "1" at each member
 
 
-def _a_set_gaps(gaps: int) -> list[int]:
-    """Gaps of A(S), ascending, from the mask of the gaps g of S (bit g set).
+def _a_set_gaps(member) -> list[int]:
+    """Gaps of A(S), ascending, from the bitmap of S (`NumericalSet._member`).
 
     x is missing from A(S) iff x = g - s for a gap g and a member s, so the
     result is the OR of gaps >> s over the members; with fewer gaps than
     members, both masks are mirrored in F, x = (F - s) - (F - g), to shift
     once per gap instead.  Masks go in and out as binary strings, linear in F.
     """
-    digits = bin(gaps)[:1:-1]  # digits[i] is bit i: "1" for a gap
-    shifts = digits.translate(_SWAP)  # "1" at each shift s: here, the members
-    if 2 * digits.count("1") < len(digits):
-        shifts, gaps = digits[::-1], int(shifts, 2)
+    gaps, members = member.translate(_GAP_DIGITS), member.translate(_MEMBER_DIGITS)
+    mask, shifts = gaps[::-1], members  # bit g per gap g, shifted by each member s
+    if 2 * gaps.count(b"1") < len(gaps):
+        mask, shifts = members, gaps[::-1]  # mirrored: bit F - s, shifted by each F - g
+    mask = int(b"0" + mask, 2)  # the leading 0 reads the empty bitmap as 0
     bad = 0
     for s, digit in enumerate(shifts):
-        if digit == "1":
-            bad |= gaps >> s
+        if digit == ord("1"):
+            bad |= mask >> s
     return [x for x, digit in enumerate(bin(bad)[:1:-1]) if digit == "1"]
 
 
 def a_set(S: NumericalSet) -> NumericalSet:
     """A(S) = {x >= 0 : x + s in S for all s in S}; a subset of S, equal to S
     when S is additively closed."""
-    return NumericalSet(_a_set_gaps(int(S._member[::-1].translate(_GAP_DIGIT) or b"0", 2)))
+    return NumericalSet(_a_set_gaps(S._member))
 
 
 def partition_of(S: NumericalSet) -> Partition:
@@ -137,15 +138,13 @@ def partition_of(S: NumericalSet) -> Partition:
 def hook_set(partition: Partition) -> list[int]:
     """Distinct hook lengths over the cells of the Young diagram, ascending.
 
-    They are the positive integers missing from A(S), where S is the set whose
-    gaps are p_i + i for the parts p_0 <= p_1 <= ... (Keith and Nath,
-    "Partitions with prescribed hooksets", 2011).
+    They are the positive integers missing from A(S), where S is the
+    NumericalSet (so F <= SET_BOUND) whose gaps are p_i + i for the parts
+    p_0 <= p_1 <= ... (Keith and Nath, "Partitions with prescribed
+    hooksets", 2011).
     """
-    # one digit above the largest gap, parts[0] + len - 1, keeps it nonempty
-    digits = bytearray(b"0" * (max(partition.parts, default=0) + len(partition) + 1))
-    for i, p in enumerate(reversed(partition.parts)):
-        digits[p + i] = ord("1")
-    return _a_set_gaps(int(digits[::-1], 2))
+    S = NumericalSet(p + i for i, p in enumerate(reversed(partition.parts)))
+    return _a_set_gaps(S._member)
 
 
 def is_s_core(partition: Partition, s: int) -> bool:
@@ -213,7 +212,10 @@ def _complete(reps: tuple[int, int, int], base: int, p: int) -> tuple[int, int, 
 
 def _triple(n: int, s: int, p: int, base: int):
     """The Apery representatives of the classes of s, s+1, s+p and their
-    completion; the classes collide for every s when p is 0 or 1 mod base."""
+    completion, for p >= 2; the classes collide for every s when p is 0 or 1
+    mod base."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
     if p % base in (0, 1):
         raise ValueError(
             f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
@@ -236,6 +238,9 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
     is F - triple[2], plus one when the difference is not a multiple of the
     base.  So the count is <= 0 exactly when triple[2] >= F, which signals
     that the run did not land on an admissible triple.
+
+    p must be at least 2 and not 0 or 1 mod the base, else ValueError: the
+    domain that `exists_admissible_bn` shares.
 
     Prime powers use base p^(m-1) instead of n and require force_base=True,
     as that substitution goes beyond the construction the count is defined
@@ -274,8 +279,6 @@ def exists_admissible_bn(n: int, p: int) -> int:
     (which covers all classes) can never be admissible - S(B_9) has no
     admissible pair for any p == 2 (mod 3).
     """
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
     box = _proper_box(n)
     f, base = box.frobenius, box.base
     for seed in range(base):

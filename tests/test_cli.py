@@ -55,10 +55,35 @@ class TestReport:
         assert env["result"]["genus"] == "252821217113612"
         assert env["result"]["symmetric"] is True
 
+    def test_json_result_at_30(self, capsys):
+        code, env, _ = run_json(capsys, "report", "30")
+        assert code == 0
+        assert env["result"] == {
+            "n": "30", "factorization": [["2", "1"], ["3", "1"], ["5", "1"]], "scale": "1",
+            "minimal_generators": ["30", "435", "4060", "142506"],
+            "embedding_dimension": "4", "apery_base": "30",
+            "apery_box": {"base": "30",
+                          "generators": [["435", "2"], ["4060", "3"], ["142506", "5"]]},
+            "apery_set": [
+                "0", "435", "4060", "4495", "8120", "8555", "142506", "142941", "146566",
+                "147001", "150626", "151061", "285012", "285447", "289072", "289507",
+                "293132", "293567", "427518", "427953", "431578", "432013", "435638",
+                "436073", "570024", "570459", "574084", "574519", "578144", "578579"],
+            "frobenius": "578549", "genus": "289275", "pseudo_frobenius": ["578549"],
+            "type": "1", "symmetric": True, "telescopic": True,
+        }
+
     def test_scaled_case(self, capsys):
+        # every key of the result, so no field of the record comes or goes unseen
         code, env, _ = run_json(capsys, "report", "9")
         assert code == 0
-        assert env["result"]["minimal_generators"] == ["3", "28"]
+        assert env["result"] == {
+            "n": "9", "factorization": [["3", "2"]], "scale": "3",
+            "minimal_generators": ["3", "28"], "embedding_dimension": "2",
+            "apery_base": "3", "apery_box": {"base": "3", "generators": [["28", "3"]]},
+            "apery_set": ["0", "28", "56"], "frobenius": "53", "genus": "27",
+            "pseudo_frobenius": ["53"], "type": "1", "symmetric": True, "telescopic": True,
+        }
 
     def test_prime_exits_2(self, capsys):
         code, _, err = run(capsys, "report", "7")
@@ -356,9 +381,10 @@ class TestAdmissible:
     def test_golden_n50(self, capsys):
         code, env, _ = run_json(capsys, "admissible", "50", "65", "6")
         assert code == 0
-        assert env["result"]["triple"] == [
-            "379231827789565", "379231827789566", "379231827789571"]
-        assert env["result"]["count"] == "126410606437653"
+        assert env["result"] == {
+            "triple": ["379231827789565", "379231827789566", "379231827789571"],
+            "count": "126410606437653",
+        }
 
     def test_golden_n70(self, capsys):
         code, env, _ = run_json(capsys, "admissible", "70", "12", "11")
@@ -374,6 +400,11 @@ class TestAdmissible:
     def test_residue_collision_exits_2(self, capsys):
         code, _, _ = run(capsys, "admissible", "6", "1", "6")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_p_below_two_exits_2(self, capsys, fmt):
+        code, out, err = run(capsys, "admissible", "10", "1", "-5", "--format", fmt)
+        assert (code, out, err) == (2, "", "frobinom: need p >= 2, got -5\n")
 
 
 class TestVerify:

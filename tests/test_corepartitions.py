@@ -1,5 +1,6 @@
 """Numerical sets, partitions, hook sets, admissible pairs, triple completion."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -130,6 +131,21 @@ class TestASet:
             assert 0 in A
             assert all(x in S for x in A.members_below_frobenius())
 
+    @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 30, 31, 200, 201])
+    def test_both_sides_of_the_mirror_switch(self, f):
+        # the kernel mirrors its masks when 2 * |gaps| < F + 1: sets with
+        # 2 * |gaps| equal to F, F + 1 or F + 2 pin both branches and the
+        # switch (the empty set is test_whole_numbers_fixed)
+        rng = random.Random(f)
+        for twice in (f, f + 1, f + 2):
+            if twice % 2:
+                continue
+            for _ in range(10):
+                S = NumericalSet(rng.sample(range(1, f), twice // 2 - 1) + [f])
+                missing = definition_a_set_gaps(S)
+                assert a_set(S).gaps() == missing
+                assert hook_set(partition_of(S)) == missing
+
 
 class TestPartitionType:
     def test_validation(self):
@@ -209,6 +225,15 @@ class TestHookSet:
         for lam in (Partition((3000,)), Partition((1,) * 3000), Partition((900,) + (1,) * 700)):
             assert hook_set(lam) == cell_hooks(lam)
 
+    def test_set_bound_applies(self):
+        # the hooks are read off a NumericalSet, so its Frobenius number, the
+        # largest part plus the length minus one, is held to SET_BOUND
+        assert hook_set(Partition((10**6,))) == list(range(1, 10**6 + 1))
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            hook_set(Partition((10**6, 1)))
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            is_s_core(Partition((10**6, 1)), 2)
+
     def test_large_semigroup(self):
         # F = 18977; the hooks of a semigroup's partition are its gaps
         S = semigroup_set(301, 307, 311)
@@ -284,6 +309,48 @@ class TestSimultaneousCores:
             lam = partition_of(NumericalSet(gaps))
             assert all(is_s_core(lam, t) for t in (s, s + 1, s + 2)), gaps
         assert len(cores) == motzkin[s]
+
+
+def abacus_gaps(s, h):
+    """Gaps of the set closed under +s whose least member in the class r
+    mod s is r + s * h[r]."""
+    return [r + s * k for r in range(s) for k in range(h[r])]
+
+
+def random_triple_core_thresholds(rng, s, p):
+    """Abacus thresholds h of a random (s, s+1, s+p)-core, p < s: the largest
+    h below random caps with h[0] = 0 that meets the difference constraints
+    h[r+1] <= h[r] + 1 (closure under +(s+1)) and
+    h[(r+p) % s] <= h[r] + 1 + (r+p) // s (closure under +(s+p))."""
+    q = rng.random()  # the share of caps drawn below the largest, r
+    h = [0] + [rng.randint(0, r) if rng.random() < q else r for r in range(1, s)]
+    changed = True
+    while changed:
+        changed = False
+        for r in range(s):
+            for j, c in ((r + 1, 1), ((r + p) % s, 1 + (r + p) // s)):
+                if j < s and h[j] > h[r] + c:
+                    h[j], changed = h[r] + c, True
+    return h
+
+
+class TestRandomTripleCores:
+    # sets at s ~ 30 built from abacus thresholds, with F in the hundreds (up
+    # to about s^2 / 2): far beyond what core_gap_sets enumerates, so the A(S)
+    # kernel is checked on cores known from the difference constraints alone
+
+    @pytest.mark.parametrize("s, p", [(28, 2), (30, 3), (30, 7), (31, 13), (29, 28), (30, 29)])
+    def test_accepted_and_one_raised_threshold_rejected(self, s, p):
+        rng = random.Random(s * 100 + p)
+        for _ in range(8):
+            h = random_triple_core_thresholds(rng, s, p)
+            S = NumericalSet(abacus_gaps(s, h))
+            assert is_triple_core(S, s, p), h
+            assert all(x % t for x in hook_set(partition_of(S)) for t in (s, s + 1, s + p)), h
+            # with h[r+1] = h[r] + 2, the member r + s * h[r] plus s + 1 is a gap
+            r = rng.randrange(s - 1)
+            raised = h[:r + 1] + [h[r] + 2] + h[r + 2:]
+            assert not is_triple_core(NumericalSet(abacus_gaps(s, raised)), s, p), (h, r)
 
 
 class TestTripleCore:
@@ -385,6 +452,12 @@ class TestAlgorithm1:
             algorithm1(6, 1, 6)
         with pytest.raises(ValueError):
             algorithm1(6, 1, 7)
+
+    @pytest.mark.parametrize("p", [-5, 0, 1])
+    def test_p_below_two_rejected(self, p):
+        # the triple's domain, ahead of the residue-collision rule
+        with pytest.raises(ValueError, match="need p >= 2"):
+            algorithm1(10, 1, p)
 
     def test_prime_power_needs_force_base(self):
         with pytest.raises(ValueError):

@@ -27,10 +27,10 @@ def test_engine_and_arithmetic_import_no_frobinom_module():
                 assert module.split(".")[0] != "frobinom", (name, ast.unparse(node))
 
 
-def test_only_binomial_reads_the_box_record():
-    private = {"_box", "_Box"}
+def private_reads(owner, private):
+    """Imports and attribute reads of the `private` names outside `owner`."""
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "binomial.py":
+        if path.name == owner:
             continue
         for node in ast.walk(parsed(path.name)):
             if isinstance(node, ast.ImportFrom):
@@ -39,4 +39,14 @@ def test_only_binomial_reads_the_box_record():
                 names = {node.attr}
             else:
                 continue
-            assert not names & private, (path.name, ast.unparse(node))
+            if names & private:
+                yield path.name, ast.unparse(node)
+
+
+def test_only_binomial_reads_the_box_record():
+    assert list(private_reads("binomial.py", {"_box", "_Box"})) == []
+
+
+def test_only_corepartitions_reads_the_set_bitmap():
+    # the encoding of a NumericalSet lives in one module
+    assert list(private_reads("corepartitions.py", {"_member"})) == []
