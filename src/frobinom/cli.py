@@ -16,7 +16,9 @@ carries `apery_set_elided` = {count, min, max} in its place and the text
 line is read off the box, so `report` costs O(box) at every n.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
-invariant violation, 64 usage error.
+error (an invariant violation or any other unexpected exception), 64 usage
+error.  n, multiplicities and --apery-base are capped at MAX_N, which is
+`exactmath.PRIME_CACHE_CAP`, so the prime cache covers every n accepted.
 """
 
 import argparse
@@ -26,7 +28,7 @@ import time
 
 from . import binomial as bn
 from . import corepartitions as core
-from .exactmath import invariant_report
+from .exactmath import PRIME_CACHE_CAP as MAX_N, invariant_report, is_prime
 from .semigroup import NumericalSemigroup
 
 EXIT_OK = 0
@@ -35,7 +37,6 @@ EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
 EXIT_USAGE = 64
 
-MAX_N = 10**6          # hard cap on the upper index accepted by the CLI
 ELIDE_ABOVE = 1000     # text elides lists longer than this; report lists Ap up to this
                        # base, semigroup the gaps up to this genus
 VERIFY_CAP = 40        # largest --max-n the verify sweep accepts
@@ -253,9 +254,9 @@ def _run_verify(args):
         raise UsageError(f"--max-n {args.max_n} exceeds the cap {VERIFY_CAP}")
     checks = []
     for n in range(4, args.max_n + 1):
-        if bn.is_prime(n):
+        if is_prime(n):
             continue
-        cmp = bn.verify_closed_vs_oracle(n, max_n=args.max_n)
+        cmp = bn.verify_closed_vs_oracle(n)
         for field, (closed, oracle) in sorted(cmp.fields.items()):
             ok = closed == oracle
             detail = "" if ok else f"closed={closed!r} oracle={oracle!r}"
@@ -353,6 +354,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except RuntimeError as exc:
         print(f"frobinom: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # exit 1 belongs to a verify mismatch, so no stray exception may reach it
+        print(f"frobinom: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     for line in lines:
         print(line)

@@ -39,7 +39,7 @@ from operator import mul
 
 TREE_MIN_K = 400         # below this j = min(k, n-k), math.comb's word-sized steps win
 TREE_K2_PER_N = 32       # below j**2 = 32 n, walking the primes up to n costs more
-PRIME_CACHE_CAP = 10**6  # largest n the prime cache grows to; the CLI's MAX_N
+PRIME_CACHE_CAP = 10**6  # largest n the prime cache grows to; imported by the CLI as MAX_N
 
 # (limit, every prime <= limit ascending), replaced whole so that a reader
 # never pairs one sieve's limit with another sieve's primes

@@ -1,6 +1,7 @@
 """Closed forms for the binomial-coefficient semigroups vs the generic engine."""
 
-from math import gcd
+import random
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from frobinom.binomial import (
     identity_pq_check,
     verify_closed_vs_oracle,
 )
+from frobinom.corepartitions import algorithm1, exists_admissible_bn
 from frobinom.exactmath import binomial, is_prime
 from frobinom.semigroup import NumericalSemigroup, minimal_generators
 
@@ -41,6 +43,9 @@ class TestSpec:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bn_spec(1)
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"^need n >= 2, got {n}$"):
+                bn_family(n)
 
     def test_scale_equals_family_gcd_up_to_200(self):
         for n in range(2, 201):
@@ -50,6 +55,10 @@ class TestSpec:
     def test_family_is_scaled(self):
         assert bn_family(9) == [3, 12, 28, 42, 42, 28, 12, 3]
         assert bn_family(6) == [6, 15, 20, 15, 6]
+        for n in range(2, 201):
+            row = [comb(n, k) for k in range(1, n)]
+            g = gcd(*row)
+            assert bn_family(n) == [v // g for v in row], n
 
 
 class TestMinimalSystem:
@@ -336,13 +345,58 @@ class TestOracleEquivalence:
         # bn_report no longer lists the Apery set; the comparison lists it
         for n in range(4, 201):
             if not is_prime(n):
-                cmp = verify_closed_vs_oracle(n, max_n=200)
+                cmp = verify_closed_vs_oracle(n)
                 assert cmp.all_match, (n, cmp.mismatches)
-
-    def test_bound_enforced(self):
-        with pytest.raises(ValueError):
-            verify_closed_vs_oracle(36)
 
     def test_closed_telescopic_claim_matches_engine_up_to_30(self):
         for n in COMPOSITES_30:
             assert NumericalSemigroup(bn_family(n)).is_telescopic(), n
+
+
+POINT_NS = [5040, 15625, 30030]
+
+
+@pytest.fixture(scope="module")
+def oracle(request):
+    """(n, the generic engine on the full family of n), one engine per n:
+    n comes from indirect parametrization."""
+    return request.param, NumericalSemigroup(bn_family(request.param))
+
+
+class TestOracleAtScale:
+    """The closed forms and the point queries against the engine's own table,
+    at sizes with thousands of generators in the family."""
+
+    @pytest.mark.parametrize("n", [2310, 4096, *POINT_NS])
+    def test_closed_forms_match(self, n):
+        cmp = verify_closed_vs_oracle(n)
+        assert cmp.all_match, (n, cmp.mismatches)
+
+    @pytest.mark.parametrize("oracle", POINT_NS, indirect=True)
+    def test_decompose_box_part_is_the_engine_apery_element(self, oracle):
+        n, engine = oracle
+        base = engine.multiplicity
+        assert base == _box(n).base
+        for m in random.Random(n).sample(range(1, n), 40):
+            rep = decompose(n, m)
+            box_part = sum(c * b for c, b in zip(rep.coefficients[1:], rep.basis[1:]))
+            assert box_part == engine.apery.entries[rep.value % base], (n, m)
+
+    @pytest.mark.parametrize("oracle", POINT_NS, indirect=True)
+    def test_algorithm1_triples_lie_in_the_engine(self, oracle):
+        n, engine = oracle
+        base, f = engine.multiplicity, engine.frobenius()
+        rng = random.Random(n)
+        for _ in range(40):
+            s, p = rng.randrange(10**9), rng.randrange(2, min(base, 500))
+            out = algorithm1(n, s, p, force_base=True)
+            assert all(x in engine for x in out.triple), (n, s, p, out)
+            assert out.count <= 0 or out.triple[2] < f, (n, s, p, out)
+
+    @pytest.mark.parametrize("oracle", POINT_NS, indirect=True)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_exists_admissible_is_admissible_in_the_engine(self, oracle, p):
+        n, engine = oracle
+        s = exists_admissible_bn(n, p)
+        assert all(x in engine for x in (s, s + 1, s + p)), (n, p, s)
+        assert s + p < engine.frobenius(), (n, p, s)

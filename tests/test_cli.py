@@ -429,6 +429,24 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--max-n", "100")
         assert code == 64
 
+    def test_cap_is_40(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-n", "41")
+        assert (code, out) == (64, "")
+        assert err == "frobinom: error: --max-n 41 exceeds the cap 40\n"
+
+
+class TestInternalError:
+    def test_stray_exception_exits_3_in_one_line(self, capsys, monkeypatch):
+        def broken(n):
+            raise ZeroDivisionError("integer division or modulo by zero")
+
+        monkeypatch.setattr(frobinom.binomial, "bn_report", broken)
+        code, out, err = run(capsys, "report", "30")
+        assert (code, out) == (3, "")
+        assert err == ("frobinom: internal error: ZeroDivisionError: "
+                       "integer division or modulo by zero\n")
+        assert "Traceback" not in err
+
 
 class TestEnvelope:
     @pytest.mark.parametrize("argv", [

@@ -50,3 +50,14 @@ def test_only_binomial_reads_the_box_record():
 def test_only_corepartitions_reads_the_set_bitmap():
     # the encoding of a NumericalSet lives in one module
     assert list(private_reads("corepartitions.py", {"_member"})) == []
+
+
+def test_oracle_family_shares_no_arithmetic_with_the_closed_forms():
+    # the engine's input is built from Pascal's rule, not from the closed
+    # forms' binomials, factorization or per-n record
+    tree = parsed("binomial.py")
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "bn_family")
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert named & {"binomial", "factorize", "bn_spec", "_spec", "_box", "_proper_box"} == set()
