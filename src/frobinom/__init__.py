@@ -21,11 +21,8 @@ from .binomial import (
     DegenerateSemigroupError,
     Representation,
     bn_apery_closed,
-    bn_embedding_dimension,
     bn_family,
     bn_frobenius,
-    bn_genus,
-    bn_minimal_system,
     bn_report,
     bn_spec,
     decompose,
@@ -64,11 +61,8 @@ __all__ = [
     "binom_residue_lemma",
     "binomial_valuation_kummer",
     "bn_apery_closed",
-    "bn_embedding_dimension",
     "bn_family",
     "bn_frobenius",
-    "bn_genus",
-    "bn_minimal_system",
     "bn_report",
     "bn_spec",
     "decompose",

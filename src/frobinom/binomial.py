@@ -18,16 +18,15 @@ the residue.  Everything can be cross-checked against the generic engine in
 `semigroup`.
 
 Per-n data is cached in two stages (the 16 most recent n of each).  The
-spec stage, `_spec(n)`, is `bn_spec`: the factorization, the prime-power
-flag and the scale, with no binomial computed, so a check that needs only
-the spec (such as `algorithm1`'s prime-power rejection) stays cheap.  The
-box stage, `_box(n)`, is built from it: the base, the box generators, F,
-and the digit-solve steps, each (index, p^e, p, inverse mod p of the
-generator's unit digit, generator mod base).  A lookup reads only the
-steps, solving the coordinates in word-size integers, and touches the
-generators once, in the sum that forms the element.  The closed forms and
-the point queries read the two stages and neither factor n nor sum the box
-again.
+spec stage, `bn_spec(n)`, is the factorization, the prime-power flag and
+the scale, with no binomial computed, so a check that needs only the spec
+(such as `algorithm1`'s prime-power rejection) stays cheap.  The box stage,
+`_box(n)`, is built from it: the base, the box generators, F, and the
+digit-solve steps, each (index, p^e, p, inverse mod p of the generator's
+unit digit, generator mod base).  A lookup reads only the steps, solving
+the coordinates in word-size integers, and touches the generators once, in
+the sum that forms the element.  The closed forms, the point queries and
+the CLI read the two stages and neither factor n nor sum the box again.
 """
 
 from collections import namedtuple
@@ -81,8 +80,10 @@ class Representation(namedtuple(
     __slots__ = ()
 
 
+@lru_cache(maxsize=16)
 def bn_spec(n: int) -> BinomialSemigroupSpec:
-    """Factor n and record the family's gcd (p for prime powers, else 1)."""
+    """The spec stage of the per-n record: factor n and record the family's
+    gcd (p for prime powers, else 1), with no binomial computed.  Cached."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     fac = tuple(factorize(n))
@@ -101,12 +102,6 @@ def bn_family(n: int) -> list[int]:
         row.append(row[-1] * (n - k) // (k + 1))
     g = gcd(*row)
     return row if g == 1 else [v // g for v in row]
-
-
-@lru_cache(maxsize=16)
-def _spec(n: int) -> BinomialSemigroupSpec:
-    """The spec stage of the per-n record: `bn_spec`, cached."""
-    return bn_spec(n)
 
 
 class _Box(namedtuple("_Box", "base gens steps frobenius")):
@@ -134,7 +129,7 @@ def _box(n: int) -> _Box:
     the p-part of `base`, e = k - j is the p-adic valuation of the value
     (Kummer's theorem).  Prime n gives base 1 and no generators.
     """
-    spec = _spec(n)
+    spec = bn_spec(n)
     gens = []
     for p, k in spec.factorization:
         if p == spec.scale:
@@ -180,22 +175,6 @@ def _apery_element(n: int, r: int) -> tuple[int, tuple[int, ...]]:
     return sum(c * g[0] for c, g in zip(coords, box.gens)), tuple(coords)
 
 
-def bn_minimal_system(n: int) -> list[int]:
-    """Minimal generators: the Apery base plus the box generators.
-
-    That is C(n,1) plus C(n, p^j) over prime powers p^j | n, or the
-    C(n, p^i)/p for 0 <= i < m when n = p^m.  For prime n this degenerates
-    to [1].
-    """
-    box = _box(n)
-    return sorted((box.base, *(value for value, _, _ in box.gens)))
-
-
-def bn_embedding_dimension(n: int) -> int:
-    """Size of the minimal system: 1 + sum of exponents, or m for n = p^m."""
-    return 1 + len(_box(n).gens)
-
-
 def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
     """Apery set at the base, listed by summing the box one generator at a time.
 
@@ -220,28 +199,28 @@ def bn_frobenius(n: int) -> int:
     return _proper_box(n).frobenius
 
 
-def bn_genus(n: int) -> int:
-    """Number of gaps; always (frobenius + 1)/2 since these semigroups are symmetric."""
-    q, r = divmod(bn_frobenius(n) + 1, 2)
-    if r:
-        raise RuntimeError(f"closed-form genus for n = {n} is not an integer")
-    return q
-
-
 def bn_report(n: int) -> BinomialSemigroupReport:
-    """All closed-form quantities in one record, with the Apery set as its
-    box: O(box), whatever the size of the set."""
+    """All closed-form quantities in one record, read off the box: O(box),
+    whatever the size of the Apery set.
+
+    The minimal system is the base plus the box generators, so the embedding
+    dimension is 1 + sum of exponents (m for n = p^m).  The semigroup is
+    symmetric, so the genus is (F + 1)/2.  Prime n raises
+    DegenerateSemigroupError.
+    """
     box = _proper_box(n)
-    base = box.base
-    f = bn_frobenius(n)
+    base, f = box.base, box.frobenius
+    genus, odd = divmod(f + 1, 2)
+    if odd:
+        raise RuntimeError(f"closed-form genus for n = {n} is not an integer")
     return BinomialSemigroupReport(
         n=n,
-        minimal_generators=tuple(bn_minimal_system(n)),
-        embedding_dimension=bn_embedding_dimension(n),
+        minimal_generators=tuple(sorted((base, *(value for value, _, _ in box.gens)))),
+        embedding_dimension=1 + len(box.gens),
         apery_base=base,
         apery_box=(base, tuple((value, p) for value, p, _ in box.gens)),
         frobenius=f,
-        genus=bn_genus(n),
+        genus=genus,
         pseudo_frobenius=(f,),
         type=1,
         symmetric=True,
@@ -261,7 +240,7 @@ def decompose(n: int, m: int) -> Representation:
     if n < 2 or not 1 <= m <= n - 1:
         raise ValueError(f"decompose({n}, {m}) requires n >= 2 and 1 <= m <= n-1")
     box = _proper_box(n)
-    base, scale = box.base, _spec(n).scale
+    base, scale = box.base, bn_spec(n).scale
     value = binomial(n, m) // scale
     w, box_coeffs = _apery_element(n, value % base)
     q, r = divmod(value - w, base)

@@ -352,9 +352,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"frobinom: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except RuntimeError as exc:
-        print(f"frobinom: internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:
         # exit 1 belongs to a verify mismatch, so no stray exception may reach it
         print(f"frobinom: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ semigroups at sizes where the gap set itself is astronomically large.
 from bisect import bisect_left
 from collections import namedtuple
 
-from .binomial import _apery_element, _proper_box, _spec
+from .binomial import _apery_element, _proper_box, bn_spec
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
 ENUM_BOUND = 10**4   # largest Frobenius number enumerate_admissible will sweep
@@ -25,10 +25,10 @@ class NumericalSet:
     Frobenius number, which may not exceed SET_BOUND."""
 
     def __init__(self, gaps=()):
-        gaps = sorted(set(gaps))
-        if gaps and gaps[0] < 1:
+        gaps = list(gaps)
+        if gaps and min(gaps) < 1:
             raise ValueError("gaps must be positive (0 always belongs to the set)")
-        frobenius = gaps[-1] if gaps else -1
+        frobenius = max(gaps, default=-1)
         if frobenius > SET_BOUND:
             raise ValueError(f"Frobenius number {frobenius} exceeds the bound {SET_BOUND}")
         self.frobenius = frobenius
@@ -246,7 +246,7 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
     as that substitution goes beyond the construction the count is defined
     for; they are rejected from the factorization, before any binomial.
     """
-    spec = _spec(n)
+    spec = bn_spec(n)
     if spec.is_prime_power and spec.factorization[0][1] > 1 and not force_base:
         raise ValueError(
             f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"

@@ -15,7 +15,6 @@ from itertools import combinations
 from frobinom.binomial import (
     bn_apery_closed,
     bn_frobenius,
-    bn_genus,
     bn_report,
     bn_spec,
     decompose,
@@ -98,7 +97,7 @@ def test_criterion_3_oracle_equivalence_sweep():
 def test_criterion_4_symmetry_identity():
     t0 = time.perf_counter()
     failures = [n for n in range(4, 101)
-                if not is_prime(n) and 2 * bn_genus(n) != bn_frobenius(n) + 1]
+                if not is_prime(n) and 2 * bn_report(n).genus != bn_frobenius(n) + 1]
     report(4, "2*genus = frobenius + 1, composite n <= 100",
            failures, time.perf_counter() - t0, 10.0)
 

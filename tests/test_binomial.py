@@ -11,11 +11,8 @@ from frobinom.binomial import (
     _apery_element,
     _box,
     bn_apery_closed,
-    bn_embedding_dimension,
     bn_family,
     bn_frobenius,
-    bn_genus,
-    bn_minimal_system,
     bn_report,
     bn_spec,
     decompose,
@@ -63,23 +60,23 @@ class TestSpec:
 
 class TestMinimalSystem:
     def test_examples(self):
-        assert bn_minimal_system(12) == [12, 66, 220, 495]
-        assert bn_minimal_system(9) == [3, 28]
-        assert bn_minimal_system(6) == [6, 15, 20]
-        assert bn_minimal_system(5) == [1]  # prime: everything collapses to N
+        assert bn_report(12).minimal_generators == (12, 66, 220, 495)
+        assert bn_report(9).minimal_generators == (3, 28)
+        assert bn_report(6).minimal_generators == (6, 15, 20)
 
     def test_embedding_dimension_examples(self):
-        assert bn_embedding_dimension(12) == 4
-        assert bn_embedding_dimension(70) == 4
-        assert bn_embedding_dimension(9) == 2
+        assert bn_report(12).embedding_dimension == 4
+        assert bn_report(70).embedding_dimension == 4
+        assert bn_report(9).embedding_dimension == 2
 
     def test_dimension_matches_system_size_up_to_100(self):
-        for n in range(2, 101):
-            assert bn_embedding_dimension(n) == len(bn_minimal_system(n)), n
+        for n in COMPOSITES_100:
+            report = bn_report(n)
+            assert report.embedding_dimension == len(report.minimal_generators), n
 
     def test_matches_engine_up_to_30(self):
         for n in COMPOSITES_30:
-            assert bn_minimal_system(n) == minimal_generators(bn_family(n)), n
+            assert list(bn_report(n).minimal_generators) == minimal_generators(bn_family(n)), n
 
 
 class TestAperyClosed:
@@ -171,13 +168,13 @@ class TestClosedQuantities:
                 bn_frobenius(p)
 
     def test_genus_examples(self):
-        assert bn_genus(6) == 25
-        assert bn_genus(50) == 252821217113612
-        assert bn_genus(4) == 1
+        assert bn_report(6).genus == 25
+        assert bn_report(50).genus == 252821217113612
+        assert bn_report(4).genus == 1
 
     def test_symmetry_identity_up_to_100(self):
         for n in COMPOSITES_100:
-            assert 2 * bn_genus(n) == bn_frobenius(n) + 1, n
+            assert 2 * bn_report(n).genus == bn_frobenius(n) + 1, n
 
     def test_pseudo_frobenius_examples(self):
         assert bn_report(6).pseudo_frobenius == (49,)

@@ -447,6 +447,36 @@ class TestInternalError:
                        "integer division or modulo by zero\n")
         assert "Traceback" not in err
 
+    def test_invariant_violation_exits_3_in_one_line(self, capsys, monkeypatch):
+        # a RuntimeError takes the same path as any other stray exception
+        def broken(n):
+            raise RuntimeError("closed-form genus for n = 30 is not an integer")
+
+        monkeypatch.setattr(frobinom.binomial, "bn_report", broken)
+        code, out, err = run(capsys, "report", "30")
+        assert (code, out) == (3, "")
+        assert err == ("frobinom: internal error: RuntimeError: "
+                       "closed-form genus for n = 30 is not an integer\n")
+
+
+class TestFactorizeOncePerCall:
+    # the spec stage is cached, so the CLI and the box it builds share one factorization
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [("report", "30030"), ("decompose", "30030", "7")])
+    def test_one_factorization(self, capsys, monkeypatch, argv, fmt):
+        real, calls = frobinom.binomial.factorize, []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(frobinom.binomial, "factorize", counted)
+        frobinom.binomial.bn_spec.cache_clear()
+        frobinom.binomial._box.cache_clear()
+        code, _, _ = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        assert calls == [30030]
+
 
 class TestEnvelope:
     @pytest.mark.parametrize("argv", [

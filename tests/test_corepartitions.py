@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import frobinom.binomial
 import frobinom.corepartitions
 from frobinom.binomial import (
-    _apery_element, _box, _spec, bn_apery_closed, bn_frobenius, bn_spec, decompose)
+    _apery_element, _box, bn_apery_closed, bn_frobenius, bn_spec, decompose)
 from frobinom.corepartitions import (
     NumericalSet,
     _complete,
@@ -103,6 +103,16 @@ class TestNumericalSet:
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
             NumericalSet([0, 3])
+        with pytest.raises(ValueError, match="^gaps must be positive"):
+            NumericalSet([3, 0])
+        # positivity is checked before the bound
+        with pytest.raises(ValueError, match="^gaps must be positive"):
+            NumericalSet([10**7, 0])
+
+    def test_unsorted_repeated_and_generated_gaps(self):
+        S = NumericalSet([2, 5, 6, 8])
+        assert NumericalSet([8, 2, 6, 5, 2]) == S
+        assert NumericalSet(g for g in (6, 8, 2, 5)) == S
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -617,7 +627,7 @@ def test_algorithm1_factorizes_once_per_n(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(frobinom.binomial, "factorize", counted)
-    _spec.cache_clear()
+    bn_spec.cache_clear()
     _box.cache_clear()
     for s in range(100):
         algorithm1(30030, s, 7)

@@ -43,6 +43,40 @@ def private_reads(owner, private):
                 yield path.name, ast.unparse(node)
 
 
+PUBLIC_API = [
+    "AdmissiblePairResult", "AperyTable", "BinomialSemigroupReport",
+    "BinomialSemigroupSpec", "DegenerateSemigroupError", "NotANumericalSemigroup",
+    "NumericalSemigroup", "NumericalSet", "Partition", "Representation",
+    "a_set", "algorithm1", "binom_residue_lemma", "binomial_valuation_kummer",
+    "bn_apery_closed", "bn_family", "bn_frobenius", "bn_report", "bn_spec",
+    "decompose", "enumerate_admissible", "exists_admissible_bn", "factorize",
+    "hook_set", "identity_pm_check", "identity_pq_check", "is_admissible",
+    "is_prime", "is_s_core", "is_triple_core", "minimal_generators",
+    "p_adic_valuation", "partition_of", "sun_congruence_holds",
+    "verify_closed_vs_oracle",
+]
+
+
+def test_public_api_is_pinned():
+    # one public route per fact: a name added or dropped is a decision
+    assert sorted(frobinom.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert hasattr(frobinom, name), name
+
+
+def test_private_imports_between_modules():
+    # the only private names one module imports from another are the
+    # closed-form lookups the triple completion reads
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parsed(path.name)):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                imported |= {(path.name, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_")}
+    assert imported == {("corepartitions.py", "binomial", "_apery_element"),
+                        ("corepartitions.py", "binomial", "_proper_box")}
+
+
 def test_only_binomial_reads_the_box_record():
     assert list(private_reads("binomial.py", {"_box", "_Box"})) == []
 
@@ -60,4 +94,4 @@ def test_oracle_family_shares_no_arithmetic_with_the_closed_forms():
                 if isinstance(node, ast.FunctionDef) and node.name == "bn_family")
     named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-    assert named & {"binomial", "factorize", "bn_spec", "_spec", "_box", "_proper_box"} == set()
+    assert named & {"binomial", "factorize", "bn_spec", "_box", "_proper_box"} == set()
