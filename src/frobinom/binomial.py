@@ -13,28 +13,34 @@ any n.  Only `bn_apery_closed` lists the Apery set, which has one element
 per residue class: the CLI's `report` calls it when the base is at most
 1000, and `verify_closed_vs_oracle` to compare the set with the engine's.
 `decompose` and the triple completion in `corepartitions` look up single
-residues with `_apery_element`, whose box coordinates are base-p digits of
-the residue.  Everything can be cross-checked against the generic engine in
-`semigroup`.
+residues in two steps: `_coordinates` solves the box coordinates of the
+residue as base-p digits, in word-size integers, and one sum of coordinate
+times value forms the element.  Everything can be cross-checked against the
+generic engine in `semigroup`.
 
-Per-n data is cached in two stages (the 16 most recent n of each).  The
-spec stage, `bn_spec(n)`, is the factorization, the prime-power flag and
-the scale, with no binomial computed, so a check that needs only the spec
-(such as `algorithm1`'s prime-power rejection) stays cheap.  The box stage,
-`_box(n)`, is built from it: the base, the box generators, F, and the
-digit-solve steps, each (index, p^e, p, inverse mod p of the generator's
-unit digit, generator mod base).  A lookup reads only the steps, solving
-the coordinates in word-size integers, and touches the generators once, in
-the sum that forms the element.  The closed forms, the point queries and
-the CLI read the two stages and neither factor n nor sum the box again.
+Per-n data is cached in two stages (the RECORD_CACHE most recent n of
+each).  The spec stage, `bn_spec(n)`, is the factorization, the prime-power
+flag and the scale, with no binomial computed, so a check that needs only
+the spec (such as `algorithm1`'s prime-power rejection) stays cheap.  The
+box stage, `_box(n)`, is built from it: the base, the box generators and
+their values, F, the digit-solve steps and the margins of the generators.
+With every margin positive, Apery elements order as their coordinate
+vectors read from the largest generator down, so the triple completion
+finds the largest of three classes from word-size coordinates and sums one
+element, not three.  The closed forms, the point queries and the CLI read
+the two stages and neither factor n nor sum the box again.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .exactmath import binomial, factorize, is_prime
 from .semigroup import NumericalSemigroup
+
+RECORD_CACHE = 32    # most recent n whose spec and box stages stay cached; a box record
+                     # is under 2 KB for squarefree n, at most ~0.6 MB for n <= 10^6
 
 
 class DegenerateSemigroupError(ValueError):
@@ -80,7 +86,7 @@ class Representation(namedtuple(
     __slots__ = ()
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=RECORD_CACHE)
 def bn_spec(n: int) -> BinomialSemigroupSpec:
     """The spec stage of the per-n record: factor n and record the family's
     gcd (p for prime powers, else 1), with no binomial computed.  Cached."""
@@ -94,30 +100,41 @@ def bn_spec(n: int) -> BinomialSemigroupSpec:
 def bn_family(n: int) -> list[int]:
     """The full generating family C(n,1), ..., C(n,n-1), divided by its gcd: the
     engine's input, by Pascal's rule C(n, k+1) = C(n, k) * (n - k) / (k + 1)
-    and the row's own gcd, so it shares no arithmetic with the closed forms."""
+    and the row's own gcd, so it shares no arithmetic with the closed forms.
+    Only k <= n/2 is built; C(n, n-k) = C(n, k) mirrors the same ints."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    row = [n]
-    for k in range(1, n - 1):
-        row.append(row[-1] * (n - k) // (k + 1))
-    g = gcd(*row)
-    return row if g == 1 else [v // g for v in row]
+    half = [n]
+    for k in range(1, n // 2):
+        half.append(half[-1] * (n - k) // (k + 1))
+    g = gcd(*half)
+    if g > 1:
+        half = [v // g for v in half]
+    return half + half[:(n - 1) // 2][::-1]
 
 
-class _Box(namedtuple("_Box", "base gens steps frobenius")):
+class _Box(namedtuple(
+        "_Box", "base gens values margins ordered steps frobenius frobenius_residue")):
     """The box stage of the per-n record of S(B_n): everything a point query
     reads besides the spec.
 
-    gens are the box generators (value, p, e), values ascending.  steps are
-    the digit solves of `_apery_element` in valuation order, one per
-    generator: (index into gens, p^e, p, inverse mod p of the generator's
-    unit base-p digit, value mod base), all word-size.  frobenius is the sum
-    of (p - 1) * value over the box, minus the base.
+    gens are the box generators (value, p, e), values ascending, and values
+    their values alone.  margins[i] = values[i] - sum over k < i of
+    (p_k - 1) * values[k]: where two coordinate vectors, read from the
+    largest generator down, first differ at i, the one with the larger
+    coordinate there has the larger value, by at least margins[i].  ordered
+    is true when every margin is positive, so that Apery elements order
+    exactly as their coordinate vectors read from the top (all composite
+    n < 12000 but 12).  steps are the digit solves of `_coordinates` in
+    valuation order, one per generator: (index into gens, p^e, p, inverse
+    mod p of the generator's unit base-p digit, value mod base), all
+    word-size.  frobenius is the sum of (p - 1) * value over the box, minus
+    the base, and frobenius_residue is F mod base.
     """
     __slots__ = ()
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=RECORD_CACHE)
 def _box(n: int) -> _Box:
     """The Apery box of S(B_n) and its lookup data, built once per n from
     the spec stage.
@@ -142,8 +159,13 @@ def _box(n: int) -> _Box:
         value, p, e = gens[i]
         pe = p**e
         steps.append((i, pe, p, pow(value % (pe * p) // pe, -1, p), value % base))
-    frobenius = sum((p - 1) * value for value, p, _ in gens) - base
-    return _Box(base, tuple(gens), tuple(steps), frobenius)
+    margins, below = [], 0
+    for value, p, _ in gens:
+        margins.append(value - below)
+        below += (p - 1) * value
+    frobenius = below - base
+    return _Box(base, tuple(gens), tuple(value for value, _, _ in gens), tuple(margins),
+                all(m > 0 for m in margins), tuple(steps), frobenius, frobenius % base)
 
 
 def _proper_box(n: int) -> _Box:
@@ -153,33 +175,33 @@ def _proper_box(n: int) -> _Box:
     return box
 
 
-def _apery_element(n: int, r: int) -> tuple[int, tuple[int, ...]]:
-    """The Apery element of S(B_n) in the class r mod the base, and its box
-    coordinates, without listing the Apery set.
+def _coordinates(box: _Box, r: int) -> list[int]:
+    """Box coordinates of the Apery element in the class r mod the base,
+    without listing the Apery set; the element is
+    sum(map(mul, coords, box.values)).
 
     Mod the p-part p^k of the base, the generators of other primes vanish
     and those of p have valuations 0..k-1, so each coordinate is one base-p
     digit, solved from the lowest valuation up, from the record's steps.
     """
-    box = _proper_box(n)
     base = box.base
     x = r % base
-    coords = [0] * len(box.gens)
+    coords = [0] * len(box.values)
     for i, pe, p, inverse, residue in box.steps:
         c = coords[i] = x // pe * inverse % p
         x = (x - c * residue) % base
     if x:
         raise RuntimeError(
-            f"residue {r} mod {base} has no closed-form Apery element for n = {n}; "
+            f"residue {r} mod {base} has no closed-form Apery element; "
             "this contradicts the construction")
-    return sum(c * g[0] for c, g in zip(coords, box.gens)), tuple(coords)
+    return coords
 
 
 def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
     """Apery set at the base, listed by summing the box one generator at a time.
 
     This is the only function that enumerates the box; single residues come
-    from `_apery_element`.
+    from `_coordinates`.
     """
     box = _proper_box(n)
     base = box.base
@@ -240,15 +262,16 @@ def decompose(n: int, m: int) -> Representation:
     if n < 2 or not 1 <= m <= n - 1:
         raise ValueError(f"decompose({n}, {m}) requires n >= 2 and 1 <= m <= n-1")
     box = _proper_box(n)
-    base, scale = box.base, bn_spec(n).scale
+    base = box.base
+    scale = n // base  # p for n = p^m, else 1
     value = binomial(n, m) // scale
-    w, box_coeffs = _apery_element(n, value % base)
-    q, r = divmod(value - w, base)
+    box_coeffs = _coordinates(box, value % base)
+    q, r = divmod(value - sum(map(mul, box_coeffs, box.values)), base)
     if r or q < 0:
         raise RuntimeError(
             f"C({n},{m}) has no nonnegative representation over the minimal system; "
             "this contradicts the closed form")
-    basis = (base, *(v for v, _, _ in box.gens))
+    basis = (base, *box.values)
     coefficients = (q, *box_coeffs)
     if sum(c * b for c, b in zip(coefficients, basis)) != value:
         raise RuntimeError(f"representation of C({n},{m}) failed its reconstruction check")
@@ -320,7 +343,7 @@ class OracleComparison(namedtuple("OracleComparison", "n fields")):
 
 def verify_closed_vs_oracle(n: int) -> OracleComparison:
     """Diff every closed form against the generic engine run on `bn_family(n)`;
-    mismatches are reported, not raised.  n = 30030 takes about 1 s."""
+    mismatches are reported, not raised.  n = 30030 takes about 0.6 s."""
     report = bn_report(n)
     base, apery = bn_apery_closed(n)
     engine = NumericalSemigroup(bn_family(n))

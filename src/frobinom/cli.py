@@ -53,16 +53,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _stringify(x):
-    """Render every integer as a decimal string, recursively; bools stay bools."""
+def _stringify(x, rendered=None):
+    """Render every integer as a decimal string, recursively; bools stay bools.
+
+    `rendered` maps the id of each list or tuple already rendered to its
+    rendering, so a list that appears under several keys is rendered once.
+    """
+    if rendered is None:
+        rendered = {}
     if isinstance(x, bool):
         return x
     if isinstance(x, int):
         return str(x)
     if isinstance(x, (list, tuple)):
-        return [_stringify(v) for v in x]
+        if id(x) not in rendered:
+            # a list of plain ints (no bools) renders at C speed
+            rendered[id(x)] = (list(map(str, x)) if set(map(type, x)) <= {int}
+                               else [_stringify(v, rendered) for v in x])
+        return rendered[id(x)]
     if isinstance(x, dict):
-        return {k: _stringify(v) for k, v in x.items()}
+        return {k: _stringify(v, rendered) for k, v in x.items()}
     return x
 
 

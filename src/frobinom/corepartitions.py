@@ -13,8 +13,10 @@ semigroups at sizes where the gap set itself is astronomically large.
 
 from bisect import bisect_left
 from collections import namedtuple
+from itertools import accumulate, compress
+from operator import lt, mul
 
-from .binomial import _apery_element, _proper_box, bn_spec
+from .binomial import _coordinates, _proper_box, bn_spec
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
 ENUM_BOUND = 10**4   # largest Frobenius number enumerate_admissible will sweep
@@ -53,10 +55,10 @@ class NumericalSet:
     __contains__ = contains
 
     def gaps(self) -> list[int]:
-        return [i for i in range(self.frobenius + 1) if not self._member[i]]
+        return list(compress(range(self.frobenius + 1), self._member.translate(_GAP_FLAGS)))
 
     def members_below_frobenius(self) -> list[int]:
-        return [i for i in range(self.frobenius + 1) if self._member[i]]
+        return list(compress(range(self.frobenius + 1), self._member))
 
     def __eq__(self, other):
         if not isinstance(other, NumericalSet):
@@ -76,9 +78,9 @@ class Partition:
 
     def __init__(self, parts=()):
         parts = tuple(parts)
-        if any(p < 1 for p in parts):
+        if min(parts, default=1) < 1:
             raise ValueError("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError("partition parts must be weakly decreasing")
         self.parts = parts
 
@@ -100,6 +102,7 @@ class Partition:
         return f"Partition{self.parts}"
 
 
+_GAP_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # NumericalSet._member -> 1 at each gap
 _GAP_DIGITS = bytes.maketrans(b"\x00\x01", b"10")     # NumericalSet._member -> "1" at each gap
 _MEMBER_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # NumericalSet._member -> "1" at each member
 
@@ -131,8 +134,10 @@ def a_set(S: NumericalSet) -> NumericalSet:
 
 
 def partition_of(S: NumericalSet) -> Partition:
-    """Associated partition: one part per gap g_i (i from 0), the g_i - i members below it."""
-    return Partition([g - i for i, g in enumerate(S.gaps())][::-1])
+    """Associated partition: one part per gap g_i (i from 0), the g_i - i
+    members below it, read off the running member count at each gap."""
+    parts = list(compress(accumulate(S._member), S._member.translate(_GAP_FLAGS)))
+    return Partition(parts[::-1])
 
 
 def hook_set(partition: Partition) -> list[int]:
@@ -194,33 +199,55 @@ class AdmissiblePairResult(namedtuple("AdmissiblePairResult", "triple count")):
     __slots__ = ()
 
 
-def _complete(reps: tuple[int, int, int], base: int, p: int) -> tuple[int, int, int]:
-    """Complete the largest of the class representatives of s, s+1, s+p into
-    a triple (t, t+1, t+p) in those classes, each entry at least its
-    representative and so in the semigroup.
+def _triple(box, s: int, p: int):
+    """The Apery representatives of the classes of s, s+1, s+p, by box
+    coordinates; which of them is largest and its value; and the completion
+    of that largest into a triple (t, t+1, t+p) in those classes.  For
+    p >= 2; the classes collide for every s when p is 0 or 1 mod base.
 
     t is the largest representative raised by 0 when it is the class of s,
     by base - 1 when it is the class of s+1, and by the least multiple of
     the base that is >= p, minus p, when it is the class of s+p; that last
-    shift keeps t above its own representative when p > base.
+    shift keeps t above its own representative when p > base.  When every
+    margin of the box is positive the largest representative is the one
+    whose coordinates, read from the largest generator down, are largest,
+    so only its value is summed; otherwise all three are.
     """
-    top = max(reps)
-    at = reps.index(top)
-    t = top + (0, base - 1, -(-p // base) * base - p)[at]
-    return t, t + 1, t + p
-
-
-def _triple(n: int, s: int, p: int, base: int):
-    """The Apery representatives of the classes of s, s+1, s+p and their
-    completion, for p >= 2; the classes collide for every s when p is 0 or 1
-    mod base."""
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
+    base = box.base
     if p % base in (0, 1):
         raise ValueError(
             f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
-    reps = tuple(_apery_element(n, s + d)[0] for d in (0, 1, p))
-    return reps, _complete(reps, base, p)
+    coords = [_coordinates(box, s + d) for d in (0, 1, p)]
+    if box.ordered:
+        keys = [c[::-1] for c in coords]
+        at = keys.index(max(keys))
+        top = sum(map(mul, coords[at], box.values))
+    else:
+        reps = [sum(map(mul, c, box.values)) for c in coords]
+        top = max(reps)
+        at = reps.index(top)
+    t = top + (0, base - 1, -(-p // base) * base - p)[at]
+    return coords, at, top, (t, t + 1, t + p)
+
+
+def _at_least(box, x: int, coords, top: int, top_coords) -> bool:
+    """x >= the Apery element with box coordinates `coords`, for x in its
+    class, given another element `top` (the triple's largest
+    representative) and its coordinates.
+
+    Where the two vectors, read from the largest generator down, first
+    differ at i with top's coordinate the larger, top exceeds the element by
+    at least margins[i]; the element is summed only when that bound does
+    not decide.
+    """
+    for i in reversed(range(len(coords))):
+        if coords[i] != top_coords[i]:
+            if top_coords[i] > coords[i] and box.margins[i] >= top - x:
+                return True
+            break
+    return x >= sum(map(mul, coords, box.values))
 
 
 def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> AdmissiblePairResult:
@@ -254,15 +281,17 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
             "against that base")
     box = _proper_box(n)
     f, base = box.frobenius, box.base
-    reps, completed = _triple(n, s_seed, p, base)
-    triple = reps if max(reps) >= f else completed
+    coords, _, top, triple = _triple(box, s_seed, p)
+    if top >= f:
+        triple = tuple(sum(map(mul, c, box.values)) for c in coords)
     diff = f - triple[2]
     if diff <= 0:
         # floor division, so diff in [-base, 0) yields a zero shift
         shift = (diff // base + 1) * base
         triple = tuple(x - shift for x in triple)
         diff = f - triple[2]
-    count = diff if diff % base == 0 else diff + 1
+    # triple[2] is in the class of s + p, so diff mod base is read off residues
+    count = diff if (box.frobenius_residue - s_seed - p) % base == 0 else diff + 1
     return AdmissiblePairResult(triple, count)
 
 
@@ -282,13 +311,15 @@ def exists_admissible_bn(n: int, p: int) -> int:
     box = _proper_box(n)
     f, base = box.frobenius, box.base
     for seed in range(base):
-        reps, triple = _triple(n, seed, p, base)
+        coords, at, top, triple = _triple(box, seed, p)
         if triple[2] >= f:
             k = (triple[2] - f) // base + 1
             triple = tuple(x - k * base for x in triple)
         # each entry lies in the class of its representative, so it is in
-        # the semigroup iff it is at least that representative
-        if triple[0] >= 1 and triple[2] < f and all(x >= w for x, w in zip(triple, reps)):
+        # the semigroup iff it is at least that representative; all are when
+        # the smallest entry is at least top, the largest representative
+        if triple[0] >= 1 and triple[2] < f and (triple[0] >= top or all(
+                _at_least(box, x, c, top, coords[at]) for x, c in zip(triple, coords))):
             return triple[0]
     raise RuntimeError(
         f"exhausted all {base} seed classes without an admissible s for n={n}, p={p}")

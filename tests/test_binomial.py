@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobinom.binomial import (
+    RECORD_CACHE,
     DegenerateSemigroupError,
-    _apery_element,
     _box,
+    _coordinates,
+    _proper_box,
     bn_apery_closed,
     bn_family,
     bn_frobenius,
@@ -57,6 +59,19 @@ class TestSpec:
             g = gcd(*row)
             assert bn_family(n) == [v // g for v in row], n
 
+    def test_mirrored_half_row_equals_the_full_pascal_row(self):
+        # the family builds k <= n/2 and mirrors it; the whole row by
+        # Pascal's rule, then its gcd, gives the same list
+        for n in range(3, 400):
+            row = [n]
+            for k in range(1, n - 1):
+                row.append(row[-1] * (n - k) // (k + 1))
+            g = gcd(*row)
+            family = bn_family(n)
+            assert family == [v // g for v in row], n
+            # C(n, k) and C(n, n - k) are one int object
+            assert all(family[k - 1] is family[n - k - 1] for k in range(1, n // 2)), n
+
 
 class TestMinimalSystem:
     def test_examples(self):
@@ -98,6 +113,18 @@ class TestAperyClosed:
             assert max(ap) - base == bn_frobenius(n)
 
 
+def value_of(box, coords):
+    return sum(c * v for c, v in zip(coords, box.values))
+
+
+def apery_lookup(n, r):
+    """The Apery element in the class r and its box coordinates, by the
+    record's word-size solve and one value sum."""
+    box = _proper_box(n)
+    coords = _coordinates(box, r)
+    return value_of(box, coords), tuple(coords)
+
+
 def _least_by_residue(n):
     base, ap = bn_apery_closed(n)
     return base, {w % base: w for w in ap}
@@ -109,7 +136,7 @@ class TestAperyLookup:
             if is_prime(n):
                 continue
             base, least = _least_by_residue(n)
-            assert [_apery_element(n, r)[0] for r in range(base)] == \
+            assert [apery_lookup(n, r)[0] for r in range(base)] == \
                 [least[r] for r in range(base)], n
 
     @given(st.integers(4, 3000).filter(lambda n: not is_prime(n)), st.integers(0, 10**12))
@@ -117,7 +144,7 @@ class TestAperyLookup:
     def test_matches_listing_and_rebuilds(self, n, r):
         base, least = _least_by_residue(n)
         gens = _box(n).gens
-        w, coords = _apery_element(n, r)
+        w, coords = apery_lookup(n, r)
         assert w == least[r % base]
         assert len(coords) == len(gens)
         assert all(0 <= c < p for c, (_, p, _) in zip(coords, gens))
@@ -128,16 +155,16 @@ class TestAperyLookup:
     def test_matches_engine_up_to_40(self, n, r):
         base = _box(n).base
         engine = NumericalSemigroup(bn_family(n)).apery_set(base)
-        assert _apery_element(n, r)[0] == engine.entries[r % base]
+        assert apery_lookup(n, r)[0] == engine.entries[r % base]
 
     def test_prime_rejected(self):
         with pytest.raises(DegenerateSemigroupError):
-            _apery_element(13, 4)
+            apery_lookup(13, 4)
 
     @given(st.sampled_from([59049, 100000, 510510, 10**6]), st.integers(0, 10**12))
     @settings(max_examples=200, deadline=None)
     def test_cached_steps_match_the_per_call_solve(self, n, r):
-        assert _apery_element(n, r) == _per_call_digit_solve(n, r)
+        assert apery_lookup(n, r) == _per_call_digit_solve(n, r)
 
 
 def _per_call_digit_solve(n, r):
@@ -154,6 +181,70 @@ def _per_call_digit_solve(n, r):
         x = (x - coords[i] * value) % base
     assert x == 0, (n, r)
     return sum(c * g[0] for c, g in zip(coords, gens)), tuple(coords)
+
+
+class TestBoxOrder:
+    """The margins of the record, and the order of Apery elements by their
+    coordinates read from the largest generator down."""
+
+    def test_flag_is_exactly_coordinate_order_up_to_3000(self):
+        unordered = []
+        for n in range(4, 3000):
+            if is_prime(n):
+                continue
+            box = _box(n)
+            # the box listed in coordinate order, the last (largest)
+            # generator's coordinate most significant
+            listing = [0]
+            for value, p, _ in box.gens:
+                listing = [w + c * value for c in range(p) for w in listing]
+            ap = list(bn_apery_closed(n)[1])  # ascending by value
+            assert (listing == ap) == box.ordered, n
+            if not box.ordered:
+                unordered.append(n)
+                assert sorted(listing) == ap, n
+        assert unordered == [12]
+
+    @given(st.sampled_from([6, 12, 30, 64, 81, 2310, 4096, 15625, 30030]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_margin_bounds_the_value_gap(self, n, data):
+        # where a and b, read from the top, first differ at i with a[i] > b[i],
+        # val(a) - val(b) >= margins[i]
+        box = _box(n)
+        vectors = st.tuples(*(st.integers(0, p - 1) for _, p, _ in box.gens))
+        a, b = list(data.draw(vectors)), list(data.draw(vectors))
+        if a == b:
+            return
+        i = max(k for k in range(len(a)) if a[k] != b[k])
+        if a[i] < b[i]:
+            a, b = b, a
+        assert value_of(box, a) - value_of(box, b) >= box.margins[i]
+
+    def test_margin_bound_is_tight(self):
+        # one unit of generator i against every lower coordinate at its bound
+        for n in (6, 12, 30, 64, 2310, 4096):
+            box = _box(n)
+            for i in range(len(box.gens)):
+                a = [int(k == i) for k in range(len(box.gens))]
+                b = [p - 1 if k < i else 0 for k, (_, p, _) in enumerate(box.gens)]
+                assert value_of(box, a) - value_of(box, b) == box.margins[i], (n, i)
+
+
+class TestRecordCache:
+    def test_seventeen_n_are_built_once(self):
+        # a pool of 17 n queried twice builds 17 records in each stage
+        pool = (2310, 30030, 60060, 90090, 120120, 4000, 10000, 20000, 50000, 100000,
+                1024, 2187, 15625, 16807, 59049, 510510, 10**6)
+        bn_spec.cache_clear()
+        _box.cache_clear()
+        for _ in range(2):
+            for n in pool:
+                decompose(n, 7)
+                algorithm1(n, 1, 5, force_base=True)
+                exists_admissible_bn(n, 5)
+        assert _box.cache_info().misses == len(pool)
+        assert bn_spec.cache_info().misses == len(pool)
+        assert _box.cache_info().maxsize == bn_spec.cache_info().maxsize == RECORD_CACHE
 
 
 class TestClosedQuantities:

@@ -334,6 +334,20 @@ class TestCore:
         assert text_line(out, "partition") == str(parts)
         assert text_line(out, "A(S)") == "{" + ", ".join(map(str, members)) + ", 1980, ...}"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_semigroup_lists_the_gaps_once(self, capsys, monkeypatch, fmt):
+        calls = []
+        gaps = frobinom.corepartitions.NumericalSet.gaps
+
+        def counted(S):
+            calls.append(S.frobenius)
+            return gaps(S)
+
+        monkeypatch.setattr(frobinom.corepartitions.NumericalSet, "gaps", counted)
+        code, _, _ = run(capsys, "core", "--semigroup", "46", "47", "--format", fmt)
+        assert code == 0
+        assert calls == [2069]
+
     def test_a_set_computed_once(self, capsys, monkeypatch):
         calls = []
         a_set_gaps = frobinom.corepartitions._a_set_gaps
@@ -494,6 +508,14 @@ class TestEnvelope:
         assert json.dumps(env, sort_keys=True) + "\n" == raw
         assert no_bare_numbers(env)
         assert set(env) == {"command", "input", "result", "timing_ms"}
+
+    def test_stringify_renders_a_shared_list_once_and_keeps_bools(self):
+        shared = [0, 7, 10**30]
+        out = frobinom.cli._stringify(
+            {"a": shared, "b": shared, "c": [True, 4, (5, False)], "d": (), "e": None})
+        assert out == {"a": ["0", "7", str(10**30)], "b": ["0", "7", str(10**30)],
+                       "c": [True, "4", ["5", False]], "d": [], "e": None}
+        assert out["a"] is out["b"]
 
     def test_global_format_flag_position(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "report", "6")

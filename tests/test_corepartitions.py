@@ -5,16 +5,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import frobinom.binomial
 import frobinom.corepartitions
 from frobinom.binomial import (
-    _apery_element, _box, bn_apery_closed, bn_frobenius, bn_spec, decompose)
+    _box, _coordinates, _proper_box, bn_apery_closed, bn_frobenius, bn_spec, decompose)
 from frobinom.corepartitions import (
     NumericalSet,
-    _complete,
     Partition,
+    _at_least,
     a_set,
     algorithm1,
     enumerate_admissible,
@@ -75,6 +75,21 @@ partitions = st.lists(st.integers(1, 60), max_size=30).map(
     lambda xs: Partition(sorted(xs, reverse=True)))
 
 
+def apery_element(n, r):
+    """The Apery element in the class r, by the record's lookup."""
+    box = _proper_box(n)
+    return sum(c * v for c, v in zip(_coordinates(box, r), box.values))
+
+
+def complete(reps, base, p):
+    """The completion by definition: the largest class representative,
+    raised by 0, base - 1 or (the least multiple of the base >= p) - p as
+    it is the class of s, s+1 or s+p, gives (t, t+1, t+p)."""
+    top = max(reps)
+    t = top + (0, base - 1, -(-p // base) * base - p)[reps.index(top)]
+    return t, t + 1, t + p
+
+
 def bn_member(n, x):
     """Membership in the binomial-coefficient semigroup via its closed Apery table."""
     base, ap = bn_apery_closed(n)
@@ -118,6 +133,12 @@ class TestNumericalSet:
         with pytest.raises(ValueError):
             NumericalSet([10**7])
 
+    @given(st.lists(st.integers(1, 300), max_size=120))
+    def test_listings_match_membership(self, gaps):
+        S = NumericalSet(gaps)
+        assert S.gaps() == sorted(set(gaps))
+        assert S.members_below_frobenius() == [x for x in range(S.frobenius + 1) if x in S]
+
 
 class TestASet:
     def test_worked_example(self):
@@ -159,11 +180,17 @@ class TestASet:
 
 class TestPartitionType:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weakly decreasing"):
             Partition((3, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             Partition((2, 0))
+        # positivity is checked first
+        with pytest.raises(ValueError, match="positive"):
+            Partition((0, 3))
+        with pytest.raises(ValueError, match="positive"):
+            Partition((3, -1, 2))
         assert len(Partition(())) == 0
+        assert Partition(iter((4, 4, 1))).parts == (4, 4, 1)
 
     def test_conjugate(self):
         # the oracle behind cell_hooks
@@ -195,6 +222,12 @@ class TestAssociatedPartition:
     @given(partitions)
     def test_roundtrip_through_numerical_set(self, lam):
         assert partition_of(set_of(lam)) == lam
+
+    @given(st.lists(st.integers(1, 300), max_size=120))
+    def test_one_part_per_gap(self, gaps):
+        # part g_i - i for the i-th gap g_i, largest first
+        S = NumericalSet(gaps)
+        assert partition_of(S).parts == tuple([g - i for i, g in enumerate(S.gaps())][::-1])
 
 
 class TestHookSet:
@@ -478,9 +511,9 @@ class TestAlgorithm1:
     def test_shift_lifts_a_triple_past_f_plus_base(self):
         # at n = 6 (F = 49, base 6) the completion (45, 46, 56) has t2 above
         # F + base, so the shift (floor((49 - 56) / 6) + 1) * 6 = -6 lifts it
-        reps = tuple(_apery_element(6, 3 + d)[0] for d in (0, 1, 11))
+        reps = tuple(apery_element(6, 3 + d) for d in (0, 1, 11))
         assert max(reps) < 49
-        assert _complete(reps, 6, 11) == (45, 46, 56)
+        assert complete(reps, 6, 11) == (45, 46, 56)
         assert algorithm1(6, 3, 11) == ((51, 52, 62), -12)
 
     def test_count_is_nonpositive_exactly_when_past_f(self):
@@ -496,10 +529,10 @@ class TestAlgorithm1:
                 if p % base in (0, 1):
                     continue
                 for s in range(min(base, 24)):
-                    reps = tuple(_apery_element(n, s + d)[0] for d in (0, 1, p))
+                    reps = tuple(apery_element(n, s + d) for d in (0, 1, p))
                     if max(reps) >= f:
                         continue
-                    lifted += _complete(reps, base, p)[2] > f + base
+                    lifted += complete(reps, base, p)[2] > f + base
                     out = algorithm1(n, s, p, force_base=force)
                     assert (out.count <= 0) == (out.triple[2] >= f), (n, s, p)
         assert lifted == 25
@@ -607,15 +640,101 @@ def _exists_with_fresh_lookups(n, p):
         raise ValueError(
             f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
     for seed in range(base):
-        triple = _complete(tuple(_apery_element(n, seed + d)[0] for d in (0, 1, p)), base, p)
+        triple = complete(tuple(apery_element(n, seed + d) for d in (0, 1, p)), base, p)
         if triple[2] >= f:
             k = (triple[2] - f) // base + 1
             triple = tuple(x - k * base for x in triple)
         if triple[0] >= 1 and triple[2] < f and all(
-                x >= 0 and x >= _apery_element(n, x)[0] for x in triple):
+                x >= 0 and x >= apery_element(n, x) for x in triple):
             return triple[0]
     raise RuntimeError(
         f"exhausted all {base} seed classes without an admissible s for n={n}, p={p}")
+
+
+def listed_classes(n):
+    """Base, the least element of each class (from the listed Apery set) and F."""
+    base, ap = bn_apery_closed(n)
+    return base, {w % base: w for w in ap}, ap[-1] - base
+
+
+def reference_algorithm1(n, s, p):
+    """algorithm1 by its definition, over the listed Apery set."""
+    base, least, f = listed_classes(n)
+    if p < 2 or p % base in (0, 1):
+        raise ValueError(p)
+    reps = tuple(least[(s + d) % base] for d in (0, 1, p))
+    triple = reps if max(reps) >= f else complete(reps, base, p)
+    diff = f - triple[2]
+    if diff <= 0:
+        shift = (diff // base + 1) * base
+        triple = tuple(x - shift for x in triple)
+        diff = f - triple[2]
+    return triple, diff if diff % base == 0 else diff + 1
+
+
+def reference_exists(n, p):
+    """exists_admissible_bn by its definition, over the listed Apery set."""
+    base, least, f = listed_classes(n)
+    if p < 2 or p % base in (0, 1):
+        raise ValueError(p)
+    for seed in range(base):
+        triple = complete(tuple(least[(seed + d) % base] for d in (0, 1, p)), base, p)
+        if triple[2] >= f:
+            k = (triple[2] - f) // base + 1
+            triple = tuple(x - k * base for x in triple)
+        if triple[0] >= 1 and triple[2] < f and all(x >= least[x % base] for x in triple):
+            return triple[0]
+    raise RuntimeError(p)
+
+
+def _result_or_error_type(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+class TestPointQueriesAgainstTheListing:
+    """The coordinate-order pick of the largest class and the margin checks
+    against the definitions, read off the listed Apery set."""
+
+    @given(st.integers(4, 3000).filter(lambda n: not is_prime(n)),
+           st.integers(0, 10**6), st.integers(0, 10**6))
+    @example(12, 5, 7)
+    @example(12, 1, 30)   # p = 32, above the base
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_definitions(self, n, s, k):
+        base = listed_classes(n)[0]
+        p = 2 + k % (3 * base)  # below and above the base
+        assert _result_or_error_type(algorithm1, n, s, p, force_base=True) == \
+            _result_or_error_type(reference_algorithm1, n, s, p), (n, s, p)
+        assert _result_or_error_type(exists_admissible_bn, n, p) == \
+            _result_or_error_type(reference_exists, n, p), (n, p)
+
+    @pytest.mark.parametrize("n", [6, 10, 12, 30, 36, 64, 81])
+    def test_margin_check_is_the_exact_comparison(self, n):
+        # every element x near each representative w, against every other
+        # representative as top: the margin decides x >= w or the sum does
+        box = _box(n)
+        base = box.base
+        coords = [_coordinates(box, r) for r in range(base)]
+        values = [apery_element(n, r) for r in range(base)]
+        for a in range(base):
+            for b in range(base):
+                for j in range(-3, 4):
+                    x = values[b] + j * base
+                    assert _at_least(box, x, coords[b], values[a], coords[a]) == (j >= 0)
+
+    def test_every_small_case_at_12(self):
+        # n = 12 is the one box found whose value order is not the
+        # coordinate order, so the largest class is picked by value there
+        assert not _box(12).ordered
+        for p in range(40):
+            assert _result_or_error_type(exists_admissible_bn, 12, p) == \
+                _result_or_error_type(reference_exists, 12, p), p
+            for s in range(-3, 30):
+                assert _result_or_error_type(algorithm1, 12, s, p) == \
+                    _result_or_error_type(reference_algorithm1, 12, s, p), (s, p)
 
 
 def test_algorithm1_factorizes_once_per_n(monkeypatch):
@@ -670,7 +789,7 @@ def test_point_queries_at_max_n_list_no_apery_set(monkeypatch):
     f = bn_frobenius(n)
 
     def member(x):
-        return x >= 0 and x >= _apery_element(n, x)[0]
+        return x >= 0 and x >= apery_element(n, x)
 
     rep = decompose(n, 7)
     assert all(c >= 0 for c in rep.coefficients)

@@ -73,7 +73,7 @@ def test_private_imports_between_modules():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 imported |= {(path.name, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_")}
-    assert imported == {("corepartitions.py", "binomial", "_apery_element"),
+    assert imported == {("corepartitions.py", "binomial", "_coordinates"),
                         ("corepartitions.py", "binomial", "_proper_box")}
 
 
