@@ -23,12 +23,13 @@ each).  The spec stage, `bn_spec(n)`, is the factorization, the prime-power
 flag and the scale, with no binomial computed, so a check that needs only
 the spec (such as `algorithm1`'s prime-power rejection) stays cheap.  The
 box stage, `_box(n)`, is built from it: the base, the box generators and
-their values, F, the digit-solve steps and the margins of the generators.
-With every margin positive, Apery elements order as their coordinate
-vectors read from the largest generator down, so the triple completion
-finds the largest of three classes from word-size coordinates and sums one
-element, not three.  The closed forms, the point queries and the CLI read
-the two stages and neither factor n nor sum the box again.
+their values, F, the digit-solve steps and an `ordered` flag.  When each
+value exceeds the largest sum of the generators below it, Apery elements
+order as their coordinate vectors read from the largest generator down, so
+the triple completion finds the largest of three classes from word-size
+coordinates and sums one element, not three.  The record's only big ints
+are the generator values and F.  The closed forms, the point queries and
+the CLI read the two stages and neither factor n nor sum the box again.
 """
 
 from collections import namedtuple
@@ -40,7 +41,7 @@ from .exactmath import binomial, factorize, is_prime
 from .semigroup import NumericalSemigroup
 
 RECORD_CACHE = 32    # most recent n whose spec and box stages stay cached; a box record
-                     # is under 2 KB for squarefree n, at most ~0.6 MB for n <= 10^6
+                     # is a few KB for squarefree n, at most ~0.37 MB for n <= 10^6
 
 
 class DegenerateSemigroupError(ValueError):
@@ -114,17 +115,15 @@ def bn_family(n: int) -> list[int]:
 
 
 class _Box(namedtuple(
-        "_Box", "base gens values margins ordered steps frobenius frobenius_residue")):
+        "_Box", "base gens values ordered steps frobenius frobenius_residue")):
     """The box stage of the per-n record of S(B_n): everything a point query
     reads besides the spec.
 
     gens are the box generators (value, p, e), values ascending, and values
-    their values alone.  margins[i] = values[i] - sum over k < i of
-    (p_k - 1) * values[k]: where two coordinate vectors, read from the
-    largest generator down, first differ at i, the one with the larger
-    coordinate there has the larger value, by at least margins[i].  ordered
-    is true when every margin is positive, so that Apery elements order
-    exactly as their coordinate vectors read from the top (all composite
+    their values alone.  ordered is true when each values[i] exceeds the
+    largest sum of the generators below it, sum over k < i of
+    (p_k - 1) * values[k], so that Apery elements order exactly as their
+    coordinate vectors read from the largest generator down (all composite
     n < 12000 but 12).  steps are the digit solves of `_coordinates` in
     valuation order, one per generator: (index into gens, p^e, p, inverse
     mod p of the generator's unit base-p digit, value mod base), all
@@ -159,13 +158,13 @@ def _box(n: int) -> _Box:
         value, p, e = gens[i]
         pe = p**e
         steps.append((i, pe, p, pow(value % (pe * p) // pe, -1, p), value % base))
-    margins, below = [], 0
+    ordered, below = True, 0
     for value, p, _ in gens:
-        margins.append(value - below)
+        ordered = ordered and value > below
         below += (p - 1) * value
     frobenius = below - base
-    return _Box(base, tuple(gens), tuple(value for value, _, _ in gens), tuple(margins),
-                all(m > 0 for m in margins), tuple(steps), frobenius, frobenius % base)
+    return _Box(base, tuple(gens), tuple(value for value, _, _ in gens), ordered,
+                tuple(steps), frobenius, frobenius % base)
 
 
 def _proper_box(n: int) -> _Box:

@@ -96,7 +96,7 @@ def _check_generators(generators):
 
 
 # --- subcommand handlers ---------------------------------------------------
-# each returns (input_echo, result_payload, text_lines, exit_code)
+# each returns (input_echo, result_payload, text_lines, exit_code); only text mode reads text_lines
 
 def _run_report(args):
     _check_n(args.n)
@@ -233,17 +233,18 @@ def _run_core(args):
         "a_set_gaps": hooks,
         "a_set_frobenius": A.frobenius,
     }
-    a_shown = A.members_below_frobenius() + [A.frobenius + 1]
-    text = [
-        f"frobenius  {S.frobenius}",
-        f"gaps       {_fmt_list(gaps)}",
-        "partition  " + (str(tuple(lam.parts)) if len(lam) <= ELIDE_ABOVE
-                         else _fmt_list(lam.parts)),
-        f"hook set   {_fmt_list(hooks)}",
-        "A(S)       " + (f"{{{', '.join(str(x) for x in a_shown)}, ...}}"
-                         if len(a_shown) <= ELIDE_ABOVE else _fmt_list(a_shown)),
-    ]
-    return echo, result, text, EXIT_OK
+
+    def text():
+        yield f"frobenius  {S.frobenius}"
+        yield f"gaps       {_fmt_list(gaps)}"
+        yield "partition  " + (str(tuple(lam.parts)) if len(lam) <= ELIDE_ABOVE
+                               else _fmt_list(lam.parts))
+        yield f"hook set   {_fmt_list(hooks)}"
+        a_shown = A.members_below_frobenius() + [A.frobenius + 1]
+        yield "A(S)       " + (f"{{{', '.join(str(x) for x in a_shown)}, ...}}"
+                               if len(a_shown) <= ELIDE_ABOVE else _fmt_list(a_shown))
+
+    return echo, result, text(), EXIT_OK
 
 
 def _run_admissible(args):
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
             }
             lines = [json.dumps(_stringify(envelope), sort_keys=True)]
         else:
-            lines = text
+            lines = list(text)
     except UsageError as exc:
         print(f"frobinom: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

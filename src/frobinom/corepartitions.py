@@ -40,10 +40,19 @@ class NumericalSet:
 
     @classmethod
     def from_semigroup(cls, semigroup) -> "NumericalSet":
-        if semigroup.frobenius() > SET_BOUND:
-            raise ValueError(
-                f"Frobenius number {semigroup.frobenius()} exceeds the bound {SET_BOUND}")
-        return cls(semigroup.gaps())
+        """The semigroup as a set: the gaps of the class r mod m are r, r + m,
+        ..., below its Apery element w, so one slice clears (w - r) / m bytes."""
+        frobenius = semigroup.frobenius()
+        if frobenius > SET_BOUND:
+            raise ValueError(f"Frobenius number {frobenius} exceeds the bound {SET_BOUND}")
+        m, entries = semigroup.apery
+        member = bytearray(b"\x01" * (frobenius + 1))
+        zeros = memoryview(bytes(frobenius // m + 1))
+        for r, w in enumerate(entries):
+            member[r:w:m] = zeros[:(w - r) // m]
+        S = cls.__new__(cls)
+        S.frobenius, S._member = frobenius, member
+        return S
 
     def contains(self, m: int) -> bool:
         if m < 0:
@@ -200,18 +209,18 @@ class AdmissiblePairResult(namedtuple("AdmissiblePairResult", "triple count")):
 
 
 def _triple(box, s: int, p: int):
-    """The Apery representatives of the classes of s, s+1, s+p, by box
-    coordinates; which of them is largest and its value; and the completion
-    of that largest into a triple (t, t+1, t+p) in those classes.  For
-    p >= 2; the classes collide for every s when p is 0 or 1 mod base.
+    """The box coordinates of the Apery representatives of the classes of
+    s, s+1, s+p; the value of the largest of them; and the completion of
+    that largest into a triple (t, t+1, t+p) in those classes.  For p >= 2;
+    the classes collide for every s when p is 0 or 1 mod base.
 
     t is the largest representative raised by 0 when it is the class of s,
     by base - 1 when it is the class of s+1, and by the least multiple of
     the base that is >= p, minus p, when it is the class of s+p; that last
-    shift keeps t above its own representative when p > base.  When every
-    margin of the box is positive the largest representative is the one
-    whose coordinates, read from the largest generator down, are largest,
-    so only its value is summed; otherwise all three are.
+    shift keeps t above its own representative when p > base.  When the box
+    is ordered the largest representative is the one whose coordinates,
+    read from the largest generator down, are largest, so only its value is
+    summed; otherwise all three are.
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
@@ -229,25 +238,7 @@ def _triple(box, s: int, p: int):
         top = max(reps)
         at = reps.index(top)
     t = top + (0, base - 1, -(-p // base) * base - p)[at]
-    return coords, at, top, (t, t + 1, t + p)
-
-
-def _at_least(box, x: int, coords, top: int, top_coords) -> bool:
-    """x >= the Apery element with box coordinates `coords`, for x in its
-    class, given another element `top` (the triple's largest
-    representative) and its coordinates.
-
-    Where the two vectors, read from the largest generator down, first
-    differ at i with top's coordinate the larger, top exceeds the element by
-    at least margins[i]; the element is summed only when that bound does
-    not decide.
-    """
-    for i in reversed(range(len(coords))):
-        if coords[i] != top_coords[i]:
-            if top_coords[i] > coords[i] and box.margins[i] >= top - x:
-                return True
-            break
-    return x >= sum(map(mul, coords, box.values))
+    return coords, top, (t, t + 1, t + p)
 
 
 def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> AdmissiblePairResult:
@@ -281,7 +272,7 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
             "against that base")
     box = _proper_box(n)
     f, base = box.frobenius, box.base
-    coords, _, top, triple = _triple(box, s_seed, p)
+    coords, top, triple = _triple(box, s_seed, p)
     if top >= f:
         triple = tuple(sum(map(mul, c, box.values)) for c in coords)
     diff = f - triple[2]
@@ -311,7 +302,7 @@ def exists_admissible_bn(n: int, p: int) -> int:
     box = _proper_box(n)
     f, base = box.frobenius, box.base
     for seed in range(base):
-        coords, at, top, triple = _triple(box, seed, p)
+        coords, top, triple = _triple(box, seed, p)
         if triple[2] >= f:
             k = (triple[2] - f) // base + 1
             triple = tuple(x - k * base for x in triple)
@@ -319,7 +310,7 @@ def exists_admissible_bn(n: int, p: int) -> int:
         # the semigroup iff it is at least that representative; all are when
         # the smallest entry is at least top, the largest representative
         if triple[0] >= 1 and triple[2] < f and (triple[0] >= top or all(
-                _at_least(box, x, c, top, coords[at]) for x, c in zip(triple, coords))):
+                x >= sum(map(mul, c, box.values)) for x, c in zip(triple, coords))):
             return triple[0]
     raise RuntimeError(
         f"exhausted all {base} seed classes without an admissible s for n={n}, p={p}")

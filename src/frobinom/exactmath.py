@@ -70,12 +70,15 @@ def _primes_up_to(n: int) -> list[int]:
         # at least double the limit, so that callers whose n creeps upward
         # sieve O(log n) times rather than once per call
         limit = min(PRIME_CACHE_CAP, max(n, 2 * limit))
-        flags = bytearray([1]) * (limit + 1)
-        flags[0] = flags[1] = 0
-        for p in range(2, isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-        primes = list(compress(range(limit + 1), flags))
+        # odd numbers only: flags[i] stands for 2i + 1, so a step of p here is 2p
+        size = (limit + 1) // 2
+        flags = bytearray([1]) * size
+        flags[0] = 0
+        for i in range(1, (isqrt(limit) + 1) // 2):
+            if flags[i]:
+                p = 2 * i + 1
+                flags[p * p // 2::p] = bytes(len(range(p * p // 2, size, p)))
+        primes = [2, *compress(range(1, limit + 1, 2), flags)]
         _sieve = (limit, primes)
     return primes
 

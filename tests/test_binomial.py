@@ -183,9 +183,22 @@ def _per_call_digit_solve(n, r):
     return sum(c * g[0] for c, g in zip(coords, gens)), tuple(coords)
 
 
+def margins(box):
+    """margins[i] = values[i] minus the largest sum of the generators below
+    it, sum over k < i of (p_k - 1) * values[k]: where two coordinate
+    vectors, read from the largest generator down, first differ at i, the
+    one with the larger coordinate there has the larger value, by at least
+    margins[i]."""
+    out, below = [], 0
+    for value, (_, p, _) in zip(box.values, box.gens):
+        out.append(value - below)
+        below += (p - 1) * value
+    return out
+
+
 class TestBoxOrder:
-    """The margins of the record, and the order of Apery elements by their
-    coordinates read from the largest generator down."""
+    """The record's ordered flag, and the order of Apery elements by their
+    coordinates read from the largest generator down, through the margins."""
 
     def test_flag_is_exactly_coordinate_order_up_to_3000(self):
         unordered = []
@@ -193,6 +206,7 @@ class TestBoxOrder:
             if is_prime(n):
                 continue
             box = _box(n)
+            assert box.ordered == all(m > 0 for m in margins(box)), n
             # the box listed in coordinate order, the last (largest)
             # generator's coordinate most significant
             listing = [0]
@@ -218,16 +232,32 @@ class TestBoxOrder:
         i = max(k for k in range(len(a)) if a[k] != b[k])
         if a[i] < b[i]:
             a, b = b, a
-        assert value_of(box, a) - value_of(box, b) >= box.margins[i]
+        assert value_of(box, a) - value_of(box, b) >= margins(box)[i]
 
     def test_margin_bound_is_tight(self):
         # one unit of generator i against every lower coordinate at its bound
         for n in (6, 12, 30, 64, 2310, 4096):
             box = _box(n)
-            for i in range(len(box.gens)):
+            for i, margin in enumerate(margins(box)):
                 a = [int(k == i) for k in range(len(box.gens))]
                 b = [p - 1 if k < i else 0 for k, (_, p, _) in enumerate(box.gens)]
-                assert value_of(box, a) - value_of(box, b) == box.margins[i], (n, i)
+                assert value_of(box, a) - value_of(box, b) == margin, (n, i)
+
+    @pytest.mark.parametrize("n", [2**19, 786432, 10**6])
+    def test_big_ints_are_the_generator_values(self, n):
+        # a cached record holds no big int of its own beyond F: every other
+        # one is a generator value, the same object, not a copy
+        box = _box(n)
+        values = {id(v) for v in box.values}
+        stack, big = list(box), []
+        while stack:
+            item = stack.pop()
+            if isinstance(item, tuple):
+                stack.extend(item)
+            elif isinstance(item, int) and item.bit_length() > 64:
+                big.append(item)
+        big.remove(box.frobenius)
+        assert big and all(id(v) in values for v in big)
 
 
 class TestRecordCache:

@@ -348,6 +348,41 @@ class TestCore:
         assert code == 0
         assert calls == [2069]
 
+    @pytest.mark.parametrize("argv, lines", [
+        (("--semigroup", "5", "7", "9"), [
+            "frobenius  13",
+            "gaps       [1, 2, 3, 4, 6, 8, 11, 13]",
+            "partition  (6, 5, 3, 2, 1, 1, 1, 1)",
+            "hook set   [1, 2, 3, 4, 6, 8, 11, 13]",
+            "A(S)       {0, 5, 7, 9, 10, 12, 14, ...}"]),
+        (("--gaps", "2", "5", "6", "8"), [
+            "frobenius  8",
+            "gaps       [2, 5, 6, 8]",
+            "partition  (5, 4, 4, 2)",
+            "hook set   [1, 2, 3, 4, 5, 6, 7, 8]",
+            "A(S)       {0, 9, ...}"]),
+        (("--semigroup", "1"), [
+            "frobenius  -1", "gaps       []", "partition  ()", "hook set   []",
+            "A(S)       {0, ...}"]),
+    ])
+    def test_text_lines(self, capsys, argv, lines):
+        code, out, _ = run(capsys, "core", *argv)
+        assert code == 0
+        assert out.splitlines() == lines
+
+    @pytest.mark.parametrize("argv, frobenius", [
+        (("--semigroup", "46", "47"), "2069"), (("--gaps", "2", "5", "6", "8"), "8")])
+    def test_json_builds_no_text(self, capsys, monkeypatch, argv, frobenius):
+        def forbidden(*args):
+            raise AssertionError("text line built in JSON mode")
+
+        monkeypatch.setattr(frobinom.corepartitions.NumericalSet,
+                            "members_below_frobenius", forbidden)
+        monkeypatch.setattr(frobinom.cli, "_fmt_list", forbidden)
+        code, env, _ = run_json(capsys, "core", *argv)
+        assert code == 0
+        assert env["result"]["frobenius"] == frobenius
+
     def test_a_set_computed_once(self, capsys, monkeypatch):
         calls = []
         a_set_gaps = frobinom.corepartitions._a_set_gaps

@@ -5,6 +5,7 @@ large n, where binomial may take the prime product tree; valuations are
 checked three ways (carry counting, divide-out loop, floor-sum formula).
 """
 
+from bisect import bisect_right
 from math import comb, gcd, isqrt
 
 import pytest
@@ -34,6 +35,15 @@ def pascal_triangle(rows):
         prev = tri[-1]
         tri.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
     return tri
+
+
+def trial_division_primes(limit):
+    """Primes <= limit, each k tried against the primes up to isqrt(k)."""
+    primes = []
+    for k in range(2, limit + 1):
+        if all(k % q for q in primes[:bisect_right(primes, isqrt(k))]):
+            primes.append(k)
+    return primes
 
 
 def legendre_valuation(p, n, k):
@@ -164,6 +174,22 @@ class TestBinomialDispatch:
         primes_up_to(PRIME_CACHE_CAP // 2 + 1)
         primes_up_to(PRIME_CACHE_CAP // 2 + 2)
         assert frobinom.exactmath._sieve[0] == PRIME_CACHE_CAP
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 9, 24, 25, 48, 49, 120, 121, 1000, 1001])
+    def test_odd_sieve_against_trial_division(self, monkeypatch, limit):
+        # a fresh sieve to exactly this limit: 2, 3, even, odd, squares of primes
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", (1, []))
+        assert frobinom.exactmath._primes_up_to(limit) == trial_division_primes(limit)
+        assert frobinom.exactmath._sieve[0] == limit
+
+    def test_odd_sieve_at_each_growth_step(self, monkeypatch):
+        # each step just past the cached limit doubles it: 2, 4, 8, ..., 2^15
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", (1, []))
+        reference = trial_division_primes(2**15)
+        while frobinom.exactmath._sieve[0] < 2**15:
+            primes = frobinom.exactmath._primes_up_to(frobinom.exactmath._sieve[0] + 1)
+            limit = frobinom.exactmath._sieve[0]
+            assert primes == reference[:bisect_right(reference, limit)], limit
 
     def test_cache_cap_covers_the_cli_bound(self):
         # one value, defined in exactmath and imported by the CLI
