@@ -18,7 +18,10 @@ line is read off the box, so `report` costs O(box) at every n.
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
 error (an invariant violation or any other unexpected exception), 64 usage
 error.  n, multiplicities and --apery-base are capped at MAX_N, which is
-`exactmath.PRIME_CACHE_CAP`, so the prime cache covers every n accepted.
+`exactmath.PRIME_CACHE_CAP`, so the prime cache covers every n accepted;
+`semigroup` and `core --semigroup` also refuse a multiplicity (or
+--apery-base) times number of distinct generators above ENGINE_BUDGET,
+before the engine runs.
 """
 
 import argparse
@@ -40,6 +43,9 @@ EXIT_USAGE = 64
 ELIDE_ABOVE = 1000     # text elides lists longer than this; report lists Ap up to this
                        # base, semigroup the gaps up to this genus
 VERIFY_CAP = 40        # largest --max-n the verify sweep accepts
+ENGINE_BUDGET = 6 * 10**6  # multiplicity x distinct generators the engine may take: a whole
+                           # `semigroup` call costs 0.9-1.7 us per class per generator
+                           # (m = 3*10^5 to 10^6), so about 10 s at the bound
 
 
 class UsageError(Exception):
@@ -89,10 +95,19 @@ def _check_n(n):
         raise UsageError(f"n = {n} exceeds the CLI bound {MAX_N}")
 
 
-def _check_generators(generators):
-    # the engine's Apery table has one entry per unit of the multiplicity
-    if min(generators) > MAX_N:
-        raise UsageError(f"multiplicity {min(generators)} exceeds the CLI bound {MAX_N}")
+def _check_generators(generators, apery_base=None):
+    # each Apery table the engine builds has one entry per unit of its base
+    # (the multiplicity, and --apery-base if given), and each generator walks
+    # it once; the distinct generators on the command line bound the minimal ones
+    m, e = min(generators), len(set(generators))
+    if m > MAX_N:
+        raise UsageError(f"multiplicity {m} exceeds the CLI bound {MAX_N}")
+    if apery_base is not None and apery_base > MAX_N:
+        raise UsageError(f"--apery-base {apery_base} exceeds the CLI bound {MAX_N}")
+    for name, base in (("multiplicity", m), ("--apery-base", apery_base or 0)):
+        if base * e > ENGINE_BUDGET:
+            raise UsageError(f"{name} {base} x {e} distinct generators = {base * e} "
+                             f"exceeds the engine budget {ENGINE_BUDGET}")
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -142,9 +157,7 @@ def _run_report(args):
 
 
 def _run_semigroup(args):
-    _check_generators(args.generators)
-    if args.apery_base is not None and args.apery_base > MAX_N:
-        raise UsageError(f"--apery-base {args.apery_base} exceeds the CLI bound {MAX_N}")
+    _check_generators(args.generators, args.apery_base)
     S = NumericalSemigroup(args.generators)
     table = S.apery_set(args.apery_base)
     frobenius, genus = S.frobenius(), S.genus()

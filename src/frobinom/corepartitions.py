@@ -20,6 +20,8 @@ from .binomial import _coordinates, _proper_box, bn_spec
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
 ENUM_BOUND = 10**4   # largest Frobenius number enumerate_admissible will sweep
+PAIR_BOUND = 5 * 10**6  # most admissible pairs enumerate_admissible will list: ~0.5 GB of
+                        # tuples, and above the (F-2)(F-3)/2 pairs any set with F <= 3000 can have
 
 
 class NumericalSet:
@@ -187,19 +189,19 @@ def is_admissible(S: NumericalSet, s: int, p: int) -> bool:
 
 def enumerate_admissible(S: NumericalSet) -> list[tuple[int, int]]:
     """All admissible pairs (s, p), sorted by s then p, by finite brute force
-    over F(S) <= ENUM_BOUND."""
+    over F(S) <= ENUM_BOUND.  The pairs are counted first, and more than
+    PAIR_BOUND of them raise ValueError before any is listed."""
     f = S.frobenius
     if f > ENUM_BOUND:
         raise ValueError(f"Frobenius number {f} exceeds the enumeration bound {ENUM_BOUND}")
     A = a_set(S)
     members = [x for x in range(f) if x in A]
-    out = []
-    for s in members:
-        if s < 1 or (s + 1) not in A:
-            continue
-        for q in members[bisect_left(members, s + 2):]:
-            out.append((s, q - s))
-    return out
+    # each s with s, s+1 in A pairs with every member q >= s + 2 below F
+    starts = [(s, bisect_left(members, s + 2)) for s in members if s >= 1 and s + 1 in A]
+    count = sum(len(members) - i for _, i in starts)
+    if count > PAIR_BOUND:
+        raise ValueError(f"{count} admissible pairs exceed the pair bound {PAIR_BOUND}")
+    return [(s, q - s) for s, i in starts for q in members[i:]]
 
 
 class AdmissiblePairResult(namedtuple("AdmissiblePairResult", "triple count")):

@@ -30,20 +30,41 @@ The primes are sieved on first use, never at import, into one cache that
 grows to cover the largest n seen, at least doubling its limit each time,
 and never beyond PRIME_CACHE_CAP (the CLI's bound on n); above it
 `binomial` always uses `math.comb`.
+
+The cache holds the primes as machine words, an `array('I')` sieved
+straight into the array, and beside it the product of each aligned block
+of PRIME_BLOCK consecutive primes.  At n = 10^6 it is 0.57 MB (0.30 MB of
+words, 0.27 MB of block products), against 2.70 MB as a list of ints; at
+510510, 0.30 against 1.47 MB.  A prime read from the array becomes a new
+int, so the tree reads primes one by one only up to j, where it must
+test each.  A prime p > j divides C(n, j) once exactly when a
+multiple q p lies in (n - j, n], so above j the factors are the primes in
+the ranges ((n - j)/q, n/q] for q = 1, 2, ... while n/q > j: each range is
+found by bisection, its whole blocks are taken from the cache as products
+and only its partial blocks at both ends as single primes.  The block
+products and the single primes are multiplied as two balanced trees and
+then once: a single tree pairs its leaves by count, so it would multiply
+600-bit blocks with 20-bit primes and lose its balance by size (2% slower
+per call in the median at the benchmark's sizes, measured).
 """
 
+from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import compress
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from operator import mul
 
 TREE_MIN_K = 400         # below this j = min(k, n-k), math.comb's word-sized steps win
 TREE_K2_PER_N = 32       # below j**2 = 32 n, walking the primes up to n costs more
 PRIME_CACHE_CAP = 10**6  # largest n the prime cache grows to; imported by the CLI as MAX_N
+PRIME_BLOCK = 32         # primes per cached block product
 
-# (limit, every prime <= limit ascending), replaced whole so that a reader
-# never pairs one sieve's limit with another sieve's primes
-_sieve = (1, [])
+_Sieve = namedtuple("_Sieve", "limit primes blocks")
+# every prime <= limit ascending, and the product of each whole block
+# primes[PRIME_BLOCK * b : PRIME_BLOCK * (b + 1)]; replaced whole, so that a
+# reader never pairs one sieve's primes with another sieve's limit or blocks
+_sieve = _Sieve(1, array("I"), [])
 
 
 def binomial(n: int, k: int) -> int:
@@ -62,10 +83,10 @@ def binomial(n: int, k: int) -> int:
     return _binomial_from_primes(n, j)
 
 
-def _primes_up_to(n: int) -> list[int]:
-    """The cached ascending prime list, sieved out to at least n <= PRIME_CACHE_CAP."""
+def _primes_up_to(n: int) -> _Sieve:
+    """The cached sieve record, grown to cover at least n <= PRIME_CACHE_CAP."""
     global _sieve
-    limit, primes = _sieve
+    limit = _sieve.limit
     if n > limit:
         # at least double the limit, so that callers whose n creeps upward
         # sieve O(log n) times rather than once per call
@@ -78,9 +99,13 @@ def _primes_up_to(n: int) -> list[int]:
             if flags[i]:
                 p = 2 * i + 1
                 flags[p * p // 2::p] = bytes(len(range(p * p // 2, size, p)))
-        primes = [2, *compress(range(1, limit + 1, 2), flags)]
-        _sieve = (limit, primes)
-    return primes
+        # extended one prime at a time: no list of every prime is ever built
+        primes = array("I", [2])
+        primes.extend(compress(range(1, limit + 1, 2), flags))
+        blocks = [prod(primes[i:i + PRIME_BLOCK])
+                  for i in range(0, len(primes) - PRIME_BLOCK + 1, PRIME_BLOCK)]
+        _sieve = _Sieve(limit, primes, blocks)
+    return _sieve
 
 
 def _product_tree(factors: list[int]) -> int:
@@ -88,14 +113,13 @@ def _product_tree(factors: list[int]) -> int:
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = list(map(mul, factors[0::2], factors[1::2])) + odd
-    return factors[0]
+    return factors[0] if factors else 1
 
 
 def _binomial_from_primes(n: int, j: int) -> int:
     """C(n, j) for 1 <= j <= n/2 as the product of its prime powers."""
-    primes = _primes_up_to(n)
-    root, half = isqrt(n), n // 2
-    small = bisect_right(primes, root)
+    _, primes, blocks = _primes_up_to(n)
+    small = bisect_right(primes, isqrt(n))
     factors = []
     for p in primes[:small]:
         e = _legendre_valuation(p, n, j)
@@ -103,10 +127,26 @@ def _binomial_from_primes(n: int, j: int) -> int:
             factors.append(p**e)
     # above sqrt(n) Legendre's sum has the single term n//p - j//p - (n-j)//p,
     # which is 1 exactly when j mod p + (n-j) mod p carries, i.e. n mod p < j mod p
-    factors += [p for p in primes[small:bisect_right(primes, half)] if n % p < j % p]
-    # primes in (n/2, n - j] do not divide C(n, j); those in (n - j, n] divide it once
-    factors += primes[bisect_right(primes, n - j):bisect_right(primes, n)]
-    return _product_tree(factors)
+    mid = max(small, bisect_right(primes, j))
+    factors += [p for p in primes[small:mid] if n % p < j % p]
+    # above j too it is 1 exactly when a multiple q p lies in (n - j, n], and
+    # then only one does: so the primes taken are those in ((n - j)/q, n/q]
+    # for q = 1, 2, ... while n/q > j, whole blocks from the cache and the
+    # partial ones at both ends of each range singly
+    whole = []
+    q = 1
+    while n // q > j:
+        lo = max(mid, bisect_right(primes, (n - j) // q))
+        hi = bisect_right(primes, n // q)
+        first, last = -(-lo // PRIME_BLOCK), hi // PRIME_BLOCK
+        if first < last:
+            factors += primes[lo:first * PRIME_BLOCK]
+            factors += primes[last * PRIME_BLOCK:hi]
+            whole += blocks[first:last]
+        else:
+            factors += primes[lo:hi]
+        q += 1
+    return _product_tree(factors) * _product_tree(whole)
 
 
 def is_prime(n: int) -> bool:

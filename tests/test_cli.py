@@ -241,9 +241,48 @@ class TestSemigroup:
         assert code == 64
         assert "--apery-base 1000001 exceeds" in err
 
+    def test_engine_budget_exits_64_before_the_engine(self, capsys, monkeypatch):
+        code, err, calls = engine_budget_calls(capsys, monkeypatch, "semigroup")
+        assert code == 64
+        assert OVER_BUDGET_MESSAGE in err
+        assert calls == [AT_BUDGET, OVER_BUDGET[:1] + OVER_BUDGET[1:2] * 6]
+
+    def test_apery_base_counts_against_the_engine_budget(self, capsys, monkeypatch):
+        # a table at --apery-base 10^6 costs as much as one at multiplicity 10^6
+        monkeypatch.setattr(frobinom.cli, "NumericalSemigroup", engine_forbidden)
+        code, _, err = run(capsys, "semigroup", *map(str, range(5, 12)), "--apery-base", str(10**6))
+        assert code == 64
+        assert ("--apery-base 1000000 x 7 distinct generators = 7000000 "
+                "exceeds the engine budget 6000000") in err
+
 
 def engine_forbidden(generators):
     raise AssertionError(f"engine built for {generators}")
+
+
+# multiplicity 10^6: six distinct generators meet ENGINE_BUDGET, seven exceed it
+AT_BUDGET = [str(10**6 + i) for i in range(6)]
+OVER_BUDGET = [str(10**6 + i) for i in range(7)]
+OVER_BUDGET_MESSAGE = ("multiplicity 1000000 x 7 distinct generators = 7000000 "
+                       "exceeds the engine budget 6000000")
+
+
+def engine_budget_calls(capsys, monkeypatch, *command):
+    """Exit code and stderr of the command over budget, and the generators
+    the engine was built for with the budget met exactly and with repeats."""
+    calls = []
+
+    def recording_engine(generators):
+        calls.append(list(map(str, generators)))
+        raise RuntimeError("engine stand-in")
+
+    monkeypatch.setattr(frobinom.cli, "NumericalSemigroup", engine_forbidden)
+    code, _, err = run(capsys, *command, *OVER_BUDGET)
+    monkeypatch.setattr(frobinom.cli, "NumericalSemigroup", recording_engine)
+    # repeated generators count once: 7 listed, 2 distinct
+    for gens in (AT_BUDGET, OVER_BUDGET[:1] + OVER_BUDGET[1:2] * 6):
+        assert run(capsys, *command, *gens)[0] == 3
+    return code, err, calls
 
 
 class TestDecompose:
@@ -310,6 +349,12 @@ class TestCore:
         code, _, err = run(capsys, "core", "--semigroup", str(10**6 + 1), str(10**6 + 2))
         assert code == 64
         assert "multiplicity 1000001 exceeds" in err
+
+    def test_engine_budget_exits_64_before_the_engine(self, capsys, monkeypatch):
+        code, err, calls = engine_budget_calls(capsys, monkeypatch, "core", "--semigroup")
+        assert code == 64
+        assert OVER_BUDGET_MESSAGE in err
+        assert calls == [AT_BUDGET, OVER_BUDGET[:1] + OVER_BUDGET[1:2] * 6]
 
     def test_text_elides_partition_and_a_set_above_1000(self, capsys):
         # <46, 47>: genus 1035 (one part each) and 1035 members below F = 2069

@@ -1,6 +1,8 @@
 """Numerical sets, partitions, hook sets, admissible pairs, triple completion."""
 
 import random
+import time
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -12,6 +14,7 @@ import frobinom.corepartitions
 from frobinom.binomial import (
     _box, _coordinates, _proper_box, bn_apery_closed, bn_frobenius, bn_spec, decompose)
 from frobinom.corepartitions import (
+    PAIR_BOUND,
     NumericalSet,
     Partition,
     a_set,
@@ -413,6 +416,131 @@ class TestRandomTripleCores:
             assert not is_triple_core(NumericalSet(abacus_gaps(s, raised)), s, p), (h, r)
 
 
+def meets_triple_core_constraints(s, p, h):
+    """The abacus thresholds h (h[0] = 0, all >= 0) describe an
+    (s, s+1, s+p)-core, p < s: closure under +(s+1) is h[r+1] <= h[r] + 1
+    for r + 1 < s, and closure under +(s+p) is
+    h[(r+p) % s] <= h[r] + 1 + (r+p) // s."""
+    return (h[0] == 0 and min(h) >= 0
+            and all(h[r + 1] <= h[r] + 1 for r in range(s - 1))
+            and all(h[(r + p) % s] <= h[r] + 1 + (r + p) // s for r in range(s)))
+
+
+class TripleCoreCounter:
+    """Transfer-matrix count of the (s, s+1, s+p)-cores, p < s, over their
+    abacus thresholds h[0..s-1], assigned in order of r.  Choosing h[r]
+    reads h[r-1] (the +(s+1) step from r - 1), h[r-p] (the +(s+p) step
+    from r - p) and, for r >= s - p, h[r+p-s] (the +(s+p) step from r,
+    which wraps to a class already assigned).  So the state before r is the
+    values at the indices that some later r still reads."""
+
+    def __init__(self, s, p):
+        self.s, self.p = s, p
+        # live[r]: the indices below r that the choice at some r' >= r reads
+        self.live = [tuple(i for i in range(r)
+                           if i + 1 >= r or r <= i + p < s or (i < p and i + s - p >= r))
+                     for r in range(s + 1)]
+        self.completions = cache(self._completions)
+
+    def choices(self, r, h):
+        """The values h[r] may take given the earlier values h (a dict)."""
+        s, p = self.s, self.p
+        if r == 0:
+            return range(1)
+        top = h[r - 1] + 1
+        if r >= p:
+            top = min(top, h[r - p] + 1)
+        least = max(0, h[r + p - s] - 2) if r >= s - p else 0
+        return range(least, top + 1)
+
+    def step(self, r, state, v):
+        h = dict(zip(self.live[r], state))
+        h[r] = v
+        return tuple(h[i] for i in self.live[r + 1])
+
+    def _completions(self, r, state):
+        """Number of ways to choose h[r..s-1] after the live values `state`."""
+        if r == self.s:
+            return 1
+        h = dict(zip(self.live[r], state))
+        return sum(self.completions(r + 1, self.step(r, state, v)) for v in self.choices(r, h))
+
+    def count(self):
+        return self.completions(0, ())
+
+    def sample(self, rng):
+        """Thresholds of a uniformly random core: each h[r] is drawn with
+        weight the number of cores that complete it."""
+        h, state = [], ()
+        for r in range(self.s):
+            options = self.choices(r, dict(zip(self.live[r], state)))
+            weights = [self.completions(r + 1, self.step(r, state, v)) for v in options]
+            v = rng.choices(options, weights)[0]
+            h.append(v)
+            state = self.step(r, state, v)
+        return h
+
+
+def motzkin(count):
+    """M_0 .. M_{count-1}: M_{k+1} = M_k + sum_{i < k} M_i M_{k-1-i}."""
+    m = [1, 1]
+    while len(m) < count:
+        k = len(m) - 1
+        m.append(m[k] + sum(m[i] * m[k - 1 - i] for i in range(k)))
+    return m[:count]
+
+
+class TestTripleCoreCounts:
+    # (s, s+1, s+p)-cores counted by a transfer matrix over the abacus
+    # constraints, far beyond what core_gap_sets enumerates
+
+    @pytest.mark.parametrize("s, p", [(s, p) for s in range(3, 8) for p in range(2, s)])
+    def test_matches_brute_force(self, s, p):
+        cores = core_gap_sets((s, s + 1, s + p))
+        assert TripleCoreCounter(s, p).count() == len(cores)
+        # and the brute-force cores are exactly the thresholds meeting the constraints
+        for gaps in cores:
+            h = [sum(1 for g in gaps if g % s == r) for r in range(s)]
+            assert sorted(gaps) == sorted(abacus_gaps(s, h))
+            assert meets_triple_core_constraints(s, p, h), gaps
+
+    def test_consecutive_triples_are_motzkin_up_to_40(self):
+        # Amdeberhan-Leven 2015, proved by Yang-Zhong-Zhou 2015
+        expected = motzkin(41)
+        assert expected[:8] == [1, 1, 2, 4, 9, 21, 51, 127]
+        for s in range(3, 41):
+            assert TripleCoreCounter(s, 2).count() == expected[s], s
+
+    def test_samples_are_uniform_at_s_5(self):
+        counter = TripleCoreCounter(5, 2)
+        rng = random.Random(5)
+        seen = {}
+        for _ in range(2100):
+            h = tuple(counter.sample(rng))
+            seen[h] = seen.get(h, 0) + 1
+        # M_5 = 21 cores, 100 expected draws each
+        assert len(seen) == 21
+        assert 60 < min(seen.values()) and max(seen.values()) < 140, seen
+
+    @pytest.mark.parametrize("s, p", [(30, 2), (29, 3), (31, 4), (30, 28), (30, 29)])
+    def test_uniform_cores_accepted_and_perturbations_judged(self, s, p):
+        counter = TripleCoreCounter(s, p)
+        rng = random.Random(1000 * s + p)
+        for _ in range(4):
+            h = counter.sample(rng)
+            assert meets_triple_core_constraints(s, p, h), h
+            assert is_triple_core(NumericalSet(abacus_gaps(s, h)), s, p), h
+            # one threshold moved by one: still closed under +s, so it is a
+            # triple core exactly when it meets the constraints
+            for r in range(1, s):
+                for d in (-1, 1):
+                    moved = h[:r] + [h[r] + d] + h[r + 1:]
+                    if moved[r] < 0:
+                        continue
+                    S = NumericalSet(abacus_gaps(s, moved))
+                    assert is_triple_core(S, s, p) == meets_triple_core_constraints(s, p, moved), (h, r, d)
+
+
 class TestTripleCore:
     def test_worked_example(self):
         assert is_triple_core(semigroup_set(5, 7, 9), 9, 3)
@@ -468,6 +596,20 @@ class TestAdmissible:
         S = NumericalSet([10**5])
         with pytest.raises(ValueError):
             enumerate_admissible(S)
+
+    def test_largest_benchmark_set_still_lists(self):
+        # <55, 56> (F = 2969): the largest pair list a benchmark set makes
+        assert len(enumerate_admissible(semigroup_set(55, 56))) == 1047969
+
+    def test_pair_budget_refuses_before_listing(self):
+        # <100, 101> (F = 9899 <= ENUM_BOUND) has 11,920,524 pairs, ~1.4 GB as
+        # tuples: counted and refused without building one
+        S = semigroup_set(100, 101)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"11920524 admissible pairs exceed the pair "
+                                             f"bound {PAIR_BOUND}"):
+            enumerate_admissible(S)
+        assert time.perf_counter() - start < 1.0
 
     def test_brute_force_cross_check_on_small_semigroup(self):
         # definition-level double loop vs the enumerator

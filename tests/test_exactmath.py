@@ -5,15 +5,19 @@ large n, where binomial may take the prime product tree; valuations are
 checked three ways (carry counting, divide-out loop, floor-sum formula).
 """
 
+from array import array
 from bisect import bisect_right
-from math import comb, gcd, isqrt
+from functools import cache
+from math import comb, gcd, isqrt, prod
+from sys import getsizeof
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import frobinom.exactmath
 from frobinom.cli import MAX_N
 from frobinom.exactmath import (
+    PRIME_BLOCK,
     PRIME_CACHE_CAP,
     TREE_K2_PER_N,
     TREE_MIN_K,
@@ -37,6 +41,7 @@ def pascal_triangle(rows):
     return tri
 
 
+@cache
 def trial_division_primes(limit):
     """Primes <= limit, each k tried against the primes up to isqrt(k)."""
     primes = []
@@ -44,6 +49,18 @@ def trial_division_primes(limit):
         if all(k % q for q in primes[:bisect_right(primes, isqrt(k))]):
             primes.append(k)
     return primes
+
+
+def fresh_sieve():
+    """An empty prime cache, as at import."""
+    return frobinom.exactmath._Sieve(1, array("I"), [])
+
+
+def deep_bytes(obj):
+    """sys.getsizeof of obj, and of every item of the lists and tuples in it."""
+    if isinstance(obj, (list, tuple)):
+        return getsizeof(obj) + sum(map(deep_bytes, obj))
+    return getsizeof(obj)
 
 
 def legendre_valuation(p, n, k):
@@ -101,6 +118,24 @@ def near_thresholds(n):
 LARGE_N = st.integers(2 * TREE_MIN_K, 2 * 10**5)
 
 
+@st.composite
+def block_edge_ranges(draw):
+    """(n, j) with j <= n/2 whose range (n - j, n] holds the primes of index
+    lo .. hi - 1: lo and hi on a block edge, one off it or inside a block,
+    from zero to six blocks apart, so the range may be shorter than a block."""
+    primes, block = trial_division_primes(2**16), PRIME_BLOCK
+    offset = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(2, block - 2))
+    top = draw(st.integers(16, len(primes) // block - 1))
+    hi = block * top + draw(offset)
+    lo = block * (top - draw(st.integers(0, 6))) + draw(offset)
+    assume(lo <= hi)
+    # exactly hi primes are <= n and exactly lo are <= n - j
+    n = primes[hi - 1] + draw(st.integers(0, primes[hi] - primes[hi - 1] - 1))
+    m = primes[lo - 1] + draw(st.integers(0, primes[lo] - primes[lo - 1] - 1))
+    assume(1 <= n - m <= n // 2)
+    return n, n - m
+
+
 class TestBinomialDispatch:
     """binomial against math.comb on both sides of the switch to the product tree."""
 
@@ -130,6 +165,12 @@ class TestBinomialDispatch:
         for n in range(2, 201):
             for j in range(1, n // 2 + 1):
                 assert frobinom.exactmath._binomial_from_primes(n, j) == comb(n, j), (n, j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_edge_ranges())
+    def test_tree_matches_comb_on_and_off_block_edges(self, nj):
+        n, j = nj
+        assert frobinom.exactmath._binomial_from_primes(n, j) == comb(n, j), (n, j)
 
     @settings(max_examples=60, deadline=None)
     @given(LARGE_N)
@@ -168,9 +209,9 @@ class TestBinomialDispatch:
 
     def test_prime_cache_doubles_and_stops_at_the_cap(self, monkeypatch):
         primes_up_to = frobinom.exactmath._primes_up_to
-        monkeypatch.setattr(frobinom.exactmath, "_sieve", (1, []))
-        assert primes_up_to(1000) == [p for p in range(1001) if is_prime(p)]
-        assert primes_up_to(1001) == [p for p in range(2001) if is_prime(p)]
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
+        assert primes_up_to(1000).primes.tolist() == [p for p in range(1001) if is_prime(p)]
+        assert primes_up_to(1001).primes.tolist() == [p for p in range(2001) if is_prime(p)]
         primes_up_to(PRIME_CACHE_CAP // 2 + 1)
         primes_up_to(PRIME_CACHE_CAP // 2 + 2)
         assert frobinom.exactmath._sieve[0] == PRIME_CACHE_CAP
@@ -178,18 +219,27 @@ class TestBinomialDispatch:
     @pytest.mark.parametrize("limit", [2, 3, 4, 5, 9, 24, 25, 48, 49, 120, 121, 1000, 1001])
     def test_odd_sieve_against_trial_division(self, monkeypatch, limit):
         # a fresh sieve to exactly this limit: 2, 3, even, odd, squares of primes
-        monkeypatch.setattr(frobinom.exactmath, "_sieve", (1, []))
-        assert frobinom.exactmath._primes_up_to(limit) == trial_division_primes(limit)
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
+        assert frobinom.exactmath._primes_up_to(limit).primes.tolist() == trial_division_primes(limit)
         assert frobinom.exactmath._sieve[0] == limit
 
     def test_odd_sieve_at_each_growth_step(self, monkeypatch):
-        # each step just past the cached limit doubles it: 2, 4, 8, ..., 2^15
-        monkeypatch.setattr(frobinom.exactmath, "_sieve", (1, []))
+        # each step just past the cached limit doubles it: 2, 4, 8, ..., 2^15;
+        # the block products are rebuilt over the grown prime list each time
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
         reference = trial_division_primes(2**15)
         while frobinom.exactmath._sieve[0] < 2**15:
-            primes = frobinom.exactmath._primes_up_to(frobinom.exactmath._sieve[0] + 1)
-            limit = frobinom.exactmath._sieve[0]
-            assert primes == reference[:bisect_right(reference, limit)], limit
+            limit, primes, blocks = frobinom.exactmath._primes_up_to(frobinom.exactmath._sieve[0] + 1)
+            expected = reference[:bisect_right(reference, limit)]
+            assert primes.tolist() == expected, limit
+            assert blocks == [prod(expected[i:i + PRIME_BLOCK])
+                              for i in range(0, len(expected) - PRIME_BLOCK + 1, PRIME_BLOCK)], limit
+
+    def test_prime_cache_at_the_cap_is_under_one_megabyte(self):
+        # the primes to 10^6 as machine words plus their block products: 0.57 MB;
+        # as a list of ints they take 2.70 MB
+        frobinom.exactmath._primes_up_to(10**6)
+        assert deep_bytes(frobinom.exactmath._sieve) < 2**20
 
     def test_cache_cap_covers_the_cli_bound(self):
         # one value, defined in exactmath and imported by the CLI
