@@ -5,15 +5,21 @@ Default output is human-readable text; --format json emits a deterministic
 envelope {command, input, result, timing_ms} with sorted keys and every
 integer rendered as a decimal string, so consumers never lose precision.
 
+Each handler returns only its result; one renderer makes both views.  A
+text row's label names the result field it shows, with spaces and hyphens
+read as underscores, and a field that is missing is shown from its
+`<field>_elided` = {count, min, max}.  `_ROW_TEXT` holds the few rows that
+are not one field's plain rendering (factorization, target, identity,
+partition, A(S), triple), and `verify` prints a table of its checks.
+
 Text output elides lists longer than ELIDE_ABOVE as count, min and max.
 `semigroup` lists the gaps only when the genus is at most ELIDE_ABOVE;
-above that, text and JSON (`gaps_elided`) give count, min and max, and the
-Apery set in the same output determines the gaps.
-`report` emits the Apery set's box (`apery_box`: the base and the
-generators with their coordinate bounds, which rebuild the set exactly) and
-lists the set only when the base is at most ELIDE_ABOVE; above that, JSON
-carries `apery_set_elided` = {count, min, max} in its place and the text
-line is read off the box, so `report` costs O(box) at every n.
+above that, its result carries `gaps_elided` instead, and the Apery set in
+the same output determines the gaps.  `report` emits the Apery set's box
+(`apery_box`: the base and the generators with their coordinate bounds,
+which rebuild the set exactly) and lists the set only when the base is at
+most ELIDE_ABOVE; above that, `apery_set_elided` takes its place, so
+`report` costs O(box) at every n.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
 error (an invariant violation or any other unexpected exception), 64 usage
@@ -82,14 +88,6 @@ def _stringify(x, rendered=None):
     return x
 
 
-def _fmt_list(values):
-    """Text rendering of an integer list, elided beyond ELIDE_ABOVE."""
-    values = list(values)
-    if len(values) <= ELIDE_ABOVE:
-        return "[" + ", ".join(str(v) for v in values) + "]"
-    return f"({len(values)} elements; min {min(values)}, max {max(values)})"
-
-
 def _check_n(n):
     if n > MAX_N:
         raise UsageError(f"n = {n} exceeds the CLI bound {MAX_N}")
@@ -110,23 +108,39 @@ def _check_generators(generators, apery_base=None):
                              f"exceeds the engine budget {ENGINE_BUDGET}")
 
 
+def _verify_checks(max_n):
+    """{name, passed, detail} of each closed form against the engine for the
+    composite n <= max_n, then of each arithmetic self-check."""
+    if max_n > VERIFY_CAP:
+        raise UsageError(f"--max-n {max_n} exceeds the cap {VERIFY_CAP}")
+    checks = []
+    for n in range(4, max_n + 1):
+        if is_prime(n):
+            continue
+        cmp = bn.verify_closed_vs_oracle(n)
+        for field, (closed, oracle) in sorted(cmp.fields.items()):
+            ok = closed == oracle
+            detail = "" if ok else f"closed={closed!r} oracle={oracle!r}"
+            checks.append({"name": f"n={n} {field}", "passed": ok, "detail": detail})
+    for label, ok in invariant_report():
+        checks.append({"name": label, "passed": ok, "detail": ""})
+    return checks
+
+
 # --- subcommand handlers ---------------------------------------------------
-# each returns (input_echo, result_payload, text_lines, exit_code); only text mode reads text_lines
+# each returns (input_echo, result, exit_code); `_text_lines` renders the result as text
 
 def _run_report(args):
     _check_n(args.n)
     spec = bn.bn_spec(args.n)
     report = bn.bn_report(args.n)
     base, box = report.apery_box
-    top = report.frobenius + base  # max of the Apery set
     if base <= ELIDE_ABOVE:
-        listed = bn.bn_apery_closed(args.n)[1]
-        apery = {"apery_set": list(listed)}
+        apery = {"apery_set": list(bn.bn_apery_closed(args.n)[1])}
     else:
         # one element per class mod the base, each up to the size of F:
         # the box and the extremes stand in for the listing
-        listed = None
-        apery = {"apery_set_elided": {"count": base, "min": 0, "max": top}}
+        apery = {"apery_set_elided": {"count": base, "min": 0, "max": report.frobenius + base}}
     result = {
         **report._asdict(),
         "factorization": spec.factorization,
@@ -134,70 +148,34 @@ def _run_report(args):
         "apery_box": {"base": base, "generators": box},
         **apery,
     }
-    # the lines render in order, so an over-long integer fails on the same
-    # line as it would with the set listed
-    text = [
-        f"n                   {report.n}",
-        "factorization       " + " * ".join(
-            f"{p}^{k}" if k > 1 else str(p) for p, k in spec.factorization),
-        f"scale               {spec.scale}",
-        f"minimal generators  {_fmt_list(report.minimal_generators)}",
-        f"embedding dimension {report.embedding_dimension}",
-        f"apery base          {base}",
-        "apery set           " + (_fmt_list(listed) if listed is not None
-                                  else f"({base} elements; min 0, max {top})"),
-        f"frobenius           {report.frobenius}",
-        f"genus               {report.genus}",
-        f"pseudo-frobenius    {_fmt_list(report.pseudo_frobenius)}",
-        f"type                {report.type}",
-        f"symmetric           {str(report.symmetric).lower()}",
-        f"telescopic          {str(report.telescopic).lower()}",
-    ]
-    return {"n": args.n}, result, text, EXIT_OK
+    return {"n": args.n}, result, EXIT_OK
 
 
 def _run_semigroup(args):
     _check_generators(args.generators, args.apery_base)
     S = NumericalSemigroup(args.generators)
     table = S.apery_set(args.apery_base)
-    frobenius, genus = S.frobenius(), S.genus()
     pseudo_frobenius = S.pseudo_frobenius()
     result = {
         "minimal_generators": list(S.generators),
         "multiplicity": S.multiplicity,
         "apery_base": table.base,
         "apery_set": sorted(table.entries),
-        "frobenius": frobenius,
-        "genus": genus,
+        "frobenius": S.frobenius(),
+        "genus": S.genus(),
         "pseudo_frobenius": pseudo_frobenius,
         "type": len(pseudo_frobenius),
         "symmetric": S.is_symmetric(),
         "telescopic": S.is_telescopic(),
     }
-    text = [
-        f"minimal generators  {_fmt_list(S.generators)}",
-        f"multiplicity        {S.multiplicity}",
-        f"apery base          {table.base}",
-        f"apery set           {_fmt_list(result['apery_set'])}",
-        f"frobenius           {frobenius}",
-        f"genus               {genus}",
-    ]
-    if genus <= ELIDE_ABOVE:
-        gaps = S.gaps()
-        result["gaps"] = gaps
-        text.append(f"gaps                {_fmt_list(gaps)}")
+    if result["genus"] <= ELIDE_ABOVE:
+        result["gaps"] = S.gaps()
     else:
         # 1 is always the least gap of a proper semigroup
-        result["gaps_elided"] = {"count": genus, "min": 1, "max": frobenius}
-        text.append(f"gaps                ({genus} gaps; min 1, max {frobenius})")
-    text += [
-        f"pseudo-frobenius    {_fmt_list(pseudo_frobenius)}",
-        f"type                {result['type']}",
-        f"symmetric           {str(result['symmetric']).lower()}",
-        f"telescopic          {str(result['telescopic']).lower()}",
-    ]
+        result["gaps_elided"] = {"count": result["genus"], "min": 1,
+                                 "max": result["frobenius"]}
     echo = {"generators": list(args.generators), "apery_base": args.apery_base}
-    return echo, result, text, EXIT_OK
+    return echo, result, EXIT_OK
 
 
 def _run_decompose(args):
@@ -212,23 +190,14 @@ def _run_decompose(args):
         "scaled": rep.scaled,
         "binomial": rep.value * bn.bn_spec(args.n).scale,
     }
-    terms = " + ".join(f"{c}*{b}" for c, b in zip(rep.coefficients, rep.basis) if c)
-    label = f"C({args.n},{args.m})" + ("/p" if rep.scaled else "")
-    text = [
-        f"target       {label} = {rep.value}",
-        f"basis        {_fmt_list(rep.basis)}",
-        f"coefficients {_fmt_list(rep.coefficients)}",
-        f"identity     {terms or '0'} = {rep.value}",
-    ]
-    return {"n": args.n, "m": args.m}, result, text, EXIT_OK
+    return {"n": args.n, "m": args.m}, result, EXIT_OK
 
 
 def _run_core(args):
     if args.semigroup is not None:
         _check_generators(args.semigroup)
-        S = core.NumericalSet.from_semigroup(NumericalSemigroup(args.semigroup))
         # a semigroup is closed under addition, so A(S) = S
-        A = S
+        S = A = core.NumericalSet.from_semigroup(NumericalSemigroup(args.semigroup))
         gaps = hooks = S.gaps()
         echo = {"generators": list(args.semigroup)}
     else:
@@ -236,69 +205,114 @@ def _run_core(args):
         A = core.a_set(S)
         gaps, hooks = S.gaps(), A.gaps()
         echo = {"gaps": list(args.gaps or ())}
-    lam = core.partition_of(S)
-    # by the hook theorem the hooks of lam are the gaps of A(S)
+    # by the hook theorem the hooks of the partition are the gaps of A(S)
     result = {
         "frobenius": S.frobenius,
         "gaps": gaps,
-        "partition": list(lam.parts),
+        "partition": list(core.partition_of(S).parts),
         "hook_set": hooks,
         "a_set_gaps": hooks,
         "a_set_frobenius": A.frobenius,
     }
-
-    def text():
-        yield f"frobenius  {S.frobenius}"
-        yield f"gaps       {_fmt_list(gaps)}"
-        yield "partition  " + (str(tuple(lam.parts)) if len(lam) <= ELIDE_ABOVE
-                               else _fmt_list(lam.parts))
-        yield f"hook set   {_fmt_list(hooks)}"
-        a_shown = A.members_below_frobenius() + [A.frobenius + 1]
-        yield "A(S)       " + (f"{{{', '.join(str(x) for x in a_shown)}, ...}}"
-                               if len(a_shown) <= ELIDE_ABOVE else _fmt_list(a_shown))
-
-    return echo, result, text(), EXIT_OK
+    return echo, result, EXIT_OK
 
 
 def _run_admissible(args):
     _check_n(args.n)
     out = core.algorithm1(args.n, args.s_seed, args.p, force_base=args.force_base)
-    result = out._asdict()
-    text = [
-        f"triple  ({out.triple[0]}, {out.triple[1]}, {out.triple[2]})",
-        f"count   {out.count}",
-    ]
     echo = {"n": args.n, "s_seed": args.s_seed, "p": args.p,
             "force_base": args.force_base}
-    return echo, result, text, EXIT_OK
+    return echo, out._asdict(), EXIT_OK
 
 
 def _run_verify(args):
-    if args.max_n > VERIFY_CAP:
-        raise UsageError(f"--max-n {args.max_n} exceeds the cap {VERIFY_CAP}")
-    checks = []
-    for n in range(4, args.max_n + 1):
-        if is_prime(n):
-            continue
-        cmp = bn.verify_closed_vs_oracle(n)
-        for field, (closed, oracle) in sorted(cmp.fields.items()):
-            ok = closed == oracle
-            detail = "" if ok else f"closed={closed!r} oracle={oracle!r}"
-            checks.append((f"n={n} {field}", ok, detail))
-    for label, ok in invariant_report():
-        checks.append((label, ok, ""))
-    all_passed = all(ok for _, ok, _ in checks)
-    result = {
-        "checks": [{"name": name, "passed": ok, "detail": detail}
-                   for name, ok, detail in checks],
-        "all_passed": all_passed,
-    }
-    width = max(len(name) for name, _, _ in checks)
-    text = [f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {detail}".rstrip()
-            for name, ok, detail in checks]
-    text.append(f"{'all checks passed' if all_passed else 'MISMATCHES FOUND'}")
-    return ({"max_n": args.max_n}, result, text,
+    checks = _verify_checks(args.max_n)
+    all_passed = all(check["passed"] for check in checks)
+    return ({"max_n": args.max_n}, {"checks": checks, "all_passed": all_passed},
             EXIT_OK if all_passed else EXIT_MISMATCH)
+
+
+# --- text view -------------------------------------------------------------
+# Each row's label names the result field it shows, spaces and hyphens read
+# as underscores.  The rows render in order, so the digit-limit error names
+# the first over-long integer in row order.
+
+_ROWS = {  # command: (label column width, labels)
+    "report": (20, ("n", "factorization", "scale", "minimal generators",
+                    "embedding dimension", "apery base", "apery set", "frobenius", "genus",
+                    "pseudo-frobenius", "type", "symmetric", "telescopic")),
+    "semigroup": (20, ("minimal generators", "multiplicity", "apery base", "apery set",
+                       "frobenius", "genus", "gaps", "pseudo-frobenius", "type",
+                       "symmetric", "telescopic")),
+    "decompose": (13, ("target", "basis", "coefficients", "identity")),
+    "core": (11, ("frobenius", "gaps", "partition", "hook set", "A(S)")),
+    "admissible": (8, ("triple", "count")),
+}
+
+
+def _elided(count, low, high, noun="elements"):
+    return f"({count} {noun}; min {low}, max {high})"
+
+
+def _fmt_list(values):
+    """Text rendering of an integer list, elided beyond ELIDE_ABOVE."""
+    if len(values) <= ELIDE_ABOVE:
+        return "[" + ", ".join(map(str, values)) + "]"
+    return _elided(len(values), min(values), max(values))
+
+
+def _fmt_tuple(values):
+    return str(tuple(values)) if len(values) <= ELIDE_ABOVE else _fmt_list(values)
+
+
+def _a_set_text(result):
+    # A(S) is its members up to F + 1, then every integer above; the members
+    # are listed only when there are at most ELIDE_ABOVE of them
+    f, gaps = result["a_set_frobenius"], result["a_set_gaps"]
+    count = f + 2 - len(gaps)
+    if count > ELIDE_ABOVE:
+        return _elided(count, 0, f + 1)
+    return "{" + ", ".join(map(str, sorted(set(range(f + 2)).difference(gaps)))) + ", ...}"
+
+
+# the rows whose text is not one field's plain rendering
+_ROW_TEXT = {
+    "factorization": lambda r: " * ".join(
+        f"{p}^{k}" if k > 1 else str(p) for p, k in r["factorization"]),
+    "target": lambda r: f"C({r['n']},{r['m']}){'/p' if r['scaled'] else ''} = {r['value']}",
+    "identity": lambda r: (" + ".join(f"{c}*{b}" for c, b in zip(r["coefficients"], r["basis"])
+                                      if c) or "0") + f" = {r['value']}",
+    "partition": lambda r: _fmt_tuple(r["partition"]),
+    "A(S)": _a_set_text,
+    "triple": lambda r: _fmt_tuple(r["triple"]),
+}
+
+
+def _field_text(result, field):
+    """A field's plain rendering, or its `_elided` count and extremes when it is missing."""
+    if field not in result:
+        cut = result[field + "_elided"]
+        return _elided(cut["count"], cut["min"], cut["max"],
+                       "gaps" if field == "gaps" else "elements")
+    value = result[field]
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (list, tuple)):
+        return _fmt_list(value)
+    return str(value)
+
+
+def _text_lines(command, result):
+    """The text view of a command's result, every line built before any prints."""
+    if command == "verify":  # the check table: one line per check, then the verdict
+        width = max(len(c["name"]) for c in result["checks"])
+        return [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name'].ljust(width)}  {c['detail']}"
+                .rstrip() for c in result["checks"]] + [
+                    "all checks passed" if result["all_passed"] else "MISMATCHES FOUND"]
+    width, labels = _ROWS[command]
+    return [label.ljust(width) + (_ROW_TEXT[label](result) if label in _ROW_TEXT else
+                                  _field_text(result, label.replace(" ", "_").replace("-", "_")))
+            for label in labels]
 
 
 # --- parser and dispatch ---------------------------------------------------
@@ -357,9 +371,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        echo, result, text, code = args.handler(args)
-        # rendered inside the try: str() of an int over the interpreter's
-        # digit limit raises ValueError here, as it does in the text handlers
+        echo, result, code = args.handler(args)
+        # rendered inside the try, so str() of an int over the interpreter's
+        # digit limit raises ValueError here, before anything prints
         if args.format == "json":
             envelope = {
                 "command": args.command,
@@ -369,7 +383,7 @@ def main(argv=None) -> int:
             }
             lines = [json.dumps(_stringify(envelope), sort_keys=True)]
         else:
-            lines = list(text)
+            lines = _text_lines(args.command, result)
     except UsageError as exc:
         print(f"frobinom: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

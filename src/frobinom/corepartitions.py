@@ -270,8 +270,8 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
     if spec.is_prime_power and spec.factorization[0][1] > 1 and not force_base:
         raise ValueError(
             f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
-            f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True to run "
-            "against that base")
+            f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True (--force-base) "
+            "to run against that base")
     box = _proper_box(n)
     f, base = box.frobenius, box.base
     coords, top, triple = _triple(box, s_seed, p)

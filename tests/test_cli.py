@@ -5,11 +5,13 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import frobinom.binomial
 import frobinom.cli
@@ -491,6 +493,13 @@ class TestAdmissible:
         code, env, _ = run_json(capsys, "admissible", "8", "1", "2", "--force-base")
         assert code == 0
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prime_power_refusal_names_the_flag(self, capsys, fmt):
+        code, out, err = run(capsys, "admissible", "8", "1", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("frobinom: n = 8 is a prime power; its Apery base is 2**2, not n. "
+                       "Pass force_base=True (--force-base) to run against that base\n")
+
     def test_residue_collision_exits_2(self, capsys):
         code, _, _ = run(capsys, "admissible", "6", "1", "6")
         assert code == 2
@@ -650,3 +659,189 @@ def test_every_small_call_exits_with_a_documented_code(argv):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 1, 2, 3, 64), argv
+
+
+GOLDEN_TEXT = {
+    ("report", "12"): """\
+n                   12
+factorization       2^2 * 3
+scale               1
+minimal generators  [12, 66, 220, 495]
+embedding dimension 4
+apery base          12
+apery set           [0, 66, 220, 286, 440, 495, 506, 561, 715, 781, 935, 1001]
+frobenius           989
+genus               495
+pseudo-frobenius    [989]
+type                1
+symmetric           true
+telescopic          true
+""",
+    ("report", "9"): """\
+n                   9
+factorization       3^2
+scale               3
+minimal generators  [3, 28]
+embedding dimension 2
+apery base          3
+apery set           [0, 28, 56]
+frobenius           53
+genus               27
+pseudo-frobenius    [53]
+type                1
+symmetric           true
+telescopic          true
+""",
+    ("semigroup", "5", "7", "9"): """\
+minimal generators  [5, 7, 9]
+multiplicity        5
+apery base          5
+apery set           [0, 7, 9, 16, 18]
+frobenius           13
+genus               8
+gaps                [1, 2, 3, 4, 6, 8, 11, 13]
+pseudo-frobenius    [11, 13]
+type                2
+symmetric           false
+telescopic          false
+""",
+    ("decompose", "50", "7"): """\
+target       C(50,7) = 99884400
+basis        [50, 1225, 2118760, 126410606437752]
+coefficients [1997688, 0, 0, 0]
+identity     1997688*50 = 99884400
+""",
+    ("admissible", "50", "65", "6"): """\
+triple  (379231827789565, 379231827789566, 379231827789571)
+count   126410606437653
+""",
+    ("verify", "--max-n", "6"): """\
+PASS  n=4 apery_set
+PASS  n=4 embedding_dimension
+PASS  n=4 frobenius
+PASS  n=4 genus
+PASS  n=4 minimal_generators
+PASS  n=4 pseudo_frobenius
+PASS  n=4 symmetric
+PASS  n=4 telescopic
+PASS  n=4 type
+PASS  n=6 apery_set
+PASS  n=6 embedding_dimension
+PASS  n=6 frobenius
+PASS  n=6 genus
+PASS  n=6 minimal_generators
+PASS  n=6 pseudo_frobenius
+PASS  n=6 symmetric
+PASS  n=6 telescopic
+PASS  n=6 type
+PASS  pascal recurrence and symmetry, n <= 60
+PASS  carry count = divide-out valuation = floor-sum formula, n <= 60
+PASS  product tree = math.comb at the dispatch thresholds, n <= 10^4
+PASS  binomial residue congruence on its provable domain, n <= 300
+PASS  prime-power quotient congruence (a >= 1 for p = 2), p in 2..7, m <= 12
+PASS  gcd of binomial family: p for prime powers else 1, n <= 200
+all checks passed
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_TEXT), ids="-".join)
+def test_full_text_output(capsys, argv):
+    assert run(capsys, *argv) == (0, GOLDEN_TEXT[argv], "")
+
+
+# Labels of the text rows, longest first, read into field names as
+# perfbench/checks.py reads them: spaces and hyphens become underscores.
+TEXT_LABELS = sorted((
+    "n", "factorization", "scale", "minimal generators", "embedding dimension",
+    "apery base", "apery set", "frobenius", "genus", "pseudo-frobenius", "type",
+    "symmetric", "telescopic", "multiplicity", "gaps", "target", "basis",
+    "coefficients", "identity", "triple", "count", "partition", "hook set", "A(S)",
+), key=len, reverse=True)
+ELIDED = re.compile(r"\((\d+) (?:elements|gaps); min (-?\d+), max (-?\d+)\)")
+
+
+def text_rows(out):
+    """(field name, value text) of each text row."""
+    for line in out.splitlines():
+        label = next((label for label in TEXT_LABELS if line.startswith(label + " ")), None)
+        assert label, line
+        yield label.replace(" ", "_").replace("-", "_"), line[len(label):].strip()
+
+
+def read_text(value):
+    """A row's value as the checker reads it; an elided list as (count, min, max)."""
+    if value.lstrip("-").isdigit():
+        return int(value)
+    if value in ("true", "false"):
+        return value == "true"
+    if elided := ELIDED.fullmatch(value):
+        return tuple(map(int, elided.groups()))
+    if value[:1] in "[(":
+        return [int(v) for v in value[1:-1].split(",") if v.strip()]
+    return value
+
+
+def read_json(node):
+    if isinstance(node, list):
+        return [read_json(v) for v in node]
+    if isinstance(node, dict):
+        return {k: read_json(v) for k, v in node.items()}
+    return int(node) if isinstance(node, str) else node
+
+
+COMPOSITE = st.integers(4, 300).filter(lambda n: not is_prime(n))
+GENERATORS = st.lists(st.integers(1, 40), min_size=1, max_size=4).filter(lambda g: gcd(*g) == 1)
+
+
+@st.composite
+def valid_call(draw):
+    """A small call of report, semigroup, decompose, core or admissible that exits 0."""
+    command = draw(st.sampled_from(("report", "semigroup", "decompose", "core", "admissible")))
+    if command == "report":
+        args = [draw(COMPOSITE)]
+    elif command == "semigroup":
+        args = draw(GENERATORS)
+    elif command == "decompose":
+        n = draw(COMPOSITE)
+        args = [n, draw(st.integers(1, n - 1))]
+    elif command == "core":
+        args = (["--gaps", *draw(st.sets(st.integers(1, 40), max_size=12))]
+                if draw(st.booleans()) else ["--semigroup", *draw(GENERATORS)])
+    else:
+        args = [draw(COMPOSITE), draw(st.integers(0, 400)), draw(st.integers(2, 400)),
+                "--force-base"]
+    return [command, *map(str, args)]
+
+
+@given(valid_call())
+@example(["report", "2310"])                    # apery_set_elided
+@example(["semigroup", "46", "47"])             # gaps_elided
+@example(["core", "--semigroup", "46", "47"])   # partition over 1000 parts
+@settings(max_examples=150, deadline=None)
+def test_text_rows_are_the_json_fields(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as text, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assume(code == 0)  # e.g. a residue collision in admissible
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([*argv, "--format", "json"]) == 0
+    result = read_json(json.loads(out.getvalue())["result"])
+    rows = list(text_rows(text.getvalue()))
+    assert rows
+    for name, value in rows:
+        shown = read_text(value)
+        if name == "factorization":
+            assert [[int(p), int(k or 1)] for p, _, k in
+                    (f.partition("^") for f in value.split(" * "))] == result[name]
+        elif name in result and isinstance(shown, tuple):
+            field = result[name]
+            assert shown == (len(field), min(field), max(field)), name
+        elif name in result:
+            assert shown == result[name], name
+        elif name + "_elided" in result:
+            elided = result[name + "_elided"]
+            assert shown == (elided["count"], elided["min"], elided["max"]), name
+        else:
+            # the rows that show more than one field
+            assert name in ("target", "identity", "A(S)"), name

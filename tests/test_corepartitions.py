@@ -4,7 +4,7 @@ import random
 import time
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -339,20 +339,47 @@ def core_gap_sets(steps):
     return found
 
 
+COPRIME_PAIRS = [(s, t) for t in range(3, 13) for s in range(2, t) if gcd(s, t) == 1]
+
+
+@cache
+def two_cores(s, t):
+    """The (s, t)-cores as gap tuples: (11, 12) has 58786 of them."""
+    return tuple(map(tuple, core_gap_sets((s, t))))
+
+
+def seeded_sample(cores, s, t, k):
+    return random.Random(f"{s},{t}").sample(cores, min(k, len(cores)))
+
+
 class TestSimultaneousCores:
     # a numerical set's partition is a t-core iff t lies in A(S), i.e. iff the
     # set is closed under +t; counts and sizes are classical theorems
 
-    @pytest.mark.parametrize("s, t", [(3, 5), (4, 7), (5, 8), (7, 9), (8, 9), (9, 10)])
+    @pytest.mark.parametrize("s, t", COPRIME_PAIRS)
     def test_count_largest_and_mean_size(self, s, t):
+        cores = two_cores(s, t)
+        # is_s_core checks every core up to t = 9, and a seeded sample above
+        checked = set(cores if t <= 9 else seeded_sample(cores, s, t, 200))
         sizes = []
-        for gaps in core_gap_sets((s, t)):
+        for gaps in cores:
             lam = partition_of(NumericalSet(gaps))
-            assert is_s_core(lam, s) and is_s_core(lam, t), gaps
+            if gaps in checked:
+                assert is_s_core(lam, s) and is_s_core(lam, t), gaps
             sizes.append(sum(lam.parts))
         assert len(sizes) == comb(s + t, s) // (s + t)               # Anderson 2002
         assert max(sizes) == (s * s - 1) * (t * t - 1) // 24          # Olsson-Stanton 2007
         assert 24 * sum(sizes) == len(sizes) * (s + t + 1) * (s - 1) * (t - 1)  # Johnson 2018
+
+    @pytest.mark.parametrize("s, t", COPRIME_PAIRS)
+    def test_one_more_gap_is_a_core_exactly_where_it_keeps_closure(self, s, t):
+        # adding the gap g to a set closed under +u keeps it closed unless
+        # g - u is a member (0 included): then g - u + u = g is not
+        for core in seeded_sample(two_cores(s, t), s, t, 8):
+            for g in set(range(1, s * t)).difference(core):
+                lam = partition_of(NumericalSet(core + (g,)))
+                for u in (s, t):
+                    assert is_s_core(lam, u) == (g < u or g - u in core), (core, g, u)
 
     def test_cores_are_exactly_the_closed_sets(self):
         # every gap subset of <4, 7>: a (4, 7)-core iff closed under +4 and +7

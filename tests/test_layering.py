@@ -95,3 +95,19 @@ def test_oracle_family_shares_no_arithmetic_with_the_closed_forms():
     named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     assert named & {"binomial", "factorize", "bn_spec", "_box", "_proper_box"} == set()
+
+
+def test_no_cli_handler_builds_text():
+    # a handler returns (input_echo, result, exit_code), and one renderer
+    # makes the text view from the result
+    handlers = [node for node in parsed("cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
+    assert len(handlers) == 6
+    for handler in handlers:
+        for node in ast.walk(handler):
+            assert not isinstance(node, ast.JoinedStr), (handler.name, ast.unparse(node))
+            if isinstance(node, ast.Call):
+                assert ast.unparse(node.func) != "_fmt_list", handler.name
+            if isinstance(node, ast.Return):
+                assert isinstance(node.value, ast.Tuple) and len(node.value.elts) == 3, \
+                    (handler.name, ast.unparse(node))
