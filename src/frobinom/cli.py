@@ -5,6 +5,15 @@ Default output is human-readable text; --format json emits a deterministic
 envelope {command, input, result, timing_ms} with sorted keys and every
 integer rendered as a decimal string, so consumers never lose precision.
 
+Arguments are read from one table, `_COMMANDS` (handler, positionals,
+options and help of each command), without argparse, whose import and
+parser build cost more than a small command's own work.  An option takes
+`--name value` or `--name=value`, with no prefix abbreviations; --format
+may come before the command or anywhere after it, the last one winning;
+negative numbers are values.  A usage error prints the usage and
+`frobinom: error: ...` on stderr and exits 64; -h or --help prints the
+usage on stdout and exits 0.
+
 Each handler returns only its result; one renderer makes both views.  A
 text row's label names the result field it shows, with spaces and hyphens
 read as underscores, and a field that is missing is shown from its
@@ -30,10 +39,10 @@ error.  n, multiplicities and --apery-base are capped at MAX_N, which is
 before the engine runs.
 """
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from . import binomial as bn
 from . import corepartitions as core
@@ -56,13 +65,6 @@ ENGINE_BUDGET = 6 * 10**6  # multiplicity x distinct generators the engine may t
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the contract here is 64
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _stringify(x, rendered=None):
@@ -315,60 +317,99 @@ def _text_lines(command, result):
             for label in labels]
 
 
-# --- parser and dispatch ---------------------------------------------------
+# --- argument parsing and dispatch ----------------------------------------
+# command: (handler, positionals, options, help).  A positional or an option
+# maps to the count of ints it takes: 1, "+" for one or more, "*" for any, 0
+# for a flag; an option also to its default.  --format may go anywhere.
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="frobinom",
-                     description="Numerical semigroups generated by binomial coefficients")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+_COMMANDS = {
+    "report": (_run_report, {"n": 1}, {}, "closed-form report for one upper index n"),
+    "semigroup": (_run_semigroup, {"generators": "+"}, {"--apery-base": (1, None)},
+                  "generic engine on an explicit generating set"),
+    "decompose": (_run_decompose, {"n": 1, "m": 1}, {}, "write C(n,m) over the minimal system"),
+    "core": (_run_core, {}, {"--gaps": ("*", None), "--semigroup": ("+", None)},
+             "partition, hook set and A(S) of a numerical set; give exactly one option"),
+    "admissible": (_run_admissible, {"n": 1, "s_seed": 1, "p": 1}, {"--force-base": (0, False)},
+                   "triple completion for the binomial semigroup"),
+    "verify": (_run_verify, {}, {"--max-n": (1, 30)},
+               "closed forms vs the generic engine, plus arithmetic self-checks"),
+}
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
 
-    p = sub.add_parser("report", help="closed-form report for one upper index n")
-    p.add_argument("n", type=int)
-    common(p)
-    p.set_defaults(handler=_run_report)
+def _usage(command):
+    """The usage line of a command, or of the program when command is None."""
+    if command is None:
+        return "usage: frobinom [--format {text,json}] {" + ",".join(_COMMANDS) + "} ..."
+    _, positionals, options, _ = _COMMANDS[command]
+    words = [name + " ..." * (nargs == "+") for name, nargs in positionals.items()]
+    words += [f"[{name}{' N' * (nargs != 0)}{' ...' * (nargs in ('*', '+'))}]"
+              for name, (nargs, _) in options.items()]
+    return " ".join(["usage: frobinom", command, *words, "[--format {text,json}]"])
 
-    p = sub.add_parser("semigroup", help="generic engine on an explicit generating set")
-    p.add_argument("generators", type=int, nargs="+")
-    p.add_argument("--apery-base", type=int, default=None)
-    common(p)
-    p.set_defaults(handler=_run_semigroup)
 
-    p = sub.add_parser("decompose", help="write C(n,m) over the minimal system")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    common(p)
-    p.set_defaults(handler=_run_decompose)
+def _is_option(token):
+    # a negative number is a value, not an option
+    return token.startswith("-") and not token[1:].isdigit()
 
-    p = sub.add_parser("core", help="partition, hook set and A(S) of a numerical set")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gaps", type=int, nargs="*")
-    group.add_argument("--semigroup", type=int, nargs="+")
-    common(p)
-    p.set_defaults(handler=_run_core)
 
-    p = sub.add_parser("admissible", help="triple completion for the binomial semigroup")
-    p.add_argument("n", type=int)
-    p.add_argument("s_seed", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("--force-base", action="store_true")
-    common(p)
-    p.set_defaults(handler=_run_admissible)
+def _parse(argv):
+    """argv as a namespace: command, handler, format, and each argument and
+    option under its name (an option not given holds its default).
 
-    p = sub.add_parser("verify", help="closed forms vs the generic engine, plus arithmetic self-checks")
-    p.add_argument("--max-n", type=int, default=30)
-    common(p)
-    p.set_defaults(handler=_run_verify)
-
-    return parser
+    A usage error prints the usage and the error on stderr and exits 64;
+    -h or --help prints the usage and what each command does, and exits 0.
+    """
+    args = SimpleNamespace(command=None, format="text")
+    positionals, options, values, extra, closed = {}, {"--format": (1, "text")}, [], [], False
+    # --name=value is --name value; reversed, so that pop() takes the next token
+    tokens = [part for token in reversed(argv)
+              for part in reversed(token.split("=", 1) if token.startswith("--") else [token])]
+    try:
+        while tokens:
+            token = tokens.pop()
+            if token in ("-h", "--help"):
+                print(_usage(args.command), *(f"  {name:<11} {spec[3]}" for name, spec
+                                              in _COMMANDS.items() if args.command in (None, name)),
+                      sep="\n")
+                raise SystemExit(EXIT_OK)
+            if _is_option(token):
+                nargs, closed, run = options[token][0], bool(values), []
+                while tokens and not _is_option(tokens[-1]) and nargs != len(run):
+                    run.append(tokens.pop())
+                if not run and nargs in (1, "+"):
+                    raise UsageError(f"{token} takes a value")
+                run = [*map(str if token == "--format" else int, run)]
+                # a flag is True, a one-value option its value, a list option the list
+                setattr(args, token[2:].replace("-", "_"),
+                        run if nargs in ("*", "+") else run[0] if run else True)
+            elif args.command is None:
+                args.command, (args.handler, positionals, more, _) = token, _COMMANDS[token]
+                options.update(more)
+                vars(args).update((name[2:].replace("-", "_"), d) for name, (_, d) in more.items())
+            elif len(values) < len(positionals) or "+" in positionals.values() and not closed:
+                # a list positional takes one run of values: a value after an
+                # option that follows the run is extra
+                values.append(int(token))
+            else:
+                extra.append(token)
+        missing = list(positionals)[len(values):] if args.command else ["command"]
+        if missing or extra:
+            raise UsageError(f"missing {' '.join(missing)}" if missing else
+                             f"unrecognized arguments: {' '.join(extra)}")
+        if args.format not in ("text", "json"):
+            raise UsageError(f"--format takes text or json, not {args.format!r}")
+        if args.command == "core" and (args.gaps is None) == (args.semigroup is None):
+            raise UsageError("core takes exactly one of --gaps and --semigroup")
+    except (UsageError, KeyError, ValueError) as exc:
+        message = f"unrecognized argument {exc}" if isinstance(exc, KeyError) else exc
+        print(_usage(args.command), f"frobinom: error: {message}", sep="\n", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+    vars(args).update(zip(positionals, [values] if "+" in positionals.values() else values))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     started = time.perf_counter()
     try:
         echo, result, code = args.handler(args)

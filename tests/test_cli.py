@@ -621,6 +621,126 @@ class TestEnvelope:
         assert exc.value.code == 64
 
 
+def run_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of a call, a usage error's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParse:
+    """The argument contract: where options may go, and how bad usage exits."""
+
+    @pytest.mark.parametrize("argv", [
+        ("report", "6", "--format", "json"),
+        ("report", "--format", "json", "6"),
+        ("report", "--format=json", "6"),
+        ("--format", "text", "report", "6", "--format", "json"),
+        ("--format", "json", "--format", "text", "report", "--format", "json", "6"),
+    ])
+    def test_format_anywhere_and_the_last_wins(self, capsys, argv):
+        code, out, _ = run_exit(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["result"]["frobenius"] == "49"
+
+    @pytest.mark.parametrize("argv", [
+        ("report", "6", "--format", "json", "--format", "text"),
+        ("--format", "json", "report", "6", "--format", "text"),
+    ])
+    def test_a_later_text_format_wins(self, capsys, argv):
+        code, out, _ = run_exit(capsys, *argv)
+        assert code == 0
+        assert text_line(out, "frobenius") == "49"
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--format", "xml", "report", "6"), "xml"),
+        (("report", "6", "--format", "xml"), "xml"),
+        (("report", "6", "--format"), "--format"),
+        ((), "command"),
+        (("frob", "6"), "frob"),
+        (("decompose", "50"), "m"),
+        (("admissible", "50", "65"), "p"),
+        (("semigroup",), "generators"),
+        (("report", "6", "7"), "7"),
+        (("semigroup", "5", "--apery-base", "5", "7"), "7"),
+        (("report", "fifty"), "fifty"),
+        (("decompose", "50", "7.5"), "7.5"),
+        (("semigroup", "5", "7", "--apery-base", "x"), "x"),
+        (("verify", "--max-n"), "--max-n"),
+        (("report", "6", "--force-base"), "--force-base"),
+        (("admissible", "8", "1", "2", "--force-base=1"), "1"),
+        (("core", "--semigroup"), "--semigroup"),
+    ])
+    def test_usage_error_exits_64_and_names_the_culprit(self, capsys, argv, named):
+        code, out, err = run_exit(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage: ")
+        last = err.splitlines()[-1]
+        assert last.startswith("frobinom") and "error: " in last
+        assert re.search(rf"(?<![\w-]){re.escape(named)}(?![\w-])", last.split("error: ", 1)[1])
+
+    def test_negative_positionals_reach_the_handler(self, capsys):
+        code, _, err = run_exit(capsys, "admissible", "10", "1", "-5")
+        assert code == 2
+        assert "p >= 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("semigroup", "5", "7", "--apery-base", "-5"),
+        ("core", "--gaps", "-3", "2"),
+    ])
+    def test_negative_option_values_reach_the_handler(self, capsys, argv):
+        assert run_exit(capsys, *argv)[0] == 2
+
+    @pytest.mark.parametrize("argv", [("core",), ("core", "--gaps", "1", "--semigroup", "3", "4"),
+                                      ("core", "--semigroup", "3", "4", "--gaps")])
+    def test_core_takes_exactly_one_source(self, capsys, argv):
+        code, _, err = run_exit(capsys, *argv)
+        assert code == 64
+        last = err.splitlines()[-1]
+        assert "--gaps" in last and "--semigroup" in last
+
+    @pytest.mark.parametrize("argv", [("core", "--gaps"), ("core", "--gaps=3")])
+    def test_list_option_forms(self, capsys, argv):
+        assert run_exit(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (("semigroup", "6", "15", "20", "--apery-base", "15"),
+         ("semigroup", "6", "15", "20", "--apery-base=15")),
+        (("verify", "--max-n", "6"), ("verify", "--max-n=6")),
+        (("core", "--semigroup", "5", "7"), ("--format=text", "core", "--semigroup", "5", "7")),
+    ])
+    def test_equals_form_equals_the_spaced_form(self, capsys, spaced, joined):
+        first = run_exit(capsys, *spaced)
+        assert first[0] == 0
+        assert run_exit(capsys, *joined) == first
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--format", "json", "-h")])
+    def test_top_level_help_names_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ")
+        assert captured.err == ""
+        for command in ("report", "semigroup", "decompose", "core", "admissible", "verify"):
+            assert command in captured.out
+
+    @pytest.mark.parametrize("argv", [("report", "-h"), ("semigroup", "5", "--help"),
+                                      ("core", "-h"), ("admissible", "--help")])
+    def test_command_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ")
+        assert argv[0] in captured.out.splitlines()[0]
+        assert captured.err == ""
+
+
 SMALL = st.integers(-5, 60)
 
 
@@ -656,7 +776,7 @@ def test_every_small_call_exits_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
+        except SystemExit as exc:  # parse errors exit 64 through SystemExit
             code = exc.code
     assert code in (0, 1, 2, 3, 64), argv
 

@@ -1,6 +1,8 @@
 """Import layering of the package, read from its source with ast."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import frobinom
@@ -111,3 +113,14 @@ def test_no_cli_handler_builds_text():
             if isinstance(node, ast.Return):
                 assert isinstance(node.value, ast.Tuple) and len(node.value.elts) == 3, \
                     (handler.name, ast.unparse(node))
+
+
+def test_a_cli_call_loads_no_argparse():
+    # argv is read from one command table: importing argparse and building
+    # its parsers cost more than a small command's own work
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import frobinom.cli; "
+             "code = frobinom.cli.main(['report', '6']); "
+             "print(code, 'argparse' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert done.stderr == "0 False\n"
