@@ -6,6 +6,8 @@ numerical-semigroup engine to cross-check them, and the core-partition /
 admissible-pair machinery built on top.
 """
 
+from types import ModuleType as _ModuleType
+
 from .exactmath import (
     binomial_valuation_kummer,
     binom_residue_lemma,
@@ -22,7 +24,6 @@ from .binomial import (
     Representation,
     bn_apery_closed,
     bn_family,
-    bn_frobenius,
     bn_report,
     bn_spec,
     decompose,
@@ -45,40 +46,6 @@ from .corepartitions import (
     partition_of,
 )
 
-__all__ = [
-    "AdmissiblePairResult",
-    "AperyTable",
-    "BinomialSemigroupReport",
-    "BinomialSemigroupSpec",
-    "DegenerateSemigroupError",
-    "NotANumericalSemigroup",
-    "NumericalSemigroup",
-    "NumericalSet",
-    "Partition",
-    "Representation",
-    "a_set",
-    "algorithm1",
-    "binom_residue_lemma",
-    "binomial_valuation_kummer",
-    "bn_apery_closed",
-    "bn_family",
-    "bn_frobenius",
-    "bn_report",
-    "bn_spec",
-    "decompose",
-    "enumerate_admissible",
-    "exists_admissible_bn",
-    "factorize",
-    "hook_set",
-    "identity_pm_check",
-    "identity_pq_check",
-    "is_admissible",
-    "is_prime",
-    "is_s_core",
-    "is_triple_core",
-    "minimal_generators",
-    "p_adic_valuation",
-    "partition_of",
-    "sun_congruence_holds",
-    "verify_closed_vs_oracle",
-]
+# every name imported above but the submodules, which the imports bind too
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

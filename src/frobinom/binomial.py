@@ -19,9 +19,9 @@ times value forms the element.  Everything can be cross-checked against the
 generic engine in `semigroup`.
 
 Per-n data is cached in two stages (the RECORD_CACHE most recent n of
-each).  The spec stage, `bn_spec(n)`, is the factorization, the prime-power
-flag and the scale, with no binomial computed, so a check that needs only
-the spec (such as `algorithm1`'s prime-power rejection) stays cheap.  The
+each).  The spec stage, `bn_spec(n)`, is the factorization and the scale
+(p for n = p^m, else 1), with no binomial computed, so a check that needs
+only the spec (such as `algorithm1`'s prime-power rejection) stays cheap.  The
 box stage, `_box(n)`, is built from it: the base, the box generators and
 their values, F, the digit-solve steps and an `ordered` flag.  When each
 value exceeds the largest sum of the generators below it, Apery elements
@@ -55,7 +55,7 @@ class DegenerateSemigroupError(ValueError):
 
 
 class BinomialSemigroupSpec(namedtuple(
-        "BinomialSemigroupSpec", "n factorization is_prime_power scale")):
+        "BinomialSemigroupSpec", "n factorization scale")):
     """Factorization-level data for the family of binomials with upper index n.
 
     factorization is ((p, k), ...); scale is the gcd of the family: p when
@@ -94,8 +94,7 @@ def bn_spec(n: int) -> BinomialSemigroupSpec:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     fac = tuple(factorize(n))
-    prime_power = len(fac) == 1
-    return BinomialSemigroupSpec(n, fac, prime_power, fac[0][0] if prime_power else 1)
+    return BinomialSemigroupSpec(n, fac, fac[0][0] if len(fac) == 1 else 1)
 
 
 def bn_family(n: int) -> list[int]:
@@ -214,18 +213,13 @@ def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
     return base, tuple(sorted(sums))
 
 
-def bn_frobenius(n: int) -> int:
-    """Frobenius number: max(Ap) - base, i.e. the sum of (p-1)*value over
-    the box generators, minus the base; the record holds it."""
-    return _proper_box(n).frobenius
-
-
 def bn_report(n: int) -> BinomialSemigroupReport:
     """All closed-form quantities in one record, read off the box: O(box),
     whatever the size of the Apery set.
 
     The minimal system is the base plus the box generators, so the embedding
-    dimension is 1 + sum of exponents (m for n = p^m).  The semigroup is
+    dimension is 1 + sum of exponents (m for n = p^m).  F = max(Ap) - base,
+    the sum of (p - 1) * value over the box minus the base.  The semigroup is
     symmetric, so the genus is (F + 1)/2.  Prime n raises
     DegenerateSemigroupError.
     """
@@ -277,12 +271,13 @@ def decompose(n: int, m: int) -> Representation:
     return Representation((n, m), basis, coefficients, value, scale > 1)
 
 
-def identity_pq_check(p: int, q: int, r: int) -> tuple[int, bool]:
-    """Evaluate the two-prime binomial identity at n = pq.
+def identity_pq_check(p: int, q: int, r: int) -> int:
+    """The leading coefficient of the two-prime binomial identity at n = pq.
 
-    lead = (C(pq,r) - p*C(pq,p) - q*C(pq,q)) / pq, which is an exact integer
-    for every r coprime to pq (possibly negative); holds reports whether
-    lead*C(pq,1) + p*C(pq,p) + q*C(pq,q) reproduces C(pq,r).
+    lead = (C(pq,r) - p*C(pq,p) - q*C(pq,q)) / pq, so that
+    C(pq,r) = lead*C(pq,1) + p*C(pq,p) + q*C(pq,q).  The identity's content
+    is that lead is an integer (possibly negative) for every r coprime to
+    pq; this returns it, and raises RuntimeError if it is not.
     """
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError(f"need two distinct primes, got {p}, {q}")
@@ -295,16 +290,17 @@ def identity_pq_check(p: int, q: int, r: int) -> tuple[int, bool]:
     if rem:
         raise RuntimeError(
             f"(C({n},{r}) - {fixed})/{n} is not an integer; arithmetic bug")
-    return lead, lead * n + fixed == target
+    return lead
 
 
-def identity_pm_check(p: int, m: int, r: int) -> tuple[int, bool]:
-    """Evaluate the prime-power binomial identity at n = p^m.
+def identity_pm_check(p: int, m: int, r: int) -> int:
+    """The leading coefficient of the prime-power binomial identity at n = p^m.
 
-    lead = (C(n,r) - sum_{i=2..m} p^(i-2)*C(n, p^(i-1))) / n.  The published
+    lead = (C(n,r) - sum_{i=2..m} p^(i-2)*C(n, p^(i-1))) / n, so that
+    C(n,r) = lead*n + sum_{i=2..m} p^(i-2)*C(n, p^(i-1)).  The published
     form asserts integrality for every r coprime to p, but the residue lemma
     forces lead to be integral only when p divides m - 1; outside that case
-    this raises rather than return a fractional coefficient.
+    this raises RuntimeError rather than return a fractional coefficient.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"p = {p} must be an odd prime")
@@ -321,23 +317,20 @@ def identity_pm_check(p: int, m: int, r: int) -> tuple[int, bool]:
             f"(C({n},{r}) - {fixed})/{n} is not an integer: the identity's leading "
             f"coefficient fails integrality at p={p}, m={m}, r={r} (it is integral "
             "exactly when p divides m - 1)")
-    return lead, lead * n + fixed == target
+    return lead
 
 
 class OracleComparison(namedtuple("OracleComparison", "n fields")):
     """Field-by-field comparison of the closed forms against the generic engine.
 
-    fields maps each name to (closed form, engine).
+    fields maps each name to (closed form, engine); `mismatches` names the
+    fields where the two differ, and is empty when every field agrees.
     """
     __slots__ = ()
 
     @property
     def mismatches(self) -> list[str]:
         return sorted(name for name, (a, b) in self.fields.items() if a != b)
-
-    @property
-    def all_match(self) -> bool:
-        return not self.mismatches
 
 
 def verify_closed_vs_oracle(n: int) -> OracleComparison:

@@ -31,8 +31,9 @@ most ELIDE_ABOVE; above that, `apery_set_elided` takes its place, so
 `report` costs O(box) at every n.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
-error (an invariant violation or any other unexpected exception), 64 usage
-error.  n, multiplicities and --apery-base are capped at MAX_N, which is
+error (an invariant violation, a stdout closed by its reader, or any other
+unexpected exception), 64 usage error.  `verify --max-n` takes 4..VERIFY_CAP.
+n, multiplicities and --apery-base are capped at MAX_N, which is
 `exactmath.PRIME_CACHE_CAP`, so the prime cache covers every n accepted;
 `semigroup` and `core --semigroup` also refuse a multiplicity (or
 --apery-base) times number of distinct generators above ENGINE_BUDGET,
@@ -40,6 +41,7 @@ before the engine runs.
 """
 
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -113,8 +115,9 @@ def _check_generators(generators, apery_base=None):
 def _verify_checks(max_n):
     """{name, passed, detail} of each closed form against the engine for the
     composite n <= max_n, then of each arithmetic self-check."""
-    if max_n > VERIFY_CAP:
-        raise UsageError(f"--max-n {max_n} exceeds the cap {VERIFY_CAP}")
+    if not 4 <= max_n <= VERIFY_CAP:  # below 4, the least composite n, no closed form is checked
+        raise UsageError(f"--max-n {max_n} exceeds the cap {VERIFY_CAP}" if max_n > VERIFY_CAP
+                         else f"--max-n {max_n} is below 4; it takes 4..{VERIFY_CAP}")
     checks = []
     for n in range(4, max_n + 1):
         if is_prime(n):
@@ -370,7 +373,7 @@ def _parse(argv):
             if token in ("-h", "--help"):
                 print(_usage(args.command), *(f"  {name:<11} {spec[3]}" for name, spec
                                               in _COMMANDS.items() if args.command in (None, name)),
-                      sep="\n")
+                      sep="\n", flush=True)  # a closed stdout raises here, inside main's try
                 raise SystemExit(EXIT_OK)
             if _is_option(token):
                 nargs, closed, run = options[token][0], bool(values), []
@@ -409,9 +412,9 @@ def _parse(argv):
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
-    started = time.perf_counter()
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        started = time.perf_counter()
         echo, result, code = args.handler(args)
         # rendered inside the try, so str() of an int over the interpreter's
         # digit limit raises ValueError here, before anything prints
@@ -425,6 +428,9 @@ def main(argv=None) -> int:
             lines = [json.dumps(_stringify(envelope), sort_keys=True)]
         else:
             lines = _text_lines(args.command, result)
+        # written and flushed inside the try, so a reader that closed stdout
+        # gets exit 3 and one error line, not a traceback and exit 1
+        print(*lines, sep="\n", flush=True)
     except UsageError as exc:
         print(f"frobinom: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -433,10 +439,12 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except Exception as exc:
         # exit 1 belongs to a verify mismatch, so no stray exception may reach it
+        if isinstance(exc, BrokenPipeError):
+            # the unwritten lines stay buffered: send them to devnull, so the
+            # interpreter's exit-time flush does not fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"frobinom: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    for line in lines:
-        print(line)
     return code
 
 

@@ -267,7 +267,7 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
     for; they are rejected from the factorization, before any binomial.
     """
     spec = bn_spec(n)
-    if spec.is_prime_power and spec.factorization[0][1] > 1 and not force_base:
+    if spec.scale > 1 and spec.factorization[0][1] > 1 and not force_base:
         raise ValueError(
             f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
             f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True (--force-base) "

@@ -14,7 +14,6 @@ from itertools import combinations
 
 from frobinom.binomial import (
     bn_apery_closed,
-    bn_frobenius,
     bn_report,
     bn_spec,
     decompose,
@@ -51,10 +50,10 @@ def report(number, label, failures, elapsed, limit):
 
 def test_criterion_1_golden_frobenius_values():
     t0 = time.perf_counter()
-    f50 = bn_frobenius(50)
+    f50 = bn_report(50).frobenius
     t50 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    f70 = bn_frobenius(70)
+    f70 = bn_report(70).frobenius
     t70 = time.perf_counter() - t0
     failures = []
     if f50 != 505642434227223:
@@ -97,7 +96,7 @@ def test_criterion_3_oracle_equivalence_sweep():
 def test_criterion_4_symmetry_identity():
     t0 = time.perf_counter()
     failures = [n for n in range(4, 101)
-                if not is_prime(n) and 2 * bn_report(n).genus != bn_frobenius(n) + 1]
+                if not is_prime(n) and 2 * bn_report(n).genus != bn_report(n).frobenius + 1]
     report(4, "2*genus = frobenius + 1, composite n <= 100",
            failures, time.perf_counter() - t0, 10.0)
 
@@ -193,8 +192,10 @@ def test_criterion_8_decomposition_soundness():
         for q in primes[i + 1:]:
             for r in range(p * q + 1):
                 if r % p and r % q:
-                    lead, holds = identity_pq_check(p, q, r)
-                    if not holds:
+                    n = p * q
+                    lead = identity_pq_check(p, q, r)
+                    if (type(lead) is not int or lead * n + p * binomial(n, p)
+                            + q * binomial(n, q) != binomial(n, r)):
                         failures.append(("pq identity", p, q, r))
     report(8, "decomposition soundness + two-prime identity",
            failures, time.perf_counter() - t0, 60.0)
@@ -213,7 +214,7 @@ def test_criterion_9_existence_theorem_as_stated():
             continue
         base, ap = bn_apery_closed(n)
         least = {w % base: w for w in ap}
-        f = bn_frobenius(n)
+        f = bn_report(n).frobenius
         for p in range(2, 8):
             if p % base == 0 or (p - 1) % base == 0:
                 continue  # residue collision, excluded by the criterion

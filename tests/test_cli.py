@@ -16,7 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import frobinom.binomial
 import frobinom.cli
 import frobinom.corepartitions
-from frobinom.binomial import bn_apery_closed, bn_family, bn_frobenius
+import frobinom.exactmath
+from frobinom.binomial import bn_apery_closed, bn_family, bn_report
 from frobinom.cli import main
 from frobinom.exactmath import is_prime
 from frobinom.semigroup import NumericalSemigroup
@@ -161,7 +162,7 @@ class TestReportBox:
         try:
             code, out, _ = run(capsys, "report", str(n))
             code_json, env, _ = run_json(capsys, "report", str(n))
-            top = str(bn_frobenius(n) + n)
+            top = str(bn_report(n).frobenius + n)
             box = env["result"]["apery_box"]
             box_top = str(sum((int(b) - 1) * int(v) for v, b in box["generators"]))
         finally:
@@ -536,6 +537,69 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-n", "41")
         assert (code, out) == (64, "")
         assert err == "frobinom: error: --max-n 41 exceeds the cap 40\n"
+
+    @pytest.mark.parametrize("max_n", [3, 0, -5])
+    def test_max_n_below_4_exits_64(self, capsys, max_n):
+        # no composite n below 4: such a sweep would check no closed form
+        code, out, err = run(capsys, "verify", "--max-n", str(max_n))
+        assert (code, out) == (64, "")
+        assert err == f"frobinom: error: --max-n {max_n} is below 4; it takes 4..40\n"
+
+    def test_wrong_binomial_fails_its_arithmetic_rows(self, capsys, monkeypatch):
+        real = frobinom.exactmath.binomial
+        monkeypatch.setattr(frobinom.exactmath, "binomial",
+                            lambda n, k: real(n, k) + ((n, k) == (10, 3)))
+        code, out, _ = run(capsys, "verify", "--max-n", "4")
+        assert code == 1
+        failed = [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == [
+            "pascal recurrence and symmetry, n <= 60",
+            "carry count = divide-out valuation = floor-sum formula, n <= 60",
+            "prime-power quotient congruence (a >= 1 for p = 2), p in 2..7, m <= 12",
+        ]
+        assert out.endswith("\nMISMATCHES FOUND\n")
+        code, env, _ = run_json(capsys, "verify", "--max-n", "4")
+        assert code == 1
+        assert env["result"]["all_passed"] is False
+        assert sum(not c["passed"] for c in env["result"]["checks"]) == 3
+
+    def test_wrong_closed_genus_fails_only_the_genus_rows(self, capsys, monkeypatch):
+        real = frobinom.binomial.bn_report
+        monkeypatch.setattr(frobinom.binomial, "bn_report",
+                            lambda n: real(n)._replace(genus=real(n).genus + 1))
+        code, out, _ = run(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert [line.split()[1:3] for line in failed] == [["n=4", "genus"], ["n=6", "genus"]]
+        assert failed[0].endswith("closed=2 oracle=1")
+        assert failed[1].endswith("closed=26 oracle=25")
+        assert out.endswith("\nMISMATCHES FOUND\n")
+
+
+class TestClosedStdout:
+    # the read end of the pipe is closed before the child writes, so even a
+    # few bytes of output meet a closed pipe
+    @pytest.mark.parametrize("argv", [
+        ["report", "6"],
+        ["core", "--semigroup", "46", "47", "--format", "json"],
+        ["verify", "--max-n", "6"],
+        ["-h"],
+        ["report", "--help"],
+    ])
+    def test_exits_3_in_one_line(self, argv):
+        src = os.path.dirname(os.path.dirname(frobinom.binomial.__file__))
+        probe = (f"import sys; sys.path.insert(0, {src!r}); from frobinom.cli import main; "
+                 f"sys.exit(main({argv!r}))")
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-S", "-c", probe], stdout=write,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert done.returncode == 3
+        assert done.stderr == ("frobinom: internal error: BrokenPipeError: "
+                               "[Errno 32] Broken pipe\n")
 
 
 class TestInternalError:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import frobinom.binomial
 import frobinom.corepartitions
 from frobinom.binomial import (
-    _box, _coordinates, _proper_box, bn_apery_closed, bn_frobenius, bn_spec, decompose)
+    _box, _coordinates, _proper_box, bn_apery_closed, bn_report, bn_spec, decompose)
 from frobinom.corepartitions import (
     PAIR_BOUND,
     NumericalSet,
@@ -664,7 +664,7 @@ class TestAlgorithm1:
                                (70, algorithm1(70, 12, 11).triple)):
             assert s1 == s + 1
             assert all(bn_member(n, x) for x in (s, s1, sp))
-            assert sp < bn_frobenius(n)
+            assert sp < bn_report(n).frobenius
 
     def test_small_run_n6(self):
         # residue class of s holds the largest Apery element 55 >= F = 49, so
@@ -709,7 +709,7 @@ class TestAlgorithm1:
         for n in range(4, 80):
             if is_prime(n):
                 continue
-            f, base = bn_frobenius(n), _box(n).base
+            f, base = bn_report(n).frobenius, _box(n).base
             force = len(factorize(n)) == 1
             for p in range(2, 24):
                 if p % base in (0, 1):
@@ -739,23 +739,23 @@ class TestAlgorithm1:
                     out = algorithm1(n, seed, p, force_base=force)
                     assert all(bn_member(n, x) for x in out.triple), (n, seed, p)
                     if out.count > 0:
-                        assert out.triple[2] < bn_frobenius(n), (n, seed, p)
+                        assert out.triple[2] < bn_report(n).frobenius, (n, seed, p)
 
 
 class TestExistsAdmissible:
     def test_verified_for_n50_p6(self):
         s = exists_admissible_bn(50, 6)
         assert all(bn_member(50, x) for x in (s, s + 1, s + 6))
-        assert s + 6 < bn_frobenius(50)
+        assert s + 6 < bn_report(50).frobenius
         # the golden triple's s works too
         t = 379231827789565
         assert all(bn_member(50, x) for x in (t, t + 1, t + 6))
-        assert t + 6 < bn_frobenius(50)
+        assert t + 6 < bn_report(50).frobenius
 
     def test_verified_for_n70_p11(self):
         s = exists_admissible_bn(70, 11)
         assert all(bn_member(70, x) for x in (s, s + 1, s + 11))
-        assert s + 11 < bn_frobenius(70)
+        assert s + 11 < bn_report(70).frobenius
 
     def test_small_case_against_enumeration(self):
         s = exists_admissible_bn(6, 2)
@@ -771,7 +771,7 @@ class TestExistsAdmissible:
             if is_prime(n):
                 continue
             base, _ = bn_apery_closed(n)
-            f = bn_frobenius(n)
+            f = bn_report(n).frobenius
             for p in range(2, 8):
                 if p % base == 0 or (p - 1) % base == 0:
                     with pytest.raises(ValueError):
@@ -820,7 +820,7 @@ def _exists_with_fresh_lookups(n, p):
     """exists_admissible_bn with one Apery lookup per entry of each candidate."""
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    f = bn_frobenius(n)
+    f = bn_report(n).frobenius
     base = _box(n).base
     if p % base == 0 or (p - 1) % base == 0:
         raise ValueError(
@@ -958,7 +958,7 @@ def test_point_queries_at_max_n_list_no_apery_set(monkeypatch):
     monkeypatch.setattr(frobinom.corepartitions, "bn_apery_closed", listing_forbidden,
                         raising=False)
     n = 10**6
-    f = bn_frobenius(n)
+    f = bn_report(n).frobenius
 
     def member(x):
         return x >= 0 and x >= apery_element(n, x)

@@ -50,7 +50,7 @@ PUBLIC_API = [
     "BinomialSemigroupSpec", "DegenerateSemigroupError", "NotANumericalSemigroup",
     "NumericalSemigroup", "NumericalSet", "Partition", "Representation",
     "a_set", "algorithm1", "binom_residue_lemma", "binomial_valuation_kummer",
-    "bn_apery_closed", "bn_family", "bn_frobenius", "bn_report", "bn_spec",
+    "bn_apery_closed", "bn_family", "bn_report", "bn_spec",
     "decompose", "enumerate_admissible", "exists_admissible_bn", "factorize",
     "hook_set", "identity_pm_check", "identity_pq_check", "is_admissible",
     "is_prime", "is_s_core", "is_triple_core", "minimal_generators",
