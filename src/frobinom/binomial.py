@@ -218,10 +218,11 @@ def bn_report(n: int) -> BinomialSemigroupReport:
     whatever the size of the Apery set.
 
     The minimal system is the base plus the box generators, so the embedding
-    dimension is 1 + sum of exponents (m for n = p^m).  F = max(Ap) - base,
-    the sum of (p - 1) * value over the box minus the base.  The semigroup is
-    symmetric, so the genus is (F + 1)/2.  Prime n raises
-    DegenerateSemigroupError.
+    dimension is 1 + sum of exponents (m for n = p^m).  It is ascending as
+    built: the values ascend, and the base is below the smallest of them, as
+    C(N, k) > N for 2 <= k <= N - 2.  F = max(Ap) - base, the sum of
+    (p - 1) * value over the box minus the base.  The semigroup is symmetric,
+    so the genus is (F + 1)/2.  Prime n raises DegenerateSemigroupError.
     """
     box = _proper_box(n)
     base, f = box.base, box.frobenius
@@ -230,7 +231,7 @@ def bn_report(n: int) -> BinomialSemigroupReport:
         raise RuntimeError(f"closed-form genus for n = {n} is not an integer")
     return BinomialSemigroupReport(
         n=n,
-        minimal_generators=tuple(sorted((base, *(value for value, _, _ in box.gens)))),
+        minimal_generators=(base, *box.values),
         embedding_dimension=1 + len(box.gens),
         apery_base=base,
         apery_box=(base, tuple((value, p) for value, p, _ in box.gens)),
@@ -259,16 +260,14 @@ def decompose(n: int, m: int) -> Representation:
     scale = n // base  # p for n = p^m, else 1
     value = binomial(n, m) // scale
     box_coeffs = _coordinates(box, value % base)
-    q, r = divmod(value - sum(map(mul, box_coeffs, box.values)), base)
-    if r or q < 0:
+    # the division is exact, as _coordinates puts the box sum in the class of
+    # value mod base; q < 0 (value below its Apery element) is non-membership
+    q = (value - sum(map(mul, box_coeffs, box.values))) // base
+    if q < 0:
         raise RuntimeError(
             f"C({n},{m}) has no nonnegative representation over the minimal system; "
             "this contradicts the closed form")
-    basis = (base, *box.values)
-    coefficients = (q, *box_coeffs)
-    if sum(c * b for c, b in zip(coefficients, basis)) != value:
-        raise RuntimeError(f"representation of C({n},{m}) failed its reconstruction check")
-    return Representation((n, m), basis, coefficients, value, scale > 1)
+    return Representation((n, m), (base, *box.values), (q, *box_coeffs), value, scale > 1)
 
 
 def identity_pq_check(p: int, q: int, r: int) -> int:

@@ -206,15 +206,15 @@ def _run_core(args):
         gaps = hooks = S.gaps()
         echo = {"generators": list(args.semigroup)}
     else:
-        S = core.NumericalSet(args.gaps or ())
+        S = core.NumericalSet(args.gaps)
         A = core.a_set(S)
         gaps, hooks = S.gaps(), A.gaps()
-        echo = {"gaps": list(args.gaps or ())}
+        echo = {"gaps": list(args.gaps)}
     # by the hook theorem the hooks of the partition are the gaps of A(S)
     result = {
         "frobenius": S.frobenius,
         "gaps": gaps,
-        "partition": list(core.partition_of(S).parts),
+        "partition": list(core.partition_of(S)),
         "hook_set": hooks,
         "a_set_gaps": hooks,
         "a_set_frobenius": A.frobenius,

@@ -13,7 +13,7 @@ semigroups at sizes where the gap set itself is astronomically large.
 
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate, compress
+from itertools import accumulate, compress, pairwise
 from operator import lt, mul
 
 from .binomial import _coordinates, _proper_box, bn_spec
@@ -84,30 +84,22 @@ class NumericalSet:
         return f"NumericalSet(members {shown}..., F={self.frobenius})"
 
 
-class Partition:
-    """Integer partition as a weakly decreasing tuple of positive parts."""
+class Partition(tuple):
+    """Integer partition as a weakly decreasing tuple of positive parts; it
+    equals, and hashes as, the plain tuple of its parts."""
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(parts)
         if min(parts, default=1) < 1:
             raise ValueError("partition parts must be positive")
         if any(map(lt, parts, parts[1:])):
             raise ValueError("partition parts must be weakly decreasing")
-        self.parts = parts
+        return super().__new__(cls, parts)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -159,7 +151,7 @@ def hook_set(partition: Partition) -> list[int]:
     p_0 <= p_1 <= ... (Keith and Nath, "Partitions with prescribed
     hooksets", 2011).
     """
-    S = NumericalSet(p + i for i, p in enumerate(reversed(partition.parts)))
+    S = NumericalSet(p + i for i, p in enumerate(reversed(partition)))
     return _a_set_gaps(S._member)
 
 
@@ -195,9 +187,13 @@ def enumerate_admissible(S: NumericalSet) -> list[tuple[int, int]]:
     if f > ENUM_BOUND:
         raise ValueError(f"Frobenius number {f} exceeds the enumeration bound {ENUM_BOUND}")
     A = a_set(S)
-    members = [x for x in range(f) if x in A]
-    # each s with s, s+1 in A pairs with every member q >= s + 2 below F
-    starts = [(s, bisect_left(members, s + 2)) for s in members if s >= 1 and s + 1 in A]
+    # A(S) is a subset of S, so F(A) >= F(S): A's members below F(S) are a
+    # prefix of those below F(A)
+    members = A.members_below_frobenius()
+    members = members[:bisect_left(members, f)]
+    # each s with s, s+1 in A pairs with every member q >= s + 2 below F, the
+    # members after s + 1; s = F - 1 pairs with none, so the cut loses no pair
+    starts = [(s, i + 2) for i, (s, t) in enumerate(pairwise(members)) if s >= 1 and t == s + 1]
     count = sum(len(members) - i for _, i in starts)
     if count > PAIR_BOUND:
         raise ValueError(f"{count} admissible pairs exceed the pair bound {PAIR_BOUND}")

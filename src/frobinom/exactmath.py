@@ -189,7 +189,7 @@ def p_adic_valuation(p: int, x: int) -> int:
     """Largest v with p^v dividing x, for x >= 1."""
     if x < 1:
         raise ValueError(f"p-adic valuation of {x} is undefined here")
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     v = 0
     while x % p == 0:

@@ -1,7 +1,8 @@
 """Closed forms for the binomial-coefficient semigroups vs the generic engine."""
 
 import random
-from math import comb, gcd
+from math import comb, gcd, lgamma, log
+from operator import lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,15 @@ class TestMinimalSystem:
     def test_matches_engine_up_to_30(self):
         for n in COMPOSITES_30:
             assert list(bn_report(n).minimal_generators) == minimal_generators(bn_family(n)), n
+
+    def test_built_ascending_up_to_6000(self):
+        # the base, then the box values: strictly ascending with no sort
+        for n in range(4, 6001):
+            if not is_prime(n):
+                report = bn_report(n)
+                gens = report.minimal_generators
+                assert gens == (report.apery_base, *(v for v, _ in report.apery_box[1])), n
+                assert all(map(lt, gens, gens[1:])), n
 
 
 class TestAperyClosed:
@@ -374,6 +384,44 @@ class TestDecompose:
                 assert len(rep.coefficients) == len(bounds) + 1
                 for c, p in zip(rep.coefficients[1:], bounds):
                     assert 0 <= c < p, (n, m)
+
+
+# the n of the benchmark's point-query pool, plus two near the CLI's bound
+SCALE_NS = [2310, 30030, 60060, 90090, 120120, 4000, 10000, 20000, 50000, 100000,
+            1024, 2187, 15625, 16807, 59049, 510510, 10**6]
+DECOMPOSE_BANDS = 8
+DIGIT_CAP = 10**5
+
+
+def _band_ms(n):
+    """The low end and the middle of each of DECOMPOSE_BANDS equal slices of
+    [1, n/2], each mirrored to n - m, while C(n, m) stays below DIGIT_CAP
+    decimal digits."""
+    half, ms = n // 2, set()
+    for band in range(DECOMPOSE_BANDS):
+        lo = 1 + (half - 1) * band // DECOMPOSE_BANDS
+        hi = max(lo, (half - 1) * (band + 1) // DECOMPOSE_BANDS)
+        for m in (lo, (lo + hi) // 2):
+            if lgamma(n + 1) - lgamma(m + 1) - lgamma(n - m + 1) < DIGIT_CAP * log(10):
+                ms |= {m, n - m}
+    return sorted(ms)
+
+
+@pytest.mark.parametrize("n", SCALE_NS)
+def test_decompose_reconstructs_at_scale(n):
+    """decompose keeps one runtime check, membership; this is the
+    reconstruction it no longer makes, at the point-query sizes."""
+    report, scale = bn_report(n), bn_spec(n).scale
+    bounds = [p for _, p in report.apery_box[1]]
+    ms = _band_ms(n)
+    assert len(ms) >= 4, n
+    for m in ms:
+        rep = decompose(n, m)
+        assert rep.basis == report.minimal_generators, (n, m)
+        assert min(rep.coefficients) >= 0, (n, m)
+        assert all(map(lt, rep.coefficients[1:], bounds)), (n, m)
+        total = sum(c * b for c, b in zip(rep.coefficients, rep.basis))
+        assert total == rep.value == binomial(n, m) // scale, (n, m)
 
 
 def _bounds_by_value(n):

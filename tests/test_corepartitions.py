@@ -1,10 +1,13 @@
 """Numerical sets, partitions, hook sets, admissible pairs, triple completion."""
 
+import copy
+import pickle
 import random
 import time
 from functools import cache
 from itertools import combinations
 from math import comb, gcd
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 import frobinom.binomial
 import frobinom.corepartitions
 from frobinom.binomial import (
-    _box, _coordinates, _proper_box, bn_apery_closed, bn_report, bn_spec, decompose)
+    _box, _coordinates, _proper_box, bn_apery_closed, bn_family, bn_report, bn_spec, decompose)
 from frobinom.corepartitions import (
+    ENUM_BOUND,
     PAIR_BOUND,
     NumericalSet,
     Partition,
@@ -211,6 +215,28 @@ class TestPartitionType:
             Partition((3, -1, 2))
         assert len(Partition(())) == 0
         assert Partition(iter((4, 4, 1))).parts == (4, 4, 1)
+
+    def test_validation_messages(self):
+        for parts, message in (((3, 4), "partition parts must be weakly decreasing"),
+                               ((0, 3), "partition parts must be positive"),
+                               ((2, 0), "partition parts must be positive")):
+            with pytest.raises(ValueError) as caught:
+                Partition(parts)
+            assert str(caught.value) == message, parts
+
+    def test_is_the_tuple_of_its_parts(self):
+        lam = Partition((4, 4, 1))
+        assert isinstance(lam, tuple) and not hasattr(lam, "__dict__")
+        assert lam == (4, 4, 1) and (4, 4, 1) == lam and lam != (4, 1)
+        assert hash(lam) == hash((4, 4, 1)) and {lam: 1}[(4, 4, 1)] == 1
+        assert type(lam.parts) is tuple and lam.parts == (4, 4, 1)
+        assert repr(lam) == "Partition(4, 4, 1)" and repr(Partition((2,))) == "Partition(2,)"
+        assert list(lam) == [4, 4, 1] and lam[0] == 4 and sum(lam) == 9
+
+    def test_pickle_and_copy_round_trip(self):
+        for lam in (Partition(()), Partition((1,)), Partition((6, 5, 3, 2, 1, 1, 1, 1))):
+            for twin in (pickle.loads(pickle.dumps(lam)), copy.copy(lam), copy.deepcopy(lam)):
+                assert type(twin) is Partition and twin == lam and twin.parts == lam.parts
 
     def test_conjugate(self):
         # the oracle behind cell_hooks
@@ -495,6 +521,32 @@ class TripleCoreCounter:
     def count(self):
         return self.completions(0, ())
 
+    def sizes(self):
+        """(count, total size, largest size) of the cores, in one pass over r.
+
+        A core's size is sum(gaps) - C(G, 2), with G gaps, and the class r
+        adds r*h[r] + s*C(h[r], 2) to sum(gaps), so the size needs G as well
+        as the live thresholds.  For the total, each state keeps the moments
+        count, sum G, sum G^2 and sum of sum(gaps) over its cores.  For the
+        largest, it keeps points (G, V), V = sum(gaps) - C(G, 2) so far: x
+        more gaps take G*x + C(x, 2) from V, so only the upper hull of the
+        points, where V - G*x is largest for some x >= 0, can lead to it.
+        """
+        s = self.s
+        layer = {(): ((1, 0, 0, 0), [(0, 0)])}
+        for r in range(s):
+            after = {}
+            for state, ((c, g1, g2, w), hull) in layer.items():
+                for v in self.choices(r, dict(zip(self.live[r], state))):
+                    gained = r * v + s * comb(v, 2)
+                    moved = (c, g1 + v * c, g2 + 2 * v * g1 + v * v * c, w + gained * c)
+                    entry = after.setdefault(self.step(r, state, v), [(0, 0, 0, 0), []])
+                    entry[0] = tuple(map(add, entry[0], moved))
+                    entry[1] += [(g + v, x + gained - comb(v, 2) - g * v) for g, x in hull]
+            layer = {key: (moments, _upper_hull(points)) for key, (moments, points) in after.items()}
+        c, g1, g2, w = map(sum, zip(*(moments for moments, _ in layer.values())))
+        return c, w - (g2 - g1) // 2, max(x for _, hull in layer.values() for _, x in hull)
+
     def sample(self, rng):
         """Thresholds of a uniformly random core: each h[r] is drawn with
         weight the number of cores that complete it."""
@@ -506,6 +558,22 @@ class TripleCoreCounter:
             h.append(v)
             state = self.step(r, state, v)
         return h
+
+
+def _upper_hull(points):
+    """The points (G, V) at which V - G*x is largest for some x >= 0: the
+    upper convex hull of those with V above every V at a smaller G."""
+    hull = []
+    for g, x in sorted(points):
+        if hull and hull[-1][0] == g:
+            hull.pop()  # the same G with a smaller V
+        if hull and x <= hull[-1][1]:
+            continue
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (g - hull[-2][0])
+                                 <= (x - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((g, x))
+    return hull
 
 
 def motzkin(count):
@@ -537,6 +605,34 @@ class TestTripleCoreCounts:
         assert expected[:8] == [1, 1, 2, 4, 9, 21, 51, 127]
         for s in range(3, 41):
             assert TripleCoreCounter(s, 2).count() == expected[s], s
+
+    @pytest.mark.parametrize("s, p", [(s, p) for s in range(3, 8) for p in range(2, s)])
+    def test_sizes_match_brute_force(self, s, p):
+        sizes = [sum(partition_of(NumericalSet(gaps))) for gaps in core_gap_sets((s, s + 1, s + p))]
+        assert TripleCoreCounter(s, p).sizes() == (len(sizes), sum(sizes), max(sizes))
+
+    def test_consecutive_triple_core_sizes_up_to_10(self):
+        # the largest and the total size of the (s, s+1, s+2)-cores, s = 1..10
+        largest = [0, 1, 2, 7, 12, 26, 40, 70, 100, 155]
+        totals = [0, 1, 5, 25, 105, 420, 1596, 5880, 21120, 74415]
+        for s in range(1, 11):
+            sizes = []
+            for gaps in core_gap_sets((s, s + 1, s + 2)):
+                lam = partition_of(NumericalSet(gaps))
+                assert all(is_s_core(lam, t) for t in (s, s + 1, s + 2)), gaps
+                sizes.append(sum(lam))
+            assert (max(sizes), sum(sizes)) == (largest[s - 1], totals[s - 1]), s
+            if s >= 3:
+                assert TripleCoreCounter(s, 2).sizes() == (len(sizes), totals[s - 1], largest[s - 1])
+
+    @pytest.mark.parametrize("s", range(3, 41))
+    def test_largest_consecutive_triple_core_up_to_40(self, s):
+        # Amdeberhan's conjecture, proved by Yang-Zhong-Zhou 2015: the largest
+        # (s, s+1, s+2)-core has size m*C(m+1, 3) for s = 2m - 1 and
+        # (m+1)*C(m+1, 3) + C(m+2, 3) for s = 2m
+        m = (s + 1) // 2
+        largest = m * comb(m + 1, 3) if s % 2 else (m + 1) * comb(m + 1, 3) + comb(m + 2, 3)
+        assert TripleCoreCounter(s, 2).sizes()[2] == largest
 
     def test_samples_are_uniform_at_s_5(self):
         counter = TripleCoreCounter(5, 2)
@@ -796,6 +892,39 @@ class TestExistsAdmissible:
     def test_p_validation(self):
         with pytest.raises(ValueError):
             exists_admissible_bn(6, 1)
+
+    def test_negatives_against_enumeration(self):
+        # exhaustive ground truth wherever F <= ENUM_BOUND: over every p in
+        # the search's domain below F, it raises exactly when the engine's
+        # set lists no admissible pair with that p, and a returned s is listed
+        ns = [n for n in range(4, 60) if not is_prime(n) and bn_report(n).frobenius <= ENUM_BOUND]
+        assert ns == [4, 6, 8, 9, 10, 12, 16]
+        searched = negatives = 0
+        for n in ns:
+            report = bn_report(n)
+            base, f = report.apery_base, report.frobenius
+            listed = {}
+            engine_set = NumericalSet.from_semigroup(NumericalSemigroup(bn_family(n)))
+            for s, p in enumerate_admissible(engine_set):
+                listed.setdefault(p, set()).add(s)
+            for p in range(2, f):
+                if p % base in (0, 1):
+                    continue
+                searched += 1
+                if p in listed:
+                    assert exists_admissible_bn(n, p) in listed[p], (n, p)
+                    continue
+                negatives += 1
+                with pytest.raises(RuntimeError, match="exhausted all"):
+                    exists_admissible_bn(n, p)
+        assert (searched, negatives) == (7274, 5694)
+        # one negative by name: S(B_8) = <4, 14, 35>, F = 45, has no
+        # admissible pair with p = 11, and the search says so
+        assert bn_report(8).frobenius == 45
+        assert 11 not in {p for _, p in enumerate_admissible(
+            NumericalSet.from_semigroup(NumericalSemigroup([4, 14, 35])))}
+        with pytest.raises(RuntimeError, match="exhausted all 4 seed classes"):
+            exists_admissible_bn(8, 11)
 
     def test_matches_fresh_lookups_up_to_300(self):
         # same s, or the same error, as deciding membership of every entry
