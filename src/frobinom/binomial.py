@@ -156,7 +156,15 @@ def _box(n: int) -> _Box:
     for i in sorted(range(len(gens)), key=lambda i: gens[i][2]):
         value, p, e = gens[i]
         pe = p**e
-        steps.append((i, pe, p, pow(value % (pe * p) // pe, -1, p), value % base))
+        unit = value % (pe * p) // pe
+        if not unit:
+            # a wrong binomial from exactmath, not a domain error; p**j is the
+            # p-part of the base over p**e
+            pj = gcd(base, p**base.bit_length()) // pe
+            raise RuntimeError(
+                f"the box generator from C({n}, {pj}) is divisible by {p}**{e + 1}; "
+                "this contradicts Kummer's theorem")
+        steps.append((i, pe, p, pow(unit, -1, p), value % base))
     ordered, below = True, 0
     for value, p, _ in gens:
         ordered = ordered and value > below
@@ -339,14 +347,15 @@ def verify_closed_vs_oracle(n: int) -> OracleComparison:
     base, apery = bn_apery_closed(n)
     engine = NumericalSemigroup(bn_family(n))
     oracle_apery = engine.apery_set(base)
+    pseudo_frobenius = tuple(engine.pseudo_frobenius())
     fields = {
         "minimal_generators": (report.minimal_generators, engine.generators),
         "embedding_dimension": (report.embedding_dimension, len(engine.generators)),
         "apery_set": (apery, tuple(sorted(oracle_apery.entries))),
         "frobenius": (report.frobenius, engine.frobenius()),
         "genus": (report.genus, engine.genus()),
-        "pseudo_frobenius": (report.pseudo_frobenius, tuple(engine.pseudo_frobenius())),
-        "type": (report.type, engine.type()),
+        "pseudo_frobenius": (report.pseudo_frobenius, pseudo_frobenius),
+        "type": (report.type, len(pseudo_frobenius)),
         "symmetric": (report.symmetric, engine.is_symmetric()),
         "telescopic": (report.telescopic, engine.is_telescopic()),
     }

@@ -56,14 +56,12 @@ class NumericalSet:
         S.frobenius, S._member = frobenius, member
         return S
 
-    def contains(self, m: int) -> bool:
+    def __contains__(self, m: int) -> bool:
         if m < 0:
             return False
         if m > self.frobenius:
             return True
         return bool(self._member[m])
-
-    __contains__ = contains
 
     def gaps(self) -> list[int]:
         return list(compress(range(self.frobenius + 1), self._member.translate(_GAP_FLAGS)))
@@ -206,11 +204,22 @@ class AdmissiblePairResult(namedtuple("AdmissiblePairResult", "triple count")):
     __slots__ = ()
 
 
+def _check_p(base: int, p: int):
+    """The domain of p that `algorithm1` and `exists_admissible_bn` share:
+    p >= 2, and p not 0 or 1 mod base, where the classes of s, s+1 and s+p
+    collide for every s."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
+    if p % base in (0, 1):
+        raise ValueError(
+            f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
+
+
 def _triple(box, s: int, p: int):
     """The box coordinates of the Apery representatives of the classes of
     s, s+1, s+p; the value of the largest of them; and the completion of
-    that largest into a triple (t, t+1, t+p) in those classes.  For p >= 2;
-    the classes collide for every s when p is 0 or 1 mod base.
+    that largest into a triple (t, t+1, t+p) in those classes.  For p that
+    has passed `_check_p`.
 
     t is the largest representative raised by 0 when it is the class of s,
     by base - 1 when it is the class of s+1, and by the least multiple of
@@ -220,12 +229,7 @@ def _triple(box, s: int, p: int):
     read from the largest generator down, are largest, so only its value is
     summed; otherwise all three are.
     """
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
     base = box.base
-    if p % base in (0, 1):
-        raise ValueError(
-            f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
     coords = [_coordinates(box, s + d) for d in (0, 1, p)]
     if box.ordered:
         keys = [c[::-1] for c in coords]
@@ -270,6 +274,7 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
             "to run against that base")
     box = _proper_box(n)
     f, base = box.frobenius, box.base
+    _check_p(base, p)
     coords, top, triple = _triple(box, s_seed, p)
     if top >= f:
         triple = tuple(sum(map(mul, c, box.values)) for c in coords)
@@ -291,14 +296,22 @@ def exists_admissible_bn(n: int, p: int) -> int:
     candidate triple (shifting below the Frobenius number when necessary) and
     returns the first s whose triple passes the membership and bound checks.
 
-    Raises after exhausting every seed class.  That is a real outcome, not
-    only a bug guard: elements in the class of max(Ap) all exceed the
-    Frobenius number, so when the Apery base is 3 a residue-distinct triple
-    (which covers all classes) can never be admissible - S(B_9) has no
-    admissible pair for any p == 2 (mod 3).
+    p outside `algorithm1`'s domain raises ValueError.  RuntimeError means
+    that no s exists.  For p > F - 2 that is known at once: s >= 1 and
+    s + p < F cannot both hold.  Otherwise it is raised after every seed
+    class has failed.  That is a real outcome, not only a bug guard:
+    elements in the class of max(Ap) all exceed the Frobenius number, so
+    when the Apery base is 3 a residue-distinct triple (which covers all
+    classes) can never be admissible - S(B_9) has no admissible pair for
+    any p == 2 (mod 3).
     """
     box = _proper_box(n)
     f, base = box.frobenius, box.base
+    _check_p(base, p)
+    if p > f - 2:
+        raise RuntimeError(
+            f"no admissible s for n={n}, p={p}: s >= 1 and s + p < F = {f} "
+            "cannot both hold")
     for seed in range(base):
         coords, top, triple = _triple(box, seed, p)
         if triple[2] >= f:

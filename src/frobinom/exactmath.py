@@ -299,7 +299,7 @@ def invariant_report() -> list[tuple[str, bool]]:
                 v = binomial_valuation_kummer(p, n, k)
                 if v != _legendre_valuation(p, n, k):
                     ok = False
-                if b >= 1 and v != p_adic_valuation(p, b):
+                if v != p_adic_valuation(p, b):
                     ok = False
     rows.append(("carry count = divide-out valuation = floor-sum formula, n <= 60", ok))
 

@@ -100,16 +100,14 @@ class NumericalSemigroup:
         """Apery table at x, which must be a nonzero element (default: multiplicity)."""
         if x is None or x == self.multiplicity:
             return self.apery
-        if x < 1 or not self.contains(x):
+        if x < 1 or x not in self:
             raise ValueError(f"{x} is not a nonzero element of {self!r}")
         return AperyTable(x, tuple(_apery_table(self.generators, x)[0]))
 
-    def contains(self, m: int) -> bool:
+    def __contains__(self, m: int) -> bool:
         if m < 0:
             return False
         return m >= self.apery.entries[m % self.multiplicity]
-
-    __contains__ = contains
 
     def frobenius(self) -> int:
         """Largest integer not in the semigroup; -1 when there are no gaps."""
@@ -118,11 +116,9 @@ class NumericalSemigroup:
     def genus(self) -> int:
         """Number of gaps, from the Apery table: sum(entries)/x - (x-1)/2."""
         x = self.multiplicity
-        num = 2 * sum(self.apery.entries) - x * (x - 1)
-        q, r = divmod(num, 2 * x)
-        if r:
-            raise RuntimeError(f"inconsistent Apery table for {self!r}: fractional genus")
-        return q
+        # exact: each entry r is finite (gcd 1) and r + x*q_r, so the entries
+        # sum to x(x-1)/2 + x*sum(q_r)
+        return (2 * sum(self.apery.entries) - x * (x - 1)) // (2 * x)
 
     def gaps(self) -> list[int]:
         """All nonnegative integers outside the semigroup, ascending."""
@@ -146,10 +142,6 @@ class NumericalSemigroup:
         out.sort()
         return out
 
-    def type(self) -> int:
-        """Number of pseudo-Frobenius numbers."""
-        return len(self.pseudo_frobenius())
-
     def is_symmetric(self) -> bool:
         """True iff the genus is exactly (frobenius + 1)/2."""
         return 2 * self.genus() == self.frobenius() + 1
@@ -167,7 +159,7 @@ class NumericalSemigroup:
         for i in range(1, len(gens)):
             d_next = gcd(d, gens[i])
             prefix = NumericalSemigroup([g // d for g in gens[:i]])
-            if not prefix.contains(gens[i] // d_next):
+            if gens[i] // d_next not in prefix:
                 return False
             d = d_next
         return True

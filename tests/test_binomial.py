@@ -7,6 +7,7 @@ from operator import lt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frobinom.exactmath
 from frobinom.binomial import (
     RECORD_CACHE,
     DegenerateSemigroupError,
@@ -22,6 +23,7 @@ from frobinom.binomial import (
     identity_pq_check,
     verify_closed_vs_oracle,
 )
+from frobinom.cli import main
 from frobinom.corepartitions import algorithm1, exists_admissible_bn
 from frobinom.exactmath import binomial, is_prime
 from frobinom.semigroup import NumericalSemigroup, minimal_generators
@@ -516,6 +518,19 @@ class TestOracleEquivalence:
                 cmp = verify_closed_vs_oracle(n)
                 assert not cmp.mismatches, (n, cmp.mismatches)
 
+    def test_one_pseudo_frobenius_scan_per_n(self, monkeypatch):
+        calls = []
+        scan = NumericalSemigroup.pseudo_frobenius
+
+        def counted(self):
+            calls.append(self.multiplicity)
+            return scan(self)
+
+        monkeypatch.setattr(NumericalSemigroup, "pseudo_frobenius", counted)
+        for n in (6, 9, 30, 4096):
+            verify_closed_vs_oracle(n)
+        assert calls == [6, 3, 30, 2048]
+
     def test_closed_telescopic_claim_matches_engine_up_to_30(self):
         for n in COMPOSITES_30:
             assert NumericalSemigroup(bn_family(n)).is_telescopic(), n
@@ -568,3 +583,45 @@ class TestOracleAtScale:
         s = exists_admissible_bn(n, p)
         assert all(x in engine for x in (s, s + 1, s + p)), (n, p, s)
         assert s + p < engine.frobenius(), (n, p, s)
+
+
+@pytest.fixture
+def wrong_tree(monkeypatch):
+    """Install a corrupted product tree, given as a function of the true
+    C(n, j); the per-n records are cleared before and after, so no record
+    built from it outlives the test."""
+    real = frobinom.exactmath._binomial_from_primes
+
+    def install(corrupt):
+        monkeypatch.setattr(frobinom.exactmath, "_binomial_from_primes",
+                            lambda n, j: corrupt(real(n, j)))
+    bn_spec.cache_clear()
+    _box.cache_clear()
+    try:
+        yield install
+    finally:
+        monkeypatch.undo()
+        bn_spec.cache_clear()
+        _box.cache_clear()
+
+
+class TestWrongProductTree:
+    """At n = 4096 the tree computes C(4096, 2^j) for j >= 9; the oracle's
+    family comes from Pascal's rule, so a wrong tree cannot go unseen."""
+
+    def test_tripled_tree_is_a_mismatch(self, wrong_tree):
+        wrong_tree(lambda b: 3 * b)
+        assert verify_closed_vs_oracle(4096).mismatches == [
+            "apery_set", "frobenius", "genus", "minimal_generators", "pseudo_frobenius"]
+
+    def test_tree_off_by_two_is_an_internal_error(self, wrong_tree):
+        # C(4096, 2048)/2 + 1 is even, so its unit digit is not invertible mod 2
+        wrong_tree(lambda b: b + 2)
+        with pytest.raises(RuntimeError, match=r"C\(4096, 2048\) is divisible by 2\*\*1"):
+            verify_closed_vs_oracle(4096)
+
+    def test_tree_off_by_two_exits_3(self, wrong_tree, capsys):
+        wrong_tree(lambda b: b + 2)
+        assert main(["report", "4096"]) == 3
+        assert "internal error: RuntimeError: the box generator from C(4096, 2048)" \
+            in capsys.readouterr().err

@@ -376,7 +376,7 @@ class TestCore:
         # <45, 46>: genus 990 and 990 members below F = 1979
         S = NumericalSemigroup([45, 46])
         parts = tuple([g - i for i, g in enumerate(S.gaps())][::-1])
-        members = [x for x in range(1980) if S.contains(x)]
+        members = [x for x in range(1980) if x in S]
         code, out, _ = run(capsys, "core", "--semigroup", "45", "46")
         assert code == 0
         assert text_line(out, "partition") == str(parts)

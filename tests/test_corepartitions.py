@@ -69,7 +69,7 @@ def definition_a_set_gaps(S):
     """Oracle: the positive integers missing from A(S), straight from its definition."""
     members = S.members_below_frobenius()
     return [x for x in range(1, S.frobenius + 1)
-            if any(not S.contains(x + s) for s in members)]
+            if any(x + s not in S for s in members)]
 
 
 def set_of(partition):
@@ -915,7 +915,9 @@ class TestExistsAdmissible:
                     assert exists_admissible_bn(n, p) in listed[p], (n, p)
                     continue
                 negatives += 1
-                with pytest.raises(RuntimeError, match="exhausted all"):
+                # p = F - 1 is refused before any walk (n = 10, 12, 16)
+                with pytest.raises(RuntimeError,
+                                   match="exhausted all" if p < f - 1 else "cannot both hold"):
                     exists_admissible_bn(n, p)
         assert (searched, negatives) == (7274, 5694)
         # one negative by name: S(B_8) = <4, 14, 35>, F = 45, has no
@@ -925,6 +927,63 @@ class TestExistsAdmissible:
             NumericalSet.from_semigroup(NumericalSemigroup([4, 14, 35])))}
         with pytest.raises(RuntimeError, match="exhausted all 4 seed classes"):
             exists_admissible_bn(8, 11)
+
+    @pytest.mark.parametrize("n, counts", [
+        (14, (17715, 8830)), (15, (11185, 5235)), (25, (25499, 8500)), (18, None), (20, None)])
+    def test_negatives_against_the_member_mask(self, n, counts):
+        # ground truth up to F <= 10^5: a semigroup has A(S) = S, so (s, p)
+        # is admissible iff bit s of member & member>>1 & member>>p is set on
+        # [1, F - p).  Every p for n = 14, 15 and 25; for 18 and 20, p <= 2000,
+        # 2000 seeded p and p = F - 1
+        engine = NumericalSemigroup(bn_family(n))
+        (base, entries), f = engine.apery, engine.frobenius()
+        bits = bytearray(f + 1)
+        for w in entries:
+            bits[w::base] = b"\x01" * len(range(w, f + 1, base))
+        member = int(bits.translate(bytes.maketrans(b"\x00\x01", b"01"))[::-1], 2)
+        pair_starts = member & member >> 1
+        ps = range(2, f)
+        if counts is None:
+            ps = {*range(2, 2001), *random.Random(n).sample(range(2001, f), 2000), f - 1}
+        searched = negatives = 0
+        for p in sorted(ps):
+            if p % base in (0, 1):
+                continue
+            searched += 1
+            admissible = pair_starts & member >> p & ((1 << (f - p)) - 2)
+            try:
+                s = exists_admissible_bn(n, p)
+            except RuntimeError:
+                assert not admissible, (n, p)
+                negatives += 1
+                continue
+            assert admissible >> s & 1, (n, p, s)
+        assert negatives
+        assert counts is None or (searched, negatives) == counts
+
+    def test_p_above_f_minus_2_is_refused_without_a_walk(self, monkeypatch):
+        calls = []
+
+        def counted(box, r):
+            calls.append(r)
+            return _coordinates(box, r)
+
+        monkeypatch.setattr(frobinom.corepartitions, "_coordinates", counted)
+        f = bn_report(30030).frobenius
+        for p in (f - 1, f):
+            with pytest.raises(RuntimeError, match=f"F = {f} cannot both hold"):
+                exists_admissible_bn(30030, p)
+        assert calls == []
+        exists_admissible_bn(30030, 5)
+        assert calls
+
+    def test_domain_errors_come_before_the_refusal(self):
+        # S(B_6) = <6, 15, 20>, F = 49: F - 1 and F collide mod 6
+        for p in (48, 49):
+            with pytest.raises(ValueError, match="collide mod 6"):
+                exists_admissible_bn(6, p)
+        with pytest.raises(RuntimeError, match="F = 49 cannot both hold"):
+            exists_admissible_bn(6, 50)
 
     def test_matches_fresh_lookups_up_to_300(self):
         # same s, or the same error, as deciding membership of every entry

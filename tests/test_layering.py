@@ -66,6 +66,13 @@ def test_public_api_is_pinned():
         assert hasattr(frobinom, name), name
 
 
+def test_one_route_per_engine_fact():
+    # membership is `x in S`, and the type is len(S.pseudo_frobenius())
+    for cls in (frobinom.NumericalSemigroup, frobinom.NumericalSet):
+        assert not hasattr(cls, "contains"), cls
+    assert not hasattr(frobinom.NumericalSemigroup, "type")
+
+
 def test_private_imports_between_modules():
     # the only private names one module imports from another are the
     # closed-form lookups the triple completion reads
