@@ -296,7 +296,8 @@ def identity_pq_check(p: int, q: int, r: int) -> int:
     lead, rem = divmod(target - fixed, n)
     if rem:
         raise RuntimeError(
-            f"(C({n},{r}) - {fixed})/{n} is not an integer; arithmetic bug")
+            f"(C({n},{r}) - {p}*C({n},{p}) - {q}*C({n},{q}))/{n} is not an integer; "
+            "arithmetic bug")
     return lead
 
 
@@ -321,9 +322,9 @@ def identity_pm_check(p: int, m: int, r: int) -> int:
     lead, rem = divmod(target - fixed, n)
     if rem:
         raise RuntimeError(
-            f"(C({n},{r}) - {fixed})/{n} is not an integer: the identity's leading "
-            f"coefficient fails integrality at p={p}, m={m}, r={r} (it is integral "
-            "exactly when p divides m - 1)")
+            f"(C({n},{r}) - sum_{{i=2..m}} p^(i-2)*C({n},p^(i-1)))/{n} is not an integer: "
+            f"the identity's leading coefficient fails integrality at p={p}, m={m}, r={r} "
+            "(it is integral exactly when p divides m - 1)")
     return lead
 
 

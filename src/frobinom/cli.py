@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: report | semigroup | decompose | core | admissible | verify.
-Default output is human-readable text; --format json emits a deterministic
-envelope {command, input, result, timing_ms} with sorted keys and every
-integer rendered as a decimal string, so consumers never lose precision.
+Default output is human-readable text; --format json emits an envelope
+{command, input, result, timing_ms}, deterministic apart from timing_ms,
+with sorted keys and every integer rendered as a decimal string, so
+consumers never lose precision.
 
 Arguments are read from one table, `_COMMANDS` (handler, positionals,
 options and help of each command), without argparse, whose import and
@@ -202,22 +203,21 @@ def _run_core(args):
     if args.semigroup is not None:
         _check_generators(args.semigroup)
         # a semigroup is closed under addition, so A(S) = S
-        S = A = core.NumericalSet.from_semigroup(NumericalSemigroup(args.semigroup))
+        S = core.NumericalSet.from_semigroup(NumericalSemigroup(args.semigroup))
         gaps = hooks = S.gaps()
         echo = {"generators": list(args.semigroup)}
     else:
         S = core.NumericalSet(args.gaps)
-        A = core.a_set(S)
-        gaps, hooks = S.gaps(), A.gaps()
+        gaps, hooks = S.gaps(), core.a_set(S).gaps()
         echo = {"gaps": list(args.gaps)}
-    # by the hook theorem the hooks of the partition are the gaps of A(S)
+    # by the hook theorem the hooks of the partition are the gaps of A(S), so
+    # the largest hook is F(A(S)), and -1 when there is none
     result = {
         "frobenius": S.frobenius,
         "gaps": gaps,
         "partition": list(core.partition_of(S)),
         "hook_set": hooks,
-        "a_set_gaps": hooks,
-        "a_set_frobenius": A.frobenius,
+        "a_set_frobenius": hooks[-1] if hooks else -1,
     }
     return echo, result, EXIT_OK
 
@@ -271,9 +271,10 @@ def _fmt_tuple(values):
 
 
 def _a_set_text(result):
-    # A(S) is its members up to F + 1, then every integer above; the members
-    # are listed only when there are at most ELIDE_ABOVE of them
-    f, gaps = result["a_set_frobenius"], result["a_set_gaps"]
+    # A(S) is its members up to F + 1, then every integer above; its gaps
+    # are the hooks, and the members are listed only when there are at most
+    # ELIDE_ABOVE of them
+    f, gaps = result["a_set_frobenius"], result["hook_set"]
     count = f + 2 - len(gaps)
     if count > ELIDE_ABOVE:
         return _elided(count, 0, f + 1)

@@ -24,6 +24,16 @@ PAIR_BOUND = 5 * 10**6  # most admissible pairs enumerate_admissible will list: 
                         # tuples, and above the (F-2)(F-3)/2 pairs any set with F <= 3000 can have
 
 
+def _int_text(x: int) -> str:
+    """x in decimal for a message, or its bit length when x has more digits
+    than the interpreter's int-to-str limit, so that building the message
+    cannot raise in place of the error it reports."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+
+
 class NumericalSet:
     """Co-finite subset of N containing 0, stored as a bitmap up to its
     Frobenius number, which may not exceed SET_BOUND."""
@@ -34,7 +44,8 @@ class NumericalSet:
             raise ValueError("gaps must be positive (0 always belongs to the set)")
         frobenius = max(gaps, default=-1)
         if frobenius > SET_BOUND:
-            raise ValueError(f"Frobenius number {frobenius} exceeds the bound {SET_BOUND}")
+            raise ValueError(
+                f"Frobenius number {_int_text(frobenius)} exceeds the bound {SET_BOUND}")
         self.frobenius = frobenius
         self._member = bytearray(b"\x01" * (frobenius + 1))
         for g in gaps:
@@ -46,7 +57,8 @@ class NumericalSet:
         ..., below its Apery element w, so one slice clears (w - r) / m bytes."""
         frobenius = semigroup.frobenius()
         if frobenius > SET_BOUND:
-            raise ValueError(f"Frobenius number {frobenius} exceeds the bound {SET_BOUND}")
+            raise ValueError(
+                f"Frobenius number {_int_text(frobenius)} exceeds the bound {SET_BOUND}")
         m, entries = semigroup.apery
         member = bytearray(b"\x01" * (frobenius + 1))
         zeros = memoryview(bytes(frobenius // m + 1))
@@ -209,10 +221,10 @@ def _check_p(base: int, p: int):
     p >= 2, and p not 0 or 1 mod base, where the classes of s, s+1 and s+p
     collide for every s."""
     if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
+        raise ValueError(f"need p >= 2, got {_int_text(p)}")
     if p % base in (0, 1):
         raise ValueError(
-            f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
+            f"residues of (s, s+1, s+{_int_text(p)}) collide mod {base} for every s")
 
 
 def _triple(box, s: int, p: int):
@@ -310,8 +322,8 @@ def exists_admissible_bn(n: int, p: int) -> int:
     _check_p(base, p)
     if p > f - 2:
         raise RuntimeError(
-            f"no admissible s for n={n}, p={p}: s >= 1 and s + p < F = {f} "
-            "cannot both hold")
+            f"no admissible s for n={n}, p={_int_text(p)}: s >= 1 and s + p < "
+            f"F = {_int_text(f)} cannot both hold")
     for seed in range(base):
         coords, top, triple = _triple(box, seed, p)
         if triple[2] >= f:
@@ -324,4 +336,5 @@ def exists_admissible_bn(n: int, p: int) -> int:
                 x >= sum(map(mul, c, box.values)) for x, c in zip(triple, coords))):
             return triple[0]
     raise RuntimeError(
-        f"exhausted all {base} seed classes without an admissible s for n={n}, p={p}")
+        f"exhausted all {base} seed classes without an admissible s for n={n}, "
+        f"p={_int_text(p)}")

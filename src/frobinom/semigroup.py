@@ -21,8 +21,11 @@ class NotANumericalSemigroup(ValueError):
     """The generating set has gcd > 1, so the complement is infinite."""
 
     def __init__(self, gcd_value: int):
-        super().__init__(
-            f"generators have gcd {gcd_value}; a numerical semigroup requires gcd 1")
+        try:
+            shown = str(gcd_value)
+        except ValueError:  # more digits than the interpreter's int-to-str limit
+            shown = f"<{gcd_value.bit_length()}-bit integer>"
+        super().__init__(f"generators have gcd {shown}; a numerical semigroup requires gcd 1")
         self.gcd = gcd_value
 
 

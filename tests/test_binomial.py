@@ -480,6 +480,12 @@ class TestIdentityPM:
                 with pytest.raises(RuntimeError):
                     identity_pm_check(p, m, r)
 
+    def test_failure_above_the_digit_limit(self):
+        # at n = 3^9 the subtracted sum has about 5,400 digits, over str()'s
+        # default limit; the message names p, m and r, not the sum
+        with pytest.raises(RuntimeError, match=r"at p=3, m=9, r=1 \(it is integral"):
+            identity_pm_check(3, 9, 1)
+
     def test_holds_at_p3_m4(self):
         # first odd-prime case with p | m-1: every valid r is integral
         n = 3**4

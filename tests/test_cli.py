@@ -335,7 +335,7 @@ class TestCore:
         code, env, _ = run_json(capsys, "core", "--gaps", "2", "5", "6", "8")
         assert code == 0
         assert env["result"]["partition"] == ["5", "4", "4", "2"]
-        assert env["result"]["a_set_gaps"] == [str(x) for x in range(1, 9)]
+        assert env["result"]["hook_set"] == [str(x) for x in range(1, 9)]
 
     def test_empty_gaps(self, capsys):
         code, env, _ = run_json(capsys, "core", "--gaps")

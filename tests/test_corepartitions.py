@@ -109,6 +109,7 @@ class TestNumericalSet:
         assert S.frobenius == 8
         assert S.members_below_frobenius() == [0, 1, 3, 4, 7]
         assert all(x in S for x in (9, 10, 11, 100))
+        assert -1 not in S
         assert S.gaps() == [2, 5, 6, 8]
 
     def test_whole_numbers(self):
@@ -134,10 +135,19 @@ class TestNumericalSet:
         S = NumericalSet([2, 5, 6, 8])
         assert NumericalSet([8, 2, 6, 5, 2]) == S
         assert NumericalSet(g for g in (6, 8, 2, 5)) == S
+        assert hash(NumericalSet([8, 2, 6, 5, 2])) == hash(S)
+        assert len({S, NumericalSet([5, 8, 6, 2])}) == 1
+        # not a NumericalSet: equality is left to the other side, and fails
+        assert S.__eq__((0, 1, 3, 4, 7)) is NotImplemented
+        assert not S == (0, 1, 3, 4, 7) and S != [2, 5, 6, 8]
 
     def test_bound_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Frobenius number 10000000 exceeds the bound"):
             NumericalSet([10**7])
+        # over the interpreter's int-to-str digit limit (4300 by default) the
+        # message names F by its bit length
+        with pytest.raises(ValueError, match="^Frobenius number <16610-bit integer> exceeds"):
+            NumericalSet([10**5000])
 
     @given(st.lists(st.integers(1, 300), max_size=120))
     def test_listings_match_membership(self, gaps):
@@ -162,6 +172,9 @@ class TestNumericalSet:
     def test_from_semigroup_bound_enforced(self):
         with pytest.raises(ValueError, match="exceeds the bound"):
             NumericalSet.from_semigroup(NumericalSemigroup([1001, 1002]))
+        S = NumericalSemigroup([2, 10**5001 + 1])  # F = 10^5001 - 1
+        with pytest.raises(ValueError, match="^Frobenius number <16613-bit integer> exceeds"):
+            NumericalSet.from_semigroup(S)
 
 
 class TestASet:
@@ -778,6 +791,15 @@ class TestAlgorithm1:
         with pytest.raises(ValueError):
             algorithm1(6, 1, 7)
 
+    def test_p_above_the_digit_limit_is_named_by_bit_length(self):
+        with pytest.raises(ValueError, match=r"^need p >= 2, got -<16610-bit integer>$"):
+            algorithm1(10, 1, -10**5000)
+        with pytest.raises(ValueError, match=r"^residues of \(s, s\+1, s\+<16610-bit integer>\) "
+                                             "collide mod 10 for every s$"):
+            exists_admissible_bn(10, 10**5000)
+        with pytest.raises(ValueError, match=r"^residues of \(s, s\+1, s\+16\) collide mod 5 "):
+            algorithm1(25, 1, 16, force_base=True)
+
     @pytest.mark.parametrize("p", [-5, 0, 1])
     def test_p_below_two_rejected(self, p):
         # the triple's domain, ahead of the residue-collision rule
@@ -976,6 +998,17 @@ class TestExistsAdmissible:
         assert calls == []
         exists_admissible_bn(30030, 5)
         assert calls
+
+    @pytest.mark.parametrize("n", [59049, 100000, 2**19])
+    def test_refusal_above_the_digit_limit(self, n):
+        # F has more digits than str() prints by default: the refusal is
+        # still a RuntimeError, and names F and p by their bit lengths
+        box = _proper_box(n)
+        f = box.frobenius
+        p = next(q for q in (f - 1, f, f + 1) if q % box.base not in (0, 1))
+        bits = f"<{f.bit_length()}-bit integer>"
+        with pytest.raises(RuntimeError, match=f"p={bits}: .* F = {bits} cannot both hold$"):
+            exists_admissible_bn(n, p)
 
     def test_domain_errors_come_before_the_refusal(self):
         # S(B_6) = <6, 15, 20>, F = 49: F - 1 and F collide mod 6

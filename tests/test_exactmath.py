@@ -287,6 +287,14 @@ class TestValuations:
         with pytest.raises(ValueError):
             p_adic_valuation(5, 0)
 
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            p_adic_valuation(4, 8)
+        with pytest.raises(ValueError, match=r"^binomial_valuation_kummer\(2, 5, 6\) requires"):
+            binomial_valuation_kummer(2, 5, 6)
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            binomial_valuation_kummer(4, 8, 2)
+
     def test_kummer_examples(self):
         assert binomial_valuation_kummer(2, 4, 2) == 1
         assert binomial_valuation_kummer(3, 9, 3) == 1
@@ -345,6 +353,8 @@ class TestResidueLemma:
             binom_residue_lemma(50, 5, 3)
         with pytest.raises(ValueError):
             binom_residue_lemma(50, 5, 0)
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            binom_residue_lemma(12, 4, 1)
 
     def test_equality_on_provable_domain_up_to_300(self):
         # true exactly when (p odd and k <= 2) or (p = 2 and k = 1)

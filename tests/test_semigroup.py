@@ -58,6 +58,17 @@ class TestMinimalGenerators:
             minimal_generators([4, 6])
         assert err.value.gcd == 2
 
+    def test_gcd_above_the_digit_limit(self):
+        # the message names a gcd over str()'s digit limit by its bit length
+        with pytest.raises(NotANumericalSemigroup) as err:
+            NumericalSemigroup([10**5000, 2 * 10**5000])
+        assert err.value.gcd == 10**5000
+        assert str(err.value) == ("generators have gcd <16610-bit integer>; "
+                                  "a numerical semigroup requires gcd 1")
+        with pytest.raises(NotANumericalSemigroup) as err:
+            NumericalSemigroup([4, 6])
+        assert str(err.value) == "generators have gcd 2; a numerical semigroup requires gcd 1"
+
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
             minimal_generators([])
