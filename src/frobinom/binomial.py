@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .exactmath import binomial, factorize, is_prime
+from .exactmath import _int_text, binomial, factorize, is_prime
 from .semigroup import NumericalSemigroup
 
 RECORD_CACHE = 32    # most recent n whose spec and box stages stay cached; a box record
@@ -92,7 +92,7 @@ def bn_spec(n: int) -> BinomialSemigroupSpec:
     """The spec stage of the per-n record: factor n and record the family's
     gcd (p for prime powers, else 1), with no binomial computed.  Cached."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValueError(f"need n >= 2, got {_int_text(n)}")
     fac = tuple(factorize(n))
     return BinomialSemigroupSpec(n, fac, fac[0][0] if len(fac) == 1 else 1)
 
@@ -103,7 +103,7 @@ def bn_family(n: int) -> list[int]:
     and the row's own gcd, so it shares no arithmetic with the closed forms.
     Only k <= n/2 is built; C(n, n-k) = C(n, k) mirrors the same ints."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValueError(f"need n >= 2, got {_int_text(n)}")
     half = [n]
     for k in range(1, n // 2):
         half.append(half[-1] * (n - k) // (k + 1))
@@ -262,7 +262,8 @@ def decompose(n: int, m: int) -> Representation:
     is C(n, m)/p and the basis is the scaled system.
     """
     if n < 2 or not 1 <= m <= n - 1:
-        raise ValueError(f"decompose({n}, {m}) requires n >= 2 and 1 <= m <= n-1")
+        raise ValueError(
+            f"decompose({_int_text(n)}, {_int_text(m)}) requires n >= 2 and 1 <= m <= n-1")
     box = _proper_box(n)
     base = box.base
     scale = n // base  # p for n = p^m, else 1
@@ -287,9 +288,9 @@ def identity_pq_check(p: int, q: int, r: int) -> int:
     pq; this returns it, and raises RuntimeError if it is not.
     """
     if p == q or not (is_prime(p) and is_prime(q)):
-        raise ValueError(f"need two distinct primes, got {p}, {q}")
+        raise ValueError(f"need two distinct primes, got {_int_text(p)}, {_int_text(q)}")
     if not 0 <= r <= p * q or r % p == 0 or r % q == 0:
-        raise ValueError(f"r = {r} must lie in [0, {p * q}] and be coprime to {p * q}")
+        raise ValueError(f"r = {_int_text(r)} must lie in [0, {p * q}] and be coprime to {p * q}")
     n = p * q
     target = binomial(n, r)
     fixed = p * binomial(n, p) + q * binomial(n, q)
@@ -311,12 +312,13 @@ def identity_pm_check(p: int, m: int, r: int) -> int:
     this raises RuntimeError rather than return a fractional coefficient.
     """
     if not is_prime(p) or p == 2:
-        raise ValueError(f"p = {p} must be an odd prime")
+        raise ValueError(f"p = {_int_text(p)} must be an odd prime")
     if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+        raise ValueError(f"need m >= 2, got {_int_text(m)}")
     n = p**m
     if not 0 <= r <= n or r % p == 0:
-        raise ValueError(f"r = {r} must lie in [0, {n}] and not be a multiple of {p}")
+        raise ValueError(
+            f"r = {_int_text(r)} must lie in [0, {_int_text(n)}] and not be a multiple of {p}")
     target = binomial(n, r)
     fixed = sum(p ** (i - 2) * binomial(n, p ** (i - 1)) for i in range(2, m + 1))
     lead, rem = divmod(target - fixed, n)

@@ -33,18 +33,20 @@ most ELIDE_ABOVE; above that, `apery_set_elided` takes its place, so
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
 error (an invariant violation, a stdout closed by its reader, or any other
-unexpected exception), 64 usage error.  `verify --max-n` takes 4..VERIFY_CAP.
-n, multiplicities and --apery-base are capped at MAX_N, which is
-`exactmath.PRIME_CACHE_CAP`, so the prime cache covers every n accepted;
-`semigroup` and `core --semigroup` also refuse a multiplicity (or
---apery-base) times number of distinct generators above ENGINE_BUDGET,
-before the engine runs.
+unexpected exception), 64 usage error.  n, multiplicities and --apery-base
+are capped at MAX_N, which is `exactmath.PRIME_CACHE_CAP`, so the prime
+cache covers every n accepted.  One engine budget bounds every engine run,
+and is checked before the engine starts: `semigroup` and `core --semigroup`
+refuse a multiplicity (or --apery-base) times number of distinct generators
+above ENGINE_BUDGET, and `verify --max-n` takes 4 up to where the same
+product, summed over the composite n of the sweep, stays within it (354).
 """
 
 import json
 import os
 import sys
 import time
+from itertools import filterfalse
 from types import SimpleNamespace
 
 from . import binomial as bn
@@ -60,10 +62,10 @@ EXIT_USAGE = 64
 
 ELIDE_ABOVE = 1000     # text elides lists longer than this; report lists Ap up to this
                        # base, semigroup the gaps up to this genus
-VERIFY_CAP = 40        # largest --max-n the verify sweep accepts
-ENGINE_BUDGET = 6 * 10**6  # multiplicity x distinct generators the engine may take: a whole
-                           # `semigroup` call costs 0.9-1.7 us per class per generator
-                           # (m = 3*10^5 to 10^6), so about 10 s at the bound
+ENGINE_BUDGET = 6 * 10**6  # multiplicity x distinct generators the engine may take, summed
+                           # over a verify sweep: a whole `semigroup` call costs 0.9-1.7 us
+                           # per class per generator (m = 3*10^5 to 10^6), so about 10 s at
+                           # the bound
 
 
 class UsageError(Exception):
@@ -115,14 +117,21 @@ def _check_generators(generators, apery_base=None):
 
 def _verify_checks(max_n):
     """{name, passed, detail} of each closed form against the engine for the
-    composite n <= max_n, then of each arithmetic self-check."""
-    if not 4 <= max_n <= VERIFY_CAP:  # below 4, the least composite n, no closed form is checked
-        raise UsageError(f"--max-n {max_n} exceeds the cap {VERIFY_CAP}" if max_n > VERIFY_CAP
-                         else f"--max-n {max_n} is below 4; it takes 4..{VERIFY_CAP}")
+    composite n <= max_n, then of each arithmetic self-check.
+
+    The engine runs on bn_family(n), of multiplicity n/scale and n//2
+    distinct generators, so the sweep costs the sum of their products over
+    the composite n; before any engine work, the first n that takes the sum
+    past ENGINE_BUDGET refuses the call."""
+    if max_n < 4:  # below 4, the least composite n, no closed form is checked
+        raise UsageError(f"--max-n {max_n} is below 4, the least composite n")
+    cost = 0
+    for n in filterfalse(is_prime, range(4, max_n + 1)):
+        cost += n // bn.bn_spec(n).scale * (n // 2)
+        if cost > ENGINE_BUDGET:
+            raise UsageError(f"--max-n {max_n} exceeds the engine budget {ENGINE_BUDGET} at n={n}")
     checks = []
-    for n in range(4, max_n + 1):
-        if is_prime(n):
-            continue
+    for n in filterfalse(is_prime, range(4, max_n + 1)):
         cmp = bn.verify_closed_vs_oracle(n)
         for field, (closed, oracle) in sorted(cmp.fields.items()):
             ok = closed == oracle

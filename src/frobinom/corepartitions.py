@@ -17,21 +17,12 @@ from itertools import accumulate, compress, pairwise
 from operator import lt, mul
 
 from .binomial import _coordinates, _proper_box, bn_spec
+from .exactmath import _int_text
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
 ENUM_BOUND = 10**4   # largest Frobenius number enumerate_admissible will sweep
 PAIR_BOUND = 5 * 10**6  # most admissible pairs enumerate_admissible will list: ~0.5 GB of
                         # tuples, and above the (F-2)(F-3)/2 pairs any set with F <= 3000 can have
-
-
-def _int_text(x: int) -> str:
-    """x in decimal for a message, or its bit length when x has more digits
-    than the interpreter's int-to-str limit, so that building the message
-    cannot raise in place of the error it reports."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
 
 
 class NumericalSet:
@@ -168,7 +159,7 @@ def hook_set(partition: Partition) -> list[int]:
 def is_s_core(partition: Partition, s: int) -> bool:
     """True iff no hook length of the partition is divisible by s."""
     if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
+        raise ValueError(f"need s >= 1, got {_int_text(s)}")
     return all(h % s for h in hook_set(partition))
 
 
@@ -179,7 +170,7 @@ def is_triple_core(S: NumericalSet, s: int, p: int) -> bool:
     s, s+1, s+p.
     """
     if s < 1 or p < 2:
-        raise ValueError(f"need s >= 1 and p >= 2, got s={s}, p={p}")
+        raise ValueError(f"need s >= 1 and p >= 2, got s={_int_text(s)}, p={_int_text(p)}")
     A = a_set(S)
     return s in A and s + 1 in A and s + p in A
 

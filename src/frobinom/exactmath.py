@@ -67,6 +67,16 @@ _Sieve = namedtuple("_Sieve", "limit primes blocks")
 _sieve = _Sieve(1, array("I"), [])
 
 
+def _int_text(x: int) -> str:
+    """x in decimal for a message, or its bit length when x has more digits
+    than the interpreter's int-to-str limit, so that building the message
+    cannot raise in place of the error it reports."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), exactly.  Raises for k outside [0, n].
 
@@ -76,7 +86,7 @@ def binomial(n: int, k: int) -> int:
     module docstring gives the measured crossover.
     """
     if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial({n}, {k}) requires 0 <= k <= n")
+        raise ValueError(f"binomial({_int_text(n)}, {_int_text(k)}) requires 0 <= k <= n")
     j = min(k, n - k)
     if j < TREE_MIN_K or j * j < TREE_K2_PER_N * n or n > PRIME_CACHE_CAP:
         return comb(n, k)
@@ -168,7 +178,7 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 2 as [(p, multiplicity), ...], primes ascending."""
     if n < 2:
-        raise ValueError(f"cannot factor {n}: need n >= 2")
+        raise ValueError(f"cannot factor {_int_text(n)}: need n >= 2")
     out = []
     m = n
     p = 2
@@ -188,9 +198,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def p_adic_valuation(p: int, x: int) -> int:
     """Largest v with p^v dividing x, for x >= 1."""
     if x < 1:
-        raise ValueError(f"p-adic valuation of {x} is undefined here")
+        raise ValueError(f"p-adic valuation of {_int_text(x)} is undefined here")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_int_text(p)} is not prime")
     v = 0
     while x % p == 0:
         x //= p
@@ -205,9 +215,10 @@ def binomial_valuation_kummer(p: int, n: int, k: int) -> int:
     which makes it a useful cross-check for p_adic_valuation.
     """
     if k < 0 or k > n:
-        raise ValueError(f"binomial_valuation_kummer({p}, {n}, {k}) requires 0 <= k <= n")
+        raise ValueError(f"binomial_valuation_kummer({_int_text(p)}, {_int_text(n)}, "
+                         f"{_int_text(k)}) requires 0 <= k <= n")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_int_text(p)} is not prime")
     a, b = k, n - k
     carry = carries = 0
     while a or b or carry:
@@ -230,9 +241,10 @@ def sun_congruence_holds(p: int, a: int, m: int, n2: int) -> bool:
     degenerates to 1 == 1.
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_int_text(p)} is not prime")
     if not m >= n2 >= 0 or a < 0:
-        raise ValueError(f"need m >= n2 >= 0 and a >= 0, got a={a}, m={m}, n2={n2}")
+        raise ValueError(f"need m >= n2 >= 0 and a >= 0, got a={_int_text(a)}, "
+                         f"m={_int_text(m)}, n2={_int_text(n2)}")
     big = binomial(p**a * m, p**a * n2)
     small = binomial(m, n2)
     if p_adic_valuation(p, big) < p_adic_valuation(p, small):
@@ -256,10 +268,10 @@ def binom_residue_lemma(n: int, p: int, k: int) -> tuple[int, int]:
     if k < 1:
         raise ValueError("exponent k must be at least 1")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_int_text(p)} is not prime")
     pk = p**k
     if n % pk:
-        raise ValueError(f"{p}^{k} does not divide {n}")
+        raise ValueError(f"{p}^{k} does not divide {_int_text(n)}")
     return binomial(n, pk) % n, (n // pk) % n
 
 

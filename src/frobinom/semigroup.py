@@ -13,19 +13,27 @@ generator is added to a table mod m in O(m), so one pass over the sorted
 candidates keeps one table and finds the minimal system on the way.
 """
 
+import sys
 from collections import namedtuple
 from math import gcd, inf
+
+
+def _int_text(x: int) -> str:
+    """x in decimal for a message, or its bit length when x has more digits
+    than the interpreter's int-to-str limit.  A copy of `exactmath._int_text`:
+    the engine imports nothing from the package."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
 
 
 class NotANumericalSemigroup(ValueError):
     """The generating set has gcd > 1, so the complement is infinite."""
 
     def __init__(self, gcd_value: int):
-        try:
-            shown = str(gcd_value)
-        except ValueError:  # more digits than the interpreter's int-to-str limit
-            shown = f"<{gcd_value.bit_length()}-bit integer>"
-        super().__init__(f"generators have gcd {shown}; a numerical semigroup requires gcd 1")
+        super().__init__(
+            f"generators have gcd {_int_text(gcd_value)}; a numerical semigroup requires gcd 1")
         self.gcd = gcd_value
 
 
@@ -60,6 +68,10 @@ def _add_generator(table, g):
 def _apery_table(generators, base):
     """Least element of <base, generators> in each class mod base, and the
     generators that did not lie in <base, the earlier ones>."""
+    if base > sys.maxsize:  # refused before the table's one entry per class is allocated
+        raise ValueError(
+            f"Apery table base <{base.bit_length()}-bit integer> has more classes than a list "
+            "can index")
     table = [0] + [inf] * (base - 1)
     new = []
     for g in generators:
@@ -97,14 +109,14 @@ class NumericalSemigroup:
             self.multiplicity, tuple(_apery_table(self.generators, self.multiplicity)[0]))
 
     def __repr__(self):
-        return f"NumericalSemigroup({list(self.generators)})"
+        return f"NumericalSemigroup([{', '.join(map(_int_text, self.generators))}])"
 
     def apery_set(self, x: int | None = None) -> AperyTable:
         """Apery table at x, which must be a nonzero element (default: multiplicity)."""
         if x is None or x == self.multiplicity:
             return self.apery
         if x < 1 or x not in self:
-            raise ValueError(f"{x} is not a nonzero element of {self!r}")
+            raise ValueError(f"{_int_text(x)} is not a nonzero element of {self!r}")
         return AperyTable(x, tuple(_apery_table(self.generators, x)[0]))
 
     def __contains__(self, m: int) -> bool:

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from math import gcd
 
 import pytest
@@ -530,20 +531,64 @@ class TestVerify:
         assert all(c["passed"] for c in env["result"]["checks"])
 
     def test_bound_exits_64(self, capsys):
-        code, _, _ = run(capsys, "verify", "--max-n", "100")
+        code, _, _ = run(capsys, "verify", "--max-n", "355")
         assert code == 64
 
-    def test_cap_is_40(self, capsys):
-        code, out, err = run(capsys, "verify", "--max-n", "41")
+    @pytest.mark.parametrize("max_n", [355, 10**30])
+    def test_budget_refusal(self, capsys, monkeypatch, max_n):
+        # the sum stops at n = 355, whatever max_n is, and the engine never runs
+        monkeypatch.setattr(frobinom.binomial, "verify_closed_vs_oracle", engine_forbidden)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--max-n", str(max_n))
+        assert time.perf_counter() - started < 1
         assert (code, out) == (64, "")
-        assert err == "frobinom: error: --max-n 41 exceeds the cap 40\n"
+        assert err == (f"frobinom: error: --max-n {max_n} exceeds the engine budget 6000000 "
+                       "at n=355\n")
 
     @pytest.mark.parametrize("max_n", [3, 0, -5])
     def test_max_n_below_4_exits_64(self, capsys, max_n):
         # no composite n below 4: such a sweep would check no closed form
         code, out, err = run(capsys, "verify", "--max-n", str(max_n))
         assert (code, out) == (64, "")
-        assert err == f"frobinom: error: --max-n {max_n} is below 4; it takes 4..40\n"
+        assert err == f"frobinom: error: --max-n {max_n} is below 4, the least composite n\n"
+
+    def test_refused_exactly_over_the_engine_budget(self, capsys, monkeypatch):
+        # the sweep's cost is the engine budget's measure, multiplicity times
+        # distinct generators, of each composite n's family, summed up to max_n
+        swept = []
+
+        def stub(n):
+            swept.append(n)
+            return frobinom.binomial.OracleComparison(n, {"genus": (0, 0)})
+
+        monkeypatch.setattr(frobinom.binomial, "verify_closed_vs_oracle", stub)
+        monkeypatch.setattr(frobinom.cli, "invariant_report", lambda: [])
+        cost = 0
+        for max_n in range(4, 401):
+            if not is_prime(max_n):
+                family = bn_family(max_n)
+                cost += min(family) * len(set(family))
+            swept.clear()
+            code, out, err = run(capsys, "verify", "--max-n", str(max_n))
+            over = cost > frobinom.cli.ENGINE_BUDGET
+            assert code == (64 if over else 0), max_n
+            assert swept == ([] if over else [n for n in range(4, max_n + 1) if not is_prime(n)])
+            assert (out == "") == over and ("engine budget" in err) == over, max_n
+        assert cost > frobinom.cli.ENGINE_BUDGET  # the range reaches past the budget
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_reach_354_passes_within_2_s(self, capsys, fmt):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--max-n", "354", "--format", fmt)
+        assert time.perf_counter() - started < 2
+        assert code == 0
+        if fmt == "json":
+            checks = json.loads(out)["result"]["checks"]
+            assert all(check["passed"] for check in checks)
+            assert "n=354 genus" in [check["name"] for check in checks]
+        else:
+            assert "FAIL" not in out and "PASS  n=354 genus" in out
+            assert out.endswith("\nall checks passed\n")
 
     def test_wrong_binomial_fails_its_arithmetic_rows(self, capsys, monkeypatch):
         real = frobinom.exactmath.binomial

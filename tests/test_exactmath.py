@@ -401,3 +401,35 @@ def test_package_exports_no_modules():
         assert not inspect.ismodule(getattr(frobinom, name)), name
     assert inspect.ismodule(frobinom.binomial)
     assert frobinom.exactmath.binomial(10, 3) == 120
+
+
+LONG = 10**5000  # 5001 digits, over the interpreter's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize("call, args", [
+    ("factorize", (-LONG,)),
+    ("bn_spec", (-LONG,)),
+    ("bn_family", (-LONG,)),
+    ("decompose", (10, LONG)),
+    ("exactmath.binomial", (10, LONG)),
+    ("identity_pq_check", (LONG, 5, 1)),
+    ("identity_pq_check", (3, 5, LONG + 1)),
+    ("identity_pm_check", (3, -LONG, 1)),
+    ("identity_pm_check", (3, 2, LONG + 1)),
+    ("p_adic_valuation", (2, -LONG)),
+    ("binomial_valuation_kummer", (2, 5, LONG)),
+    ("sun_congruence_holds", (2, -LONG, 1, 0)),
+    ("is_s_core", (frobinom.Partition([1]), -LONG)),
+    ("is_triple_core", (frobinom.NumericalSet([1]), -LONG, 2)),
+], ids=["factorize", "bn_spec", "bn_family", "decompose", "binomial", "identity_pq_check-p",
+        "identity_pq_check-r", "identity_pm_check-m", "identity_pm_check-r", "p_adic_valuation",
+        "binomial_valuation_kummer", "sun_congruence_holds", "is_s_core", "is_triple_core"])
+def test_messages_name_long_ints_by_bit_length(call, args):
+    # building the message must not raise in place of the error it reports
+    function = frobinom
+    for name in call.split("."):
+        function = getattr(function, name)
+    with pytest.raises(ValueError) as err:
+        function(*args)
+    assert "-bit integer>" in str(err.value)
+    assert "Exceeds the limit" not in str(err.value)

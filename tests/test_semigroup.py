@@ -148,6 +148,30 @@ class TestAperySet:
         with pytest.raises(ValueError):
             S.apery_set(7)
 
+    # bases of 2^63 or more, which no list can index, are refused before the
+    # table is allocated; a base a list could index is never tried here
+    @pytest.mark.parametrize("build, bits", [
+        (lambda: NumericalSemigroup([5, 7]).apery_set(10**5000 + 1), 16610),
+        (lambda: NumericalSemigroup([5, 7]).apery_set(2**63), 64),
+        (lambda: NumericalSemigroup([2**63, 2**63 + 1]), 64),
+    ], ids=["apery_set-long", "apery_set-2^63", "multiplicity-2^63"])
+    def test_base_no_list_can_index(self, build, bits):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == (f"Apery table base <{bits}-bit integer> has more classes "
+                                  "than a list can index")
+
+    def test_long_ints_in_the_base_message(self):
+        # the message names ints over str()'s digit limit by their bit length
+        with pytest.raises(ValueError) as err:
+            NumericalSemigroup([5, 7]).apery_set(-10**5000)
+        assert str(err.value) == ("-<16610-bit integer> is not a nonzero element of "
+                                  "NumericalSemigroup([5, 7])")
+        with pytest.raises(ValueError) as err:
+            NumericalSemigroup([2, 10**5000 + 1]).apery_set(3)
+        assert str(err.value) == ("3 is not a nonzero element of "
+                                  "NumericalSemigroup([2, <16610-bit integer>])")
+
     @given(gen_sets)
     @settings(max_examples=60)
     def test_structural_invariants(self, gens):
