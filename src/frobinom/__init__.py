@@ -23,14 +23,13 @@ from .binomial import (
     DegenerateSemigroupError,
     Representation,
     bn_apery_closed,
-    bn_family,
     bn_report,
     bn_spec,
     decompose,
     identity_pm_check,
     identity_pq_check,
-    verify_closed_vs_oracle,
 )
+from .oracle import bn_family, verify_closed_vs_oracle
 from .corepartitions import (
     AdmissiblePairResult,
     NumericalSet,

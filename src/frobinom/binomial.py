@@ -11,12 +11,13 @@ system, Frobenius number and genus are sums over the box.
 `bn_report` carries the box itself, as `apery_box`, so it costs O(box) at
 any n.  Only `bn_apery_closed` lists the Apery set, which has one element
 per residue class: the CLI's `report` calls it when the base is at most
-1000, and `verify_closed_vs_oracle` to compare the set with the engine's.
-`decompose` and the triple completion in `corepartitions` look up single
-residues in two steps: `_coordinates` solves the box coordinates of the
-residue as base-p digits, in word-size integers, and one sum of coordinate
-times value forms the element.  Everything can be cross-checked against the
-generic engine in `semigroup`.
+1000, and `oracle.verify_closed_vs_oracle` to compare the set with the
+engine's.  `decompose` and the triple completion in `corepartitions` look up
+single residues in two steps: `_coordinates` solves the box coordinates of
+the residue as base-p digits, in word-size integers, and one sum of
+coordinate times value forms the element.  This module imports nothing from
+the generic engine in `semigroup`; `oracle` cross-checks every closed form
+here against it.
 
 Per-n data is cached in two stages (the RECORD_CACHE most recent n of
 each).  The spec stage, `bn_spec(n)`, is the factorization and the scale
@@ -38,7 +39,6 @@ from math import gcd
 from operator import mul
 
 from .exactmath import _int_text, binomial, factorize, is_prime
-from .semigroup import NumericalSemigroup
 
 RECORD_CACHE = 32    # most recent n whose spec and box stages stay cached; a box record
                      # is a few KB for squarefree n, at most ~0.37 MB for n <= 10^6
@@ -95,22 +95,6 @@ def bn_spec(n: int) -> BinomialSemigroupSpec:
         raise ValueError(f"need n >= 2, got {_int_text(n)}")
     fac = tuple(factorize(n))
     return BinomialSemigroupSpec(n, fac, fac[0][0] if len(fac) == 1 else 1)
-
-
-def bn_family(n: int) -> list[int]:
-    """The full generating family C(n,1), ..., C(n,n-1), divided by its gcd: the
-    engine's input, by Pascal's rule C(n, k+1) = C(n, k) * (n - k) / (k + 1)
-    and the row's own gcd, so it shares no arithmetic with the closed forms.
-    Only k <= n/2 is built; C(n, n-k) = C(n, k) mirrors the same ints."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {_int_text(n)}")
-    half = [n]
-    for k in range(1, n // 2):
-        half.append(half[-1] * (n - k) // (k + 1))
-    g = gcd(*half)
-    if g > 1:
-        half = [v // g for v in half]
-    return half + half[:(n - 1) // 2][::-1]
 
 
 class _Box(namedtuple(
@@ -328,38 +312,3 @@ def identity_pm_check(p: int, m: int, r: int) -> int:
             f"the identity's leading coefficient fails integrality at p={p}, m={m}, r={r} "
             "(it is integral exactly when p divides m - 1)")
     return lead
-
-
-class OracleComparison(namedtuple("OracleComparison", "n fields")):
-    """Field-by-field comparison of the closed forms against the generic engine.
-
-    fields maps each name to (closed form, engine); `mismatches` names the
-    fields where the two differ, and is empty when every field agrees.
-    """
-    __slots__ = ()
-
-    @property
-    def mismatches(self) -> list[str]:
-        return sorted(name for name, (a, b) in self.fields.items() if a != b)
-
-
-def verify_closed_vs_oracle(n: int) -> OracleComparison:
-    """Diff every closed form against the generic engine run on `bn_family(n)`;
-    mismatches are reported, not raised.  n = 30030 takes about 0.6 s."""
-    report = bn_report(n)
-    base, apery = bn_apery_closed(n)
-    engine = NumericalSemigroup(bn_family(n))
-    oracle_apery = engine.apery_set(base)
-    pseudo_frobenius = tuple(engine.pseudo_frobenius())
-    fields = {
-        "minimal_generators": (report.minimal_generators, engine.generators),
-        "embedding_dimension": (report.embedding_dimension, len(engine.generators)),
-        "apery_set": (apery, tuple(sorted(oracle_apery.entries))),
-        "frobenius": (report.frobenius, engine.frobenius()),
-        "genus": (report.genus, engine.genus()),
-        "pseudo_frobenius": (report.pseudo_frobenius, pseudo_frobenius),
-        "type": (report.type, len(pseudo_frobenius)),
-        "symmetric": (report.symmetric, engine.is_symmetric()),
-        "telescopic": (report.telescopic, engine.is_telescopic()),
-    }
-    return OracleComparison(n, fields)

@@ -39,7 +39,9 @@ cache covers every n accepted.  One engine budget bounds every engine run,
 and is checked before the engine starts: `semigroup` and `core --semigroup`
 refuse a multiplicity (or --apery-base) times number of distinct generators
 above ENGINE_BUDGET, and `verify --max-n` takes 4 up to where the same
-product, summed over the composite n of the sweep, stays within it (354).
+product for each n's engine run, `oracle.engine_cost(n)`, summed over the
+composite n of the sweep, stays within it (354).  `verify` reads the
+comparison of each n from `oracle.verify_closed_vs_oracle`.
 """
 
 import json
@@ -51,6 +53,7 @@ from types import SimpleNamespace
 
 from . import binomial as bn
 from . import corepartitions as core
+from . import oracle
 from .exactmath import PRIME_CACHE_CAP as MAX_N, invariant_report, is_prime
 from .semigroup import NumericalSemigroup
 
@@ -119,23 +122,22 @@ def _verify_checks(max_n):
     """{name, passed, detail} of each closed form against the engine for the
     composite n <= max_n, then of each arithmetic self-check.
 
-    The engine runs on bn_family(n), of multiplicity n/scale and n//2
-    distinct generators, so the sweep costs the sum of their products over
-    the composite n; before any engine work, the first n that takes the sum
-    past ENGINE_BUDGET refuses the call."""
+    The sweep costs the sum of `oracle.engine_cost(n)` over the composite n;
+    before any engine work, the first n that takes the sum past
+    ENGINE_BUDGET refuses the call."""
     if max_n < 4:  # below 4, the least composite n, no closed form is checked
         raise UsageError(f"--max-n {max_n} is below 4, the least composite n")
     cost = 0
     for n in filterfalse(is_prime, range(4, max_n + 1)):
-        cost += n // bn.bn_spec(n).scale * (n // 2)
+        cost += oracle.engine_cost(n)
         if cost > ENGINE_BUDGET:
             raise UsageError(f"--max-n {max_n} exceeds the engine budget {ENGINE_BUDGET} at n={n}")
     checks = []
     for n in filterfalse(is_prime, range(4, max_n + 1)):
-        cmp = bn.verify_closed_vs_oracle(n)
-        for field, (closed, oracle) in sorted(cmp.fields.items()):
-            ok = closed == oracle
-            detail = "" if ok else f"closed={closed!r} oracle={oracle!r}"
+        cmp = oracle.verify_closed_vs_oracle(n)
+        for field, (closed, engine) in sorted(cmp.fields.items()):
+            ok = closed == engine
+            detail = "" if ok else f"closed={closed!r} oracle={engine!r}"
             checks.append({"name": f"n={n} {field}", "passed": ok, "detail": detail})
     for label, ok in invariant_report():
         checks.append({"name": label, "passed": ok, "detail": ""})

@@ -150,9 +150,10 @@ def hook_set(partition: Partition) -> list[int]:
     They are the positive integers missing from A(S), where S is the
     NumericalSet (so F <= SET_BOUND) whose gaps are p_i + i for the parts
     p_0 <= p_1 <= ... (Keith and Nath, "Partitions with prescribed
-    hooksets", 2011).
+    hooksets", 2011).  The argument is read as a `Partition`, so parts that
+    are not positive and weakly decreasing raise its ValueError.
     """
-    S = NumericalSet(p + i for i, p in enumerate(reversed(partition)))
+    S = NumericalSet(p + i for i, p in enumerate(reversed(Partition(partition))))
     return _a_set_gaps(S._member)
 
 

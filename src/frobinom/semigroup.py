@@ -4,8 +4,8 @@ A numerical semigroup is an additively closed, co-finite subset of the
 nonnegative integers containing 0.  This module computes with arbitrary
 generating sets: minimal generators, Apery tables, Frobenius number, genus,
 gaps, pseudo-Frobenius numbers, symmetry and the telescopic chain condition.
-It serves as the brute-force oracle against which the closed forms in
-`binomial` are cross-checked.
+It serves as the brute-force oracle against which `oracle` cross-checks
+the closed forms in `binomial`.
 
 Apery tables come from the round robin of Böcker and Lipták ("A fast and
 simple algorithm for the money changing problem", Algorithmica 2007): one

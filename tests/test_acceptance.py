@@ -18,7 +18,6 @@ from frobinom.binomial import (
     bn_spec,
     decompose,
     identity_pq_check,
-    verify_closed_vs_oracle,
 )
 from frobinom.corepartitions import (
     NumericalSet,
@@ -37,6 +36,7 @@ from frobinom.exactmath import (
     is_prime,
     sun_congruence_holds,
 )
+from frobinom.oracle import verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup
 
 

@@ -15,17 +15,16 @@ from frobinom.binomial import (
     _coordinates,
     _proper_box,
     bn_apery_closed,
-    bn_family,
     bn_report,
     bn_spec,
     decompose,
     identity_pm_check,
     identity_pq_check,
-    verify_closed_vs_oracle,
 )
 from frobinom.cli import main
 from frobinom.corepartitions import algorithm1, exists_admissible_bn
 from frobinom.exactmath import binomial, is_prime
+from frobinom.oracle import bn_family, verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup, minimal_generators
 
 COMPOSITES_30 = [n for n in range(4, 31) if not is_prime(n)]

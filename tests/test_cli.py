@@ -18,9 +18,11 @@ import frobinom.binomial
 import frobinom.cli
 import frobinom.corepartitions
 import frobinom.exactmath
-from frobinom.binomial import bn_apery_closed, bn_family, bn_report
+import frobinom.oracle
+from frobinom.binomial import bn_apery_closed, bn_report
 from frobinom.cli import main
 from frobinom.exactmath import is_prime
+from frobinom.oracle import bn_family
 from frobinom.semigroup import NumericalSemigroup
 
 
@@ -537,7 +539,7 @@ class TestVerify:
     @pytest.mark.parametrize("max_n", [355, 10**30])
     def test_budget_refusal(self, capsys, monkeypatch, max_n):
         # the sum stops at n = 355, whatever max_n is, and the engine never runs
-        monkeypatch.setattr(frobinom.binomial, "verify_closed_vs_oracle", engine_forbidden)
+        monkeypatch.setattr(frobinom.oracle, "verify_closed_vs_oracle", engine_forbidden)
         started = time.perf_counter()
         code, out, err = run(capsys, "verify", "--max-n", str(max_n))
         assert time.perf_counter() - started < 1
@@ -559,9 +561,9 @@ class TestVerify:
 
         def stub(n):
             swept.append(n)
-            return frobinom.binomial.OracleComparison(n, {"genus": (0, 0)})
+            return frobinom.oracle.OracleComparison(n, {"genus": (0, 0)})
 
-        monkeypatch.setattr(frobinom.binomial, "verify_closed_vs_oracle", stub)
+        monkeypatch.setattr(frobinom.oracle, "verify_closed_vs_oracle", stub)
         monkeypatch.setattr(frobinom.cli, "invariant_report", lambda: [])
         cost = 0
         for max_n in range(4, 401):

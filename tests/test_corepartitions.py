@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import frobinom.binomial
 import frobinom.corepartitions
 from frobinom.binomial import (
-    _box, _coordinates, _proper_box, bn_apery_closed, bn_family, bn_report, bn_spec, decompose)
+    _box, _coordinates, _proper_box, bn_apery_closed, bn_report, bn_spec, decompose)
 from frobinom.corepartitions import (
     ENUM_BOUND,
     PAIR_BOUND,
@@ -32,6 +32,7 @@ from frobinom.corepartitions import (
     partition_of,
 )
 from frobinom.exactmath import binomial, factorize, is_prime
+from frobinom.oracle import bn_family
 from frobinom.semigroup import NumericalSemigroup
 
 
@@ -295,6 +296,19 @@ class TestHookSet:
         assert hook_set(Partition((6, 5, 3, 2, 1, 1, 1, 1))) == [1, 2, 3, 4, 6, 8, 11, 13]
         assert hook_set(Partition((1,))) == [1]
         assert hook_set(Partition(())) == []
+
+    def test_plain_parts_are_validated(self):
+        # a tuple or list of parts is read as a Partition, so parts that are
+        # not one raise its error, not a hook set of some other shape
+        for parts, message in (((1, 2), "partition parts must be weakly decreasing"),
+                               ([3, 1, 2], "partition parts must be weakly decreasing"),
+                               ((0,), "partition parts must be positive")):
+            for call in (lambda: hook_set(parts), lambda: is_s_core(parts, 3)):
+                with pytest.raises(ValueError) as caught:
+                    call()
+                assert str(caught.value) == message, parts
+        assert hook_set((2, 1)) == hook_set(Partition((2, 1))) == [1, 3]
+        assert not is_s_core((2, 1), 3)
 
     def test_well_tempered_hooks(self):
         expected = sorted(set(range(1, 12)) | set(range(13, 19)) | set(range(20, 24))

@@ -29,6 +29,20 @@ def test_engine_and_arithmetic_import_no_frobinom_module():
                 assert module.split(".")[0] != "frobinom", (name, ast.unparse(node))
 
 
+def test_closed_forms_import_neither_engine_nor_oracle():
+    # below the CLI, only `oracle` brings the closed forms and the engine together
+    for name in ("exactmath.py", "binomial.py", "corepartitions.py"):
+        for node in ast.walk(parsed(name)):
+            if isinstance(node, ast.ImportFrom):
+                # `from . import oracle` names the module as an imported name
+                words = {*(node.module or "").split("."), *(a.name for a in node.names)}
+            elif isinstance(node, ast.Import):
+                words = {word for alias in node.names for word in alias.name.split(".")}
+            else:
+                continue
+            assert words.isdisjoint({"semigroup", "oracle"}), (name, ast.unparse(node))
+
+
 def private_reads(owner, private):
     """Imports and attribute reads of the `private` names outside `owner`."""
     for path in sorted(PACKAGE.glob("*.py")):
@@ -87,7 +101,8 @@ def test_private_imports_between_modules():
     assert imported == {("corepartitions.py", "binomial", "_coordinates"),
                         ("corepartitions.py", "binomial", "_proper_box"),
                         ("binomial.py", "exactmath", "_int_text"),
-                        ("corepartitions.py", "exactmath", "_int_text")}
+                        ("corepartitions.py", "exactmath", "_int_text"),
+                        ("oracle.py", "exactmath", "_int_text")}
 
 
 def test_only_binomial_reads_the_box_record():
@@ -102,7 +117,7 @@ def test_only_corepartitions_reads_the_set_bitmap():
 def test_oracle_family_shares_no_arithmetic_with_the_closed_forms():
     # the engine's input is built from Pascal's rule, not from the closed
     # forms' binomials, factorization or per-n record
-    tree = parsed("binomial.py")
+    tree = parsed("oracle.py")
     body = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "bn_family")
     named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
