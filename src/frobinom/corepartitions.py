@@ -321,10 +321,12 @@ def exists_admissible_bn(n: int, p: int) -> int:
         if triple[2] >= f:
             k = (triple[2] - f) // base + 1
             triple = tuple(x - k * base for x in triple)
-        # each entry lies in the class of its representative, so it is in
-        # the semigroup iff it is at least that representative; all are when
-        # the smallest entry is at least top, the largest representative
-        if triple[0] >= 1 and triple[2] < f and (triple[0] >= top or all(
+        # the lowering leaves triple[2] < F (k * base > triple[2] - F), so
+        # s >= 1 and membership are left.  Each entry lies in the class of
+        # its representative, so it is in the semigroup iff it is at least
+        # that representative; all are when the smallest entry is at least
+        # top, the largest representative
+        if triple[0] >= 1 and (triple[0] >= top or all(
                 x >= sum(map(mul, c, box.values)) for x, c in zip(triple, coords))):
             return triple[0]
     raise RuntimeError(

@@ -166,15 +166,18 @@ class NumericalSemigroup:
 
         With d_1 = n_1 and d_i = gcd(d_{i-1}, n_i), every n_i/d_i must lie in
         the semigroup generated by n_1/d_{i-1}, ..., n_{i-1}/d_{i-1}.  The
-        scaled prefix always has gcd 1, so membership is decided by this
-        same engine.  ⟨1⟩ is telescopic by convention.
+        scaled prefix always has gcd 1, so one Apery table pass over it, at
+        its least member, decides membership: x is in it iff x is at least
+        the table's entry in x's class.  No prefix semigroup is built.  ⟨1⟩
+        is telescopic by convention.
         """
         gens = self.generators
         d = gens[0]
         for i in range(1, len(gens)):
             d_next = gcd(d, gens[i])
-            prefix = NumericalSemigroup([g // d for g in gens[:i]])
-            if gens[i] // d_next not in prefix:
+            table = _apery_table([g // d for g in gens[:i]], gens[0] // d)[0]
+            x = gens[i] // d_next
+            if x < table[x % len(table)]:
                 return False
             d = d_next
         return True

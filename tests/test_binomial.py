@@ -536,6 +536,16 @@ class TestOracleEquivalence:
             verify_closed_vs_oracle(n)
         assert calls == [6, 3, 30, 2048]
 
+    def test_the_engine_table_is_read_not_rebuilt(self, monkeypatch):
+        # the closed listing is compared with the engine's own table, at its
+        # multiplicity: no table is asked for at the closed base
+        def forbidden(self, x=None):
+            raise AssertionError("the oracle asked for another Apery table")
+
+        monkeypatch.setattr(NumericalSemigroup, "apery_set", forbidden)
+        for n in (6, 9, 30, 4096):
+            assert not verify_closed_vs_oracle(n).mismatches, n
+
     def test_closed_telescopic_claim_matches_engine_up_to_30(self):
         for n in COMPOSITES_30:
             assert NumericalSemigroup(bn_family(n)).is_telescopic(), n

@@ -622,6 +622,33 @@ class TestVerify:
         assert failed[1].endswith("closed=26 oracle=25")
         assert out.endswith("\nMISMATCHES FOUND\n")
 
+    def test_wrong_closed_base_fails_only_the_generator_rows(self, capsys, monkeypatch):
+        # the oracle compares the closed listing with the engine's own table,
+        # so a closed base off by one is a reported mismatch, not an engine
+        # error about a base that is no element (7 is not in S(B_6))
+        real_report, real_apery = frobinom.binomial.bn_report, frobinom.binomial.bn_apery_closed
+
+        def report(n):
+            r = real_report(n)
+            gens = (r.minimal_generators[0] + 1, *r.minimal_generators[1:])
+            return r._replace(minimal_generators=gens, apery_base=r.apery_base + 1)
+
+        def apery(n):
+            base, listing = real_apery(n)
+            return base + 1, listing
+
+        monkeypatch.setattr(frobinom.binomial, "bn_report", report)
+        monkeypatch.setattr(frobinom.binomial, "bn_apery_closed", apery)
+        code, out, _ = run(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        failed = [line.split()[1:3] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == [["n=4", "minimal_generators"], ["n=6", "minimal_generators"]]
+        assert out.endswith("\nMISMATCHES FOUND\n")
+        code, env, _ = run_json(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        failed = [c["name"] for c in env["result"]["checks"] if not c["passed"]]
+        assert failed == ["n=4 minimal_generators", "n=6 minimal_generators"]
+
 
 class TestClosedStdout:
     # the read end of the pipe is closed before the child writes, so even a

@@ -5,7 +5,7 @@ import pickle
 import random
 import time
 from functools import cache
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, gcd
 from operator import add
 
@@ -874,6 +874,22 @@ class TestAlgorithm1:
                         assert out.triple[2] < bn_report(n).frobenius, (n, seed, p)
 
 
+# The corrected existence statement (criterion 9 keeps the published one).
+# With s0 the least s >= 1 that has s and s + 1 in S, no admissible pair has
+# p >= F - s0, since s >= s0 forces s + p >= F; below that tail the
+# negatives are one progression, F - s0 - k * base for k = 1..K.  K, by n,
+# is read off the ground truth: it has no formula yet.
+PROGRESSION_LENGTH = {4: 0, 6: 2, 8: 0, 9: 8, 10: 4, 12: 0, 16: 0, 14: 6, 15: 30, 25: 2125}
+
+
+def assert_tail_plus_progression(searched, negative, tail, base, k_max):
+    """Every searched p >= tail is negative, and the negatives below the
+    tail are exactly tail - k * base for k = 1..k_max."""
+    assert all(p in negative for p in searched if p >= tail), tail
+    assert sorted(p for p in negative if p < tail) == [
+        tail - k * base for k in range(k_max, 0, -1)], tail
+
+
 class TestExistsAdmissible:
     def test_verified_for_n50_p6(self):
         s = exists_admissible_bn(50, 6)
@@ -940,21 +956,26 @@ class TestExistsAdmissible:
             report = bn_report(n)
             base, f = report.apery_base, report.frobenius
             listed = {}
-            engine_set = NumericalSet.from_semigroup(NumericalSemigroup(bn_family(n)))
-            for s, p in enumerate_admissible(engine_set):
+            engine = NumericalSemigroup(bn_family(n))
+            for s, p in enumerate_admissible(NumericalSet.from_semigroup(engine)):
                 listed.setdefault(p, set()).add(s)
+            ps, negative = [], set()
             for p in range(2, f):
                 if p % base in (0, 1):
                     continue
-                searched += 1
+                ps.append(p)
                 if p in listed:
                     assert exists_admissible_bn(n, p) in listed[p], (n, p)
                     continue
-                negatives += 1
+                negative.add(p)
                 # p = F - 1 is refused before any walk (n = 10, 12, 16)
                 with pytest.raises(RuntimeError,
                                    match="exhausted all" if p < f - 1 else "cannot both hold"):
                     exists_admissible_bn(n, p)
+            s0 = next(s for s in count(1) if s in engine and s + 1 in engine)
+            assert_tail_plus_progression(ps, negative, f - s0, base, PROGRESSION_LENGTH[n])
+            searched += len(ps)
+            negatives += len(negative)
         assert (searched, negatives) == (7274, 5694)
         # one negative by name: S(B_8) = <4, 14, 35>, F = 45, has no
         # admissible pair with p = 11, and the search says so
@@ -981,21 +1002,21 @@ class TestExistsAdmissible:
         ps = range(2, f)
         if counts is None:
             ps = {*range(2, 2001), *random.Random(n).sample(range(2001, f), 2000), f - 1}
-        searched = negatives = 0
-        for p in sorted(ps):
-            if p % base in (0, 1):
-                continue
-            searched += 1
+        searched, negative = [p for p in sorted(ps) if p % base not in (0, 1)], set()
+        for p in searched:
             admissible = pair_starts & member >> p & ((1 << (f - p)) - 2)
             try:
                 s = exists_admissible_bn(n, p)
             except RuntimeError:
                 assert not admissible, (n, p)
-                negatives += 1
+                negative.add(p)
                 continue
             assert admissible >> s & 1, (n, p, s)
-        assert negatives
-        assert counts is None or (searched, negatives) == counts
+        assert negative
+        if counts is not None:
+            assert (len(searched), len(negative)) == counts
+            s0 = next(s for s in count(1) if pair_starts >> s & 1)
+            assert_tail_plus_progression(searched, negative, f - s0, base, PROGRESSION_LENGTH[n])
 
     def test_p_above_f_minus_2_is_refused_without_a_walk(self, monkeypatch):
         calls = []

@@ -7,8 +7,9 @@ with no shortest-path machinery, so the two routes share nothing.
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import frobinom.semigroup
 from frobinom.exactmath import binomial
 from frobinom.semigroup import (
     AperyTable,
@@ -36,6 +37,21 @@ def dp_apery(gens, base, limit):
             table[x % base] = x
     assert all(w is not None for w in table)
     return table
+
+
+def chain_telescopic(raw):
+    """Oracle: the telescopic chain condition read off its definition.  The
+    minimal generators n_1 < ... < n_e are the members of `raw` that the
+    smaller ones do not reach; d_i = gcd(n_1, ..., n_i), and each n_i/d_i
+    must be reachable from n_1/d_{i-1}, ..., n_{i-1}/d_{i-1}."""
+    gens = sorted(set(raw))
+    gens = [g for g in gens if not dp_members([h for h in gens if h < g], g)[g]]
+    for i in range(1, len(gens)):
+        prefix = [g // gcd(*gens[:i]) for g in gens[:i]]
+        target = gens[i] // gcd(*gens[:i + 1])
+        if not dp_members(prefix, target)[target]:
+            return False
+    return True
 
 
 # generator sets with small multiplicity; gcd filtered to 1
@@ -322,3 +338,27 @@ class TestSymmetryAndTelescopic:
             return
         if S.is_telescopic():
             assert S.is_symmetric()
+
+    @given(gen_sets)
+    @example([6, 15, 20]).via("telescopic")
+    @example([8, 12, 18, 27]).via("telescopic, four generators")
+    @example([5, 7, 9]).via("not telescopic")
+    @example([4, 5, 6]).via("not telescopic: 6 is not in <4, 5>")
+    @settings(max_examples=150)
+    def test_telescopic_against_the_chain_definition(self, gens):
+        assume(gcd(*gens) == 1)
+        assert NumericalSemigroup(gens).is_telescopic() == chain_telescopic(gens)
+
+    def test_telescopic_builds_no_semigroup(self, monkeypatch):
+        # each prefix's membership is read off one Apery table pass; no
+        # prefix semigroup, and so no minimal-generator pass, is made
+        S = NumericalSemigroup([6, 15, 20])
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return minimal_generators(raw)
+
+        monkeypatch.setattr(frobinom.semigroup, "minimal_generators", counted)
+        assert S.is_telescopic()
+        assert calls == []
