@@ -126,16 +126,19 @@ def _box(n: int) -> _Box:
     powers p^j dividing `base`; for n = p^m the family is scaled by 1/p, so
     the base is p^(m-1) and the values are C(n, p^j)/p for j < m.  With p^k
     the p-part of `base`, e = k - j is the p-adic valuation of the value
-    (Kummer's theorem).  Prime n gives base 1 and no generators.
+    (Kummer's theorem).  Prime n gives base 1, where the scaled family
+    holds 1, and raises DegenerateSemigroupError before any binomial.
     """
     spec = bn_spec(n)
+    base = n // spec.scale
+    if base == 1:
+        raise DegenerateSemigroupError(n)
     gens = []
     for p, k in spec.factorization:
         if p == spec.scale:
             k -= 1
         gens.extend((binomial(n, p**j) // spec.scale, p, k - j) for j in range(1, k + 1))
     gens.sort()
-    base = n // spec.scale
     steps = []
     for i in sorted(range(len(gens)), key=lambda i: gens[i][2]):
         value, p, e = gens[i]
@@ -156,13 +159,6 @@ def _box(n: int) -> _Box:
     frobenius = below - base
     return _Box(base, tuple(gens), tuple(value for value, _, _ in gens), ordered,
                 tuple(steps), frobenius, frobenius % base)
-
-
-def _proper_box(n: int) -> _Box:
-    box = _box(n)
-    if box.base == 1:
-        raise DegenerateSemigroupError(n)
-    return box
 
 
 def _coordinates(box: _Box, r: int) -> list[int]:
@@ -193,7 +189,7 @@ def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
     This is the only function that enumerates the box; single residues come
     from `_coordinates`.
     """
-    box = _proper_box(n)
+    box = _box(n)
     base = box.base
     sums = [0]
     for value, p, _ in box.gens:
@@ -216,7 +212,7 @@ def bn_report(n: int) -> BinomialSemigroupReport:
     (p - 1) * value over the box minus the base.  The semigroup is symmetric,
     so the genus is (F + 1)/2.  Prime n raises DegenerateSemigroupError.
     """
-    box = _proper_box(n)
+    box = _box(n)
     base, f = box.base, box.frobenius
     genus, odd = divmod(f + 1, 2)
     if odd:
@@ -248,7 +244,7 @@ def decompose(n: int, m: int) -> Representation:
     if n < 2 or not 1 <= m <= n - 1:
         raise ValueError(
             f"decompose({_int_text(n)}, {_int_text(m)}) requires n >= 2 and 1 <= m <= n-1")
-    box = _proper_box(n)
+    box = _box(n)
     base = box.base
     scale = n // base  # p for n = p^m, else 1
     value = binomial(n, m) // scale

@@ -221,14 +221,12 @@ def _run_core(args):
         S = core.NumericalSet(args.gaps)
         gaps, hooks = S.gaps(), core.a_set(S).gaps()
         echo = {"gaps": list(args.gaps)}
-    # by the hook theorem the hooks of the partition are the gaps of A(S), so
-    # the largest hook is F(A(S)), and -1 when there is none
+    # by the hook theorem the hooks of the partition are the gaps of A(S)
     result = {
         "frobenius": S.frobenius,
         "gaps": gaps,
         "partition": list(core.partition_of(S)),
         "hook_set": hooks,
-        "a_set_frobenius": hooks[-1] if hooks else -1,
     }
     return echo, result, EXIT_OK
 
@@ -282,10 +280,10 @@ def _fmt_tuple(values):
 
 
 def _a_set_text(result):
-    # A(S) is its members up to F + 1, then every integer above; its gaps
-    # are the hooks, and the members are listed only when there are at most
-    # ELIDE_ABOVE of them
-    f, gaps = result["a_set_frobenius"], result["hook_set"]
+    # A(S) has the Frobenius number F of S, so it is its members up to F + 1,
+    # then every integer above; its gaps are the hooks, and the members are
+    # listed only when there are at most ELIDE_ABOVE of them
+    f, gaps = result["frobenius"], result["hook_set"]
     count = f + 2 - len(gaps)
     if count > ELIDE_ABOVE:
         return _elided(count, 0, f + 1)

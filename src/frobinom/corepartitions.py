@@ -11,12 +11,11 @@ s + p below the Frobenius number; the closed-form Apery lookups from
 semigroups at sizes where the gap set itself is astronomically large.
 """
 
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate, compress, pairwise
 from operator import lt, mul
 
-from .binomial import _coordinates, _proper_box, bn_spec
+from .binomial import _box, _coordinates, bn_spec
 from .exactmath import _int_text
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
@@ -133,7 +132,11 @@ def _a_set_gaps(member) -> list[int]:
 
 def a_set(S: NumericalSet) -> NumericalSet:
     """A(S) = {x >= 0 : x + s in S for all s in S}; a subset of S, equal to S
-    when S is additively closed."""
+    when S is additively closed.
+
+    A(S) has the Frobenius number of S: it lies inside S (take s = 0), F + 0
+    is not in S, and x + s > F for every x > F and s >= 0.
+    """
     return NumericalSet(_a_set_gaps(S._member))
 
 
@@ -188,13 +191,10 @@ def enumerate_admissible(S: NumericalSet) -> list[tuple[int, int]]:
     f = S.frobenius
     if f > ENUM_BOUND:
         raise ValueError(f"Frobenius number {f} exceeds the enumeration bound {ENUM_BOUND}")
-    A = a_set(S)
-    # A(S) is a subset of S, so F(A) >= F(S): A's members below F(S) are a
-    # prefix of those below F(A)
-    members = A.members_below_frobenius()
-    members = members[:bisect_left(members, f)]
+    # F(A(S)) = F(S), so A's members below its own Frobenius number are those below F
+    members = a_set(S).members_below_frobenius()
     # each s with s, s+1 in A pairs with every member q >= s + 2 below F, the
-    # members after s + 1; s = F - 1 pairs with none, so the cut loses no pair
+    # members after s + 1
     starts = [(s, i + 2) for i, (s, t) in enumerate(pairwise(members)) if s >= 1 and t == s + 1]
     count = sum(len(members) - i for _, i in starts)
     if count > PAIR_BOUND:
@@ -276,7 +276,7 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
             f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
             f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True (--force-base) "
             "to run against that base")
-    box = _proper_box(n)
+    box = _box(n)
     f, base = box.frobenius, box.base
     _check_p(base, p)
     coords, top, triple = _triple(box, s_seed, p)
@@ -309,7 +309,7 @@ def exists_admissible_bn(n: int, p: int) -> int:
     classes) can never be admissible - S(B_9) has no admissible pair for
     any p == 2 (mod 3).
     """
-    box = _proper_box(n)
+    box = _box(n)
     f, base = box.frobenius, box.base
     _check_p(base, p)
     if p > f - 2:

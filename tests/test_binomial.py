@@ -13,7 +13,6 @@ from frobinom.binomial import (
     DegenerateSemigroupError,
     _box,
     _coordinates,
-    _proper_box,
     bn_apery_closed,
     bn_report,
     bn_spec,
@@ -130,7 +129,7 @@ def value_of(box, coords):
 def apery_lookup(n, r):
     """The Apery element in the class r and its box coordinates, by the
     record's word-size solve and one value sum."""
-    box = _proper_box(n)
+    box = _box(n)
     coords = _coordinates(box, r)
     return value_of(box, coords), tuple(coords)
 
@@ -285,6 +284,14 @@ class TestRecordCache:
         assert _box.cache_info().misses == len(pool)
         assert bn_spec.cache_info().misses == len(pool)
         assert _box.cache_info().maxsize == bn_spec.cache_info().maxsize == RECORD_CACHE
+
+    def test_prime_n_caches_no_box(self):
+        # the base is 1: the box stage raises, and keeps no record
+        _box.cache_clear()
+        for p in (2, 13, 999983):
+            with pytest.raises(DegenerateSemigroupError, match=f"n = {p} is prime"):
+                _box(p)
+        assert _box.cache_info().currsize == 0
 
 
 class TestClosedQuantities:

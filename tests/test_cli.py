@@ -327,18 +327,24 @@ class TestDecompose:
             assert out == "" and err.startswith("frobinom: ") and err.count("\n") == 1
 
 
+# F(A(S)) = F(S), so `frobenius` is the Frobenius number of both sets
+CORE_FIELDS = ["frobenius", "gaps", "hook_set", "partition"]
+
+
 class TestCore:
     def test_from_semigroup(self, capsys):
         code, env, _ = run_json(capsys, "core", "--semigroup", "5", "7", "9")
         assert code == 0
         assert env["result"]["partition"] == ["6", "5", "3", "2", "1", "1", "1", "1"]
         assert env["result"]["hook_set"] == ["1", "2", "3", "4", "6", "8", "11", "13"]
+        assert sorted(env["result"]) == CORE_FIELDS
 
     def test_from_gaps(self, capsys):
         code, env, _ = run_json(capsys, "core", "--gaps", "2", "5", "6", "8")
         assert code == 0
         assert env["result"]["partition"] == ["5", "4", "4", "2"]
         assert env["result"]["hook_set"] == [str(x) for x in range(1, 9)]
+        assert sorted(env["result"]) == CORE_FIELDS
 
     def test_empty_gaps(self, capsys):
         code, env, _ = run_json(capsys, "core", "--gaps")

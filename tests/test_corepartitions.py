@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import frobinom.binomial
 import frobinom.corepartitions
 from frobinom.binomial import (
-    _box, _coordinates, _proper_box, bn_apery_closed, bn_report, bn_spec, decompose)
+    _box, _coordinates, bn_apery_closed, bn_report, bn_spec, decompose)
 from frobinom.corepartitions import (
     ENUM_BOUND,
     PAIR_BOUND,
@@ -82,9 +82,22 @@ partitions = st.lists(st.integers(1, 60), max_size=30).map(
     lambda xs: Partition(sorted(xs, reverse=True)))
 
 
+def set_with_density(f, density, rng):
+    """F = f (the whole numbers for f = 0), each x in [1, f) a gap with
+    probability density."""
+    return NumericalSet([g for g in range(1, f) if rng.random() < density] + [f] if f else [])
+
+
+sets_of_any_density = st.builds(
+    set_with_density, st.integers(0, 400), st.floats(0, 1), st.randoms(use_true_random=False))
+small_semigroup_sets = st.lists(st.integers(1, 40), min_size=1, max_size=4).filter(
+    lambda gens: gcd(*gens) == 1).map(
+    lambda gens: NumericalSet.from_semigroup(NumericalSemigroup(gens)))
+
+
 def apery_element(n, r):
     """The Apery element in the class r, by the record's lookup."""
-    box = _proper_box(n)
+    box = _box(n)
     return sum(c * v for c, v in zip(_coordinates(box, r), box.values))
 
 
@@ -199,6 +212,15 @@ class TestASet:
             A = a_set(S)
             assert 0 in A
             assert all(x in S for x in A.members_below_frobenius())
+
+    @given(st.one_of(sets_of_any_density, small_semigroup_sets))
+    @example(NumericalSet())               # the whole numbers, F = -1
+    @example(NumericalSet(range(1, 401)))  # every integer up to F a gap
+    @settings(deadline=None)
+    def test_same_frobenius_and_inside_s(self, S):
+        A = a_set(S)
+        assert A.frobenius == S.frobenius
+        assert all(x in S for x in A.members_below_frobenius())
 
     @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 30, 31, 200, 201])
     def test_both_sides_of_the_mirror_switch(self, f):
@@ -879,7 +901,8 @@ class TestAlgorithm1:
 # p >= F - s0, since s >= s0 forces s + p >= F; below that tail the
 # negatives are one progression, F - s0 - k * base for k = 1..K.  K, by n,
 # is read off the ground truth: it has no formula yet.
-PROGRESSION_LENGTH = {4: 0, 6: 2, 8: 0, 9: 8, 10: 4, 12: 0, 16: 0, 14: 6, 15: 30, 25: 2125}
+PROGRESSION_LENGTH = {4: 0, 6: 2, 8: 0, 9: 8, 10: 4, 12: 0, 16: 0, 14: 6, 15: 30, 18: 8, 20: 9,
+                      25: 2125}
 
 
 def assert_tail_plus_progression(searched, negative, tail, base, k_max):
@@ -985,13 +1008,14 @@ class TestExistsAdmissible:
         with pytest.raises(RuntimeError, match="exhausted all 4 seed classes"):
             exists_admissible_bn(8, 11)
 
-    @pytest.mark.parametrize("n, counts", [
-        (14, (17715, 8830)), (15, (11185, 5235)), (25, (25499, 8500)), (18, None), (20, None)])
-    def test_negatives_against_the_member_mask(self, n, counts):
+    @pytest.mark.parametrize("n, tail_sample, counts", [
+        (14, None, (17715, 8830)), (15, None, (11185, 5235)), (25, None, (25499, 8500)),
+        (18, 2000, (46574, 1795)), (20, 2000, (48168, 1804))])
+    def test_negatives_against_the_member_mask(self, n, tail_sample, counts):
         # ground truth up to F <= 10^5: a semigroup has A(S) = S, so (s, p)
         # is admissible iff bit s of member & member>>1 & member>>p is set on
-        # [1, F - p).  Every p for n = 14, 15 and 25; for 18 and 20, p <= 2000,
-        # 2000 seeded p and p = F - 1
+        # [1, F - p).  Every p for n = 14, 15 and 25; for 18 and 20, every p
+        # below the tail F - s0, and tail_sample seeded p and p = F - 1 in it
         engine = NumericalSemigroup(bn_family(n))
         (base, entries), f = engine.apery, engine.frobenius()
         bits = bytearray(f + 1)
@@ -999,9 +1023,10 @@ class TestExistsAdmissible:
             bits[w::base] = b"\x01" * len(range(w, f + 1, base))
         member = int(bits.translate(bytes.maketrans(b"\x00\x01", b"01"))[::-1], 2)
         pair_starts = member & member >> 1
+        tail = f - next(s for s in count(1) if pair_starts >> s & 1)
         ps = range(2, f)
-        if counts is None:
-            ps = {*range(2, 2001), *random.Random(n).sample(range(2001, f), 2000), f - 1}
+        if tail_sample:
+            ps = {*range(2, tail), *random.Random(n).sample(range(tail, f), tail_sample), f - 1}
         searched, negative = [p for p in sorted(ps) if p % base not in (0, 1)], set()
         for p in searched:
             admissible = pair_starts & member >> p & ((1 << (f - p)) - 2)
@@ -1012,11 +1037,8 @@ class TestExistsAdmissible:
                 negative.add(p)
                 continue
             assert admissible >> s & 1, (n, p, s)
-        assert negative
-        if counts is not None:
-            assert (len(searched), len(negative)) == counts
-            s0 = next(s for s in count(1) if pair_starts >> s & 1)
-            assert_tail_plus_progression(searched, negative, f - s0, base, PROGRESSION_LENGTH[n])
+        assert (len(searched), len(negative)) == counts
+        assert_tail_plus_progression(searched, negative, tail, base, PROGRESSION_LENGTH[n])
 
     def test_p_above_f_minus_2_is_refused_without_a_walk(self, monkeypatch):
         calls = []
@@ -1038,7 +1060,7 @@ class TestExistsAdmissible:
     def test_refusal_above_the_digit_limit(self, n):
         # F has more digits than str() prints by default: the refusal is
         # still a RuntimeError, and names F and p by their bit lengths
-        box = _proper_box(n)
+        box = _box(n)
         f = box.frobenius
         p = next(q for q in (f - 1, f, f + 1) if q % box.base not in (0, 1))
         bits = f"<{f.bit_length()}-bit integer>"

@@ -99,14 +99,35 @@ def test_private_imports_between_modules():
                 imported |= {(path.name, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_")}
     assert imported == {("corepartitions.py", "binomial", "_coordinates"),
-                        ("corepartitions.py", "binomial", "_proper_box"),
+                        ("corepartitions.py", "binomial", "_box"),
                         ("binomial.py", "exactmath", "_int_text"),
                         ("corepartitions.py", "exactmath", "_int_text"),
                         ("oracle.py", "exactmath", "_int_text")}
 
 
-def test_only_binomial_reads_the_box_record():
-    assert list(private_reads("binomial.py", {"_box", "_Box"})) == []
+def test_only_corepartitions_reads_the_box_record():
+    # outside binomial, the per-n record is imported only by the triple
+    # completion, which names it `box` and reads five of its fields; the
+    # record itself goes on only to the lookups that take it
+    assert {name for name, _ in private_reads("binomial.py", {"_box", "_Box"})} == \
+        {"corepartitions.py"}
+    tree = parsed("corepartitions.py")
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    built = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_box"]
+    assert built
+    for call in built:
+        assert ast.unparse(parents[call]) == f"box = {ast.unparse(call)}"
+    fields = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "box" and isinstance(node.ctx, ast.Load):
+            parent = parents[node]
+            if isinstance(parent, ast.Attribute):
+                fields.add(parent.attr)
+            else:
+                assert isinstance(parent, ast.Call) and \
+                    ast.unparse(parent.func) in ("_coordinates", "_triple"), ast.unparse(parent)
+    assert fields == {"base", "values", "ordered", "frobenius", "frobenius_residue"}
 
 
 def test_only_corepartitions_reads_the_set_bitmap():
@@ -122,7 +143,7 @@ def test_oracle_family_shares_no_arithmetic_with_the_closed_forms():
                 if isinstance(node, ast.FunctionDef) and node.name == "bn_family")
     named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-    assert named & {"binomial", "factorize", "bn_spec", "_box", "_proper_box"} == set()
+    assert named & {"binomial", "factorize", "bn_spec", "_box"} == set()
 
 
 def test_no_cli_handler_builds_text():
