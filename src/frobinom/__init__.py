@@ -18,26 +18,26 @@ from .exactmath import (
 )
 from .semigroup import AperyTable, NotANumericalSemigroup, NumericalSemigroup, minimal_generators
 from .binomial import (
+    AdmissiblePairResult,
     BinomialSemigroupReport,
     BinomialSemigroupSpec,
     DegenerateSemigroupError,
     Representation,
+    algorithm1,
     bn_apery_closed,
     bn_report,
     bn_spec,
     decompose,
+    exists_admissible_bn,
     identity_pm_check,
     identity_pq_check,
 )
 from .oracle import bn_family, verify_closed_vs_oracle
 from .corepartitions import (
-    AdmissiblePairResult,
     NumericalSet,
     Partition,
     a_set,
-    algorithm1,
     enumerate_admissible,
-    exists_admissible_bn,
     hook_set,
     is_admissible,
     is_s_core,

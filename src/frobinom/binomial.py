@@ -8,16 +8,20 @@ by p in the prime-power case), each with coordinate bound p.  The Apery set
 at the base is the set of sums of c * C(n, p^j) with 0 <= c < p; the minimal
 system, Frobenius number and genus are sums over the box.
 
+The triple completion (`algorithm1`, `exists_admissible_bn`) asks whether
+s, s+1 and s+p all lie in the semigroup with s + p below the Frobenius
+number; the closed-form Apery lookups answer those questions at sizes where
+the gap set itself is astronomically large.
+
 `bn_report` carries the box itself, as `apery_box`, so it costs O(box) at
 any n.  Only `bn_apery_closed` lists the Apery set, which has one element
 per residue class: the CLI's `report` calls it when the base is at most
 1000, and `oracle.verify_closed_vs_oracle` to compare the set with the
-engine's.  `decompose` and the triple completion in `corepartitions` look up
-single residues in two steps: `_coordinates` solves the box coordinates of
-the residue as base-p digits, in word-size integers, and one sum of
-coordinate times value forms the element.  This module imports nothing from
-the generic engine in `semigroup`; `oracle` cross-checks every closed form
-here against it.
+engine's.  `decompose` and the triple completion look up single residues
+in two steps: `_coordinates` solves the box coordinates of the residue as
+base-p digits, in word-size integers, and one sum of coordinate times value
+forms the element.  This module imports nothing from the generic engine in
+`semigroup`; `oracle` cross-checks every closed form here against it.
 
 Per-n data is cached in two stages (the RECORD_CACHE most recent n of
 each).  The spec stage, `bn_spec(n)`, is the factorization and the scale
@@ -36,7 +40,7 @@ the CLI read the two stages and neither factor n nor sum the box again.
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .exactmath import _int_text, binomial, factorize, is_prime
 
@@ -257,6 +261,142 @@ def decompose(n: int, m: int) -> Representation:
             f"C({n},{m}) has no nonnegative representation over the minimal system; "
             "this contradicts the closed form")
     return Representation((n, m), (base, *box.values), (q, *box_coeffs), value, scale > 1)
+
+
+class AdmissiblePairResult(namedtuple("AdmissiblePairResult", "triple count")):
+    """Output of the triple-completion algorithm: the triple (s, s+1, s+p) and
+    its associated count."""
+    __slots__ = ()
+
+
+def _check_p(base: int, p: int):
+    """The domain of p that `algorithm1` and `exists_admissible_bn` share:
+    p >= 2, and p not 0 or 1 mod base, where the classes of s, s+1 and s+p
+    collide for every s."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {_int_text(p)}")
+    if p % base in (0, 1):
+        raise ValueError(
+            f"residues of (s, s+1, s+{_int_text(p)}) collide mod {base} for every s")
+
+
+def _triple(box, s: int, p: int):
+    """The box coordinates of the Apery representatives of the classes of
+    s, s+1, s+p; the value of the largest of them; and the completion of
+    that largest into a triple (t, t+1, t+p) in those classes.  For p that
+    has passed `_check_p`.
+
+    t is the largest representative raised by 0 when it is the class of s,
+    by base - 1 when it is the class of s+1, and by the least multiple of
+    the base that is >= p, minus p, when it is the class of s+p; that last
+    shift keeps t above its own representative when p > base.  When the box
+    is ordered the largest representative is the one whose coordinates,
+    read from the largest generator down, are largest, so only its value is
+    summed; otherwise all three are.
+    """
+    base = box.base
+    coords = [_coordinates(box, s + d) for d in (0, 1, p)]
+    if box.ordered:
+        keys = [c[::-1] for c in coords]
+        at = keys.index(max(keys))
+        top = sum(map(mul, coords[at], box.values))
+    else:
+        reps = [sum(map(mul, c, box.values)) for c in coords]
+        top = max(reps)
+        at = reps.index(top)
+    t = top + (0, base - 1, -(-p // base) * base - p)[at]
+    return coords, top, (t, t + 1, t + p)
+
+
+def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> AdmissiblePairResult:
+    """Triple completion over the closed-form Apery set of the binomial semigroup.
+
+    The three target residues s_seed, s_seed+1, s_seed+p (mod the Apery base)
+    each select one Apery element; the largest of the three is completed into
+    a triple congruent to (s, s+1, s+p) by index-specific shifts.  Completion
+    is skipped, and the class representatives come back as they are, when
+    the largest is >= F.  When the last entry t2 is >= F, the triple is then
+    lowered by (floor((F - t2) / base) + 1) * base: by one base when t2 = F,
+    not at all when F < t2 <= F + base, and when t2 > F + base that shift is
+    negative and moves the triple up by whole bases (n = 6, s = 3, p = 11
+    completes to (45, 46, 56) and returns (51, 52, 62)).  The returned count
+    is F - triple[2], plus one when the difference is not a multiple of the
+    base.  So the count is <= 0 exactly when triple[2] >= F, which signals
+    that the run did not land on an admissible triple.
+
+    s_seed and p are read as integers (`operator.index`), so any other type
+    raises TypeError.  p must be at least 2 and not 0 or 1 mod the base, else
+    ValueError: the domain that `exists_admissible_bn` shares.
+
+    Prime powers use base p^(m-1) instead of n and require force_base=True,
+    as that substitution goes beyond the construction the count is defined
+    for; they are rejected from the factorization, before any binomial.
+    """
+    s_seed, p = index(s_seed), index(p)
+    spec = bn_spec(n)
+    if spec.scale > 1 and spec.factorization[0][1] > 1 and not force_base:
+        raise ValueError(
+            f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
+            f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True (--force-base) "
+            "to run against that base")
+    box = _box(n)
+    f, base = box.frobenius, box.base
+    _check_p(base, p)
+    coords, top, triple = _triple(box, s_seed, p)
+    if top >= f:
+        triple = tuple(sum(map(mul, c, box.values)) for c in coords)
+    diff = f - triple[2]
+    if diff <= 0:
+        # floor division, so diff in [-base, 0) yields a zero shift
+        shift = (diff // base + 1) * base
+        triple = tuple(x - shift for x in triple)
+        diff = f - triple[2]
+    # triple[2] is in the class of s + p, so diff mod base is read off residues
+    count = diff if (box.frobenius_residue - s_seed - p) % base == 0 else diff + 1
+    return AdmissiblePairResult(triple, count)
+
+
+def exists_admissible_bn(n: int, p: int) -> int:
+    """A verified s making (s, p) admissible for the binomial semigroup of n.
+
+    Seeds every residue class in turn, completes the class maxima into a
+    candidate triple (shifting below the Frobenius number when necessary) and
+    returns the first s whose triple passes the membership and bound checks.
+
+    p is read as an integer, as in `algorithm1`, and p outside its domain
+    raises ValueError.  RuntimeError means that no s exists.  For p > F - 2
+    that is known at once: s >= 1 and s + p < F cannot both hold.  Otherwise
+    it is raised after every seed class has failed.  That is a real outcome,
+    not only a bug guard:
+    elements in the class of max(Ap) all exceed the Frobenius number, so
+    when the Apery base is 3 a residue-distinct triple (which covers all
+    classes) can never be admissible - S(B_9) has no admissible pair for
+    any p == 2 (mod 3).
+    """
+    p = index(p)
+    box = _box(n)
+    f, base = box.frobenius, box.base
+    _check_p(base, p)
+    if p > f - 2:
+        raise RuntimeError(
+            f"no admissible s for n={n}, p={_int_text(p)}: s >= 1 and s + p < "
+            f"F = {_int_text(f)} cannot both hold")
+    for seed in range(base):
+        coords, top, triple = _triple(box, seed, p)
+        if triple[2] >= f:
+            k = (triple[2] - f) // base + 1
+            triple = tuple(x - k * base for x in triple)
+        # the lowering leaves triple[2] < F (k * base > triple[2] - F), so
+        # s >= 1 and membership are left.  Each entry lies in the class of
+        # its representative, so it is in the semigroup iff it is at least
+        # that representative; all are when the smallest entry is at least
+        # top, the largest representative
+        if triple[0] >= 1 and (triple[0] >= top or all(
+                x >= sum(map(mul, c, box.values)) for x, c in zip(triple, coords))):
+            return triple[0]
+    raise RuntimeError(
+        f"exhausted all {base} seed classes without an admissible s for n={n}, "
+        f"p={_int_text(p)}")
 
 
 def identity_pq_check(p: int, q: int, r: int) -> int:

@@ -233,7 +233,7 @@ def _run_core(args):
 
 def _run_admissible(args):
     _check_n(args.n)
-    out = core.algorithm1(args.n, args.s_seed, args.p, force_base=args.force_base)
+    out = bn.algorithm1(args.n, args.s_seed, args.p, force_base=args.force_base)
     echo = {"n": args.n, "s_seed": args.s_seed, "p": args.p,
             "force_base": args.force_base}
     return echo, out._asdict(), EXIT_OK

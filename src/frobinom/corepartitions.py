@@ -6,16 +6,12 @@ part per gap, counting the smaller members), whose hook-length set is the
 complement of the stabilizer set A(S) = {x : x + s in S for all s in S}.
 Hooks are read from A(S), which one kernel computes from the set's bitmap.
 The triple-core machinery asks whether s, s+1 and s+p all lie in A(S) with
-s + p below the Frobenius number; the closed-form Apery lookups from
-`binomial` let those questions be answered for the binomial-coefficient
-semigroups at sizes where the gap set itself is astronomically large.
+s + p below the Frobenius number.
 """
 
-from collections import namedtuple
 from itertools import accumulate, compress, pairwise
-from operator import lt, mul
+from operator import lt
 
-from .binomial import _box, _coordinates, bn_spec
 from .exactmath import _int_text
 
 SET_BOUND = 10**6    # largest Frobenius number a NumericalSet will materialize
@@ -200,135 +196,3 @@ def enumerate_admissible(S: NumericalSet) -> list[tuple[int, int]]:
     if count > PAIR_BOUND:
         raise ValueError(f"{count} admissible pairs exceed the pair bound {PAIR_BOUND}")
     return [(s, q - s) for s, i in starts for q in members[i:]]
-
-
-class AdmissiblePairResult(namedtuple("AdmissiblePairResult", "triple count")):
-    """Output of the triple-completion algorithm: the triple (s, s+1, s+p) and
-    its associated count."""
-    __slots__ = ()
-
-
-def _check_p(base: int, p: int):
-    """The domain of p that `algorithm1` and `exists_admissible_bn` share:
-    p >= 2, and p not 0 or 1 mod base, where the classes of s, s+1 and s+p
-    collide for every s."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {_int_text(p)}")
-    if p % base in (0, 1):
-        raise ValueError(
-            f"residues of (s, s+1, s+{_int_text(p)}) collide mod {base} for every s")
-
-
-def _triple(box, s: int, p: int):
-    """The box coordinates of the Apery representatives of the classes of
-    s, s+1, s+p; the value of the largest of them; and the completion of
-    that largest into a triple (t, t+1, t+p) in those classes.  For p that
-    has passed `_check_p`.
-
-    t is the largest representative raised by 0 when it is the class of s,
-    by base - 1 when it is the class of s+1, and by the least multiple of
-    the base that is >= p, minus p, when it is the class of s+p; that last
-    shift keeps t above its own representative when p > base.  When the box
-    is ordered the largest representative is the one whose coordinates,
-    read from the largest generator down, are largest, so only its value is
-    summed; otherwise all three are.
-    """
-    base = box.base
-    coords = [_coordinates(box, s + d) for d in (0, 1, p)]
-    if box.ordered:
-        keys = [c[::-1] for c in coords]
-        at = keys.index(max(keys))
-        top = sum(map(mul, coords[at], box.values))
-    else:
-        reps = [sum(map(mul, c, box.values)) for c in coords]
-        top = max(reps)
-        at = reps.index(top)
-    t = top + (0, base - 1, -(-p // base) * base - p)[at]
-    return coords, top, (t, t + 1, t + p)
-
-
-def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> AdmissiblePairResult:
-    """Triple completion over the closed-form Apery set of the binomial semigroup.
-
-    The three target residues s_seed, s_seed+1, s_seed+p (mod the Apery base)
-    each select one Apery element; the largest of the three is completed into
-    a triple congruent to (s, s+1, s+p) by index-specific shifts.  Completion
-    is skipped, and the class representatives come back as they are, when
-    the largest is >= F.  When the last entry t2 is >= F, the triple is then
-    lowered by (floor((F - t2) / base) + 1) * base: by one base when t2 = F,
-    not at all when F < t2 <= F + base, and when t2 > F + base that shift is
-    negative and moves the triple up by whole bases (n = 6, s = 3, p = 11
-    completes to (45, 46, 56) and returns (51, 52, 62)).  The returned count
-    is F - triple[2], plus one when the difference is not a multiple of the
-    base.  So the count is <= 0 exactly when triple[2] >= F, which signals
-    that the run did not land on an admissible triple.
-
-    p must be at least 2 and not 0 or 1 mod the base, else ValueError: the
-    domain that `exists_admissible_bn` shares.
-
-    Prime powers use base p^(m-1) instead of n and require force_base=True,
-    as that substitution goes beyond the construction the count is defined
-    for; they are rejected from the factorization, before any binomial.
-    """
-    spec = bn_spec(n)
-    if spec.scale > 1 and spec.factorization[0][1] > 1 and not force_base:
-        raise ValueError(
-            f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
-            f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True (--force-base) "
-            "to run against that base")
-    box = _box(n)
-    f, base = box.frobenius, box.base
-    _check_p(base, p)
-    coords, top, triple = _triple(box, s_seed, p)
-    if top >= f:
-        triple = tuple(sum(map(mul, c, box.values)) for c in coords)
-    diff = f - triple[2]
-    if diff <= 0:
-        # floor division, so diff in [-base, 0) yields a zero shift
-        shift = (diff // base + 1) * base
-        triple = tuple(x - shift for x in triple)
-        diff = f - triple[2]
-    # triple[2] is in the class of s + p, so diff mod base is read off residues
-    count = diff if (box.frobenius_residue - s_seed - p) % base == 0 else diff + 1
-    return AdmissiblePairResult(triple, count)
-
-
-def exists_admissible_bn(n: int, p: int) -> int:
-    """A verified s making (s, p) admissible for the binomial semigroup of n.
-
-    Seeds every residue class in turn, completes the class maxima into a
-    candidate triple (shifting below the Frobenius number when necessary) and
-    returns the first s whose triple passes the membership and bound checks.
-
-    p outside `algorithm1`'s domain raises ValueError.  RuntimeError means
-    that no s exists.  For p > F - 2 that is known at once: s >= 1 and
-    s + p < F cannot both hold.  Otherwise it is raised after every seed
-    class has failed.  That is a real outcome, not only a bug guard:
-    elements in the class of max(Ap) all exceed the Frobenius number, so
-    when the Apery base is 3 a residue-distinct triple (which covers all
-    classes) can never be admissible - S(B_9) has no admissible pair for
-    any p == 2 (mod 3).
-    """
-    box = _box(n)
-    f, base = box.frobenius, box.base
-    _check_p(base, p)
-    if p > f - 2:
-        raise RuntimeError(
-            f"no admissible s for n={n}, p={_int_text(p)}: s >= 1 and s + p < "
-            f"F = {_int_text(f)} cannot both hold")
-    for seed in range(base):
-        coords, top, triple = _triple(box, seed, p)
-        if triple[2] >= f:
-            k = (triple[2] - f) // base + 1
-            triple = tuple(x - k * base for x in triple)
-        # the lowering leaves triple[2] < F (k * base > triple[2] - F), so
-        # s >= 1 and membership are left.  Each entry lies in the class of
-        # its representative, so it is in the semigroup iff it is at least
-        # that representative; all are when the smallest entry is at least
-        # top, the largest representative
-        if triple[0] >= 1 and (triple[0] >= top or all(
-                x >= sum(map(mul, c, box.values)) for x, c in zip(triple, coords))):
-            return triple[0]
-    raise RuntimeError(
-        f"exhausted all {base} seed classes without an admissible s for n={n}, "
-        f"p={_int_text(p)}")

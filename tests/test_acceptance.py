@@ -13,19 +13,19 @@ import time
 from itertools import combinations
 
 from frobinom.binomial import (
+    algorithm1,
     bn_apery_closed,
     bn_report,
     bn_spec,
     decompose,
+    exists_admissible_bn,
     identity_pq_check,
 )
 from frobinom.corepartitions import (
     NumericalSet,
     Partition,
     a_set,
-    algorithm1,
     enumerate_admissible,
-    exists_admissible_bn,
     hook_set,
     partition_of,
 )

@@ -13,15 +13,16 @@ from frobinom.binomial import (
     DegenerateSemigroupError,
     _box,
     _coordinates,
+    algorithm1,
     bn_apery_closed,
     bn_report,
     bn_spec,
     decompose,
+    exists_admissible_bn,
     identity_pm_check,
     identity_pq_check,
 )
 from frobinom.cli import main
-from frobinom.corepartitions import algorithm1, exists_admissible_bn
 from frobinom.exactmath import binomial, is_prime
 from frobinom.oracle import bn_family, verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup, minimal_generators

@@ -13,18 +13,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import frobinom.binomial
-import frobinom.corepartitions
 from frobinom.binomial import (
-    _box, _coordinates, bn_apery_closed, bn_report, bn_spec, decompose)
+    _box, _coordinates, algorithm1, bn_apery_closed, bn_report, bn_spec, decompose,
+    exists_admissible_bn)
 from frobinom.corepartitions import (
     ENUM_BOUND,
     PAIR_BOUND,
     NumericalSet,
     Partition,
     a_set,
-    algorithm1,
     enumerate_admissible,
-    exists_admissible_bn,
     hook_set,
     is_admissible,
     is_s_core,
@@ -836,6 +834,29 @@ class TestAlgorithm1:
         with pytest.raises(ValueError, match=r"^residues of \(s, s\+1, s\+16\) collide mod 5 "):
             algorithm1(25, 1, 16, force_base=True)
 
+    def test_s_and_p_are_read_as_integers(self):
+        # a float reached the box arithmetic: algorithm1(100, 5, 7.0) gave a
+        # float third entry and count, algorithm1(6, 0.5, 2) and
+        # exists_admissible_bn(6, 2.5) a RuntimeError from the lookup
+        for call, args in ((algorithm1, (100, 5, 7.0)), (algorithm1, (100, 5.0, 7)),
+                           (algorithm1, (6, 0.5, 2)), (exists_admissible_bn, (6, 2.5)),
+                           (exists_admissible_bn, (100, 7.0))):
+            with pytest.raises(TypeError):
+                call(*args)
+
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        out = algorithm1(100, Index(5), Index(7))
+        assert out == ((970077078881348634642105, 970077078881348634642106,
+                        970077078881348634642112), 154496060)
+        assert {type(x) for x in (*out.triple, out.count)} == {int}
+        assert exists_admissible_bn(6, Index(2)) == exists_admissible_bn(6, 2) == 44
+
     @pytest.mark.parametrize("p", [-5, 0, 1])
     def test_p_below_two_rejected(self, p):
         # the triple's domain, ahead of the residue-collision rule
@@ -1047,7 +1068,7 @@ class TestExistsAdmissible:
             calls.append(r)
             return _coordinates(box, r)
 
-        monkeypatch.setattr(frobinom.corepartitions, "_coordinates", counted)
+        monkeypatch.setattr(frobinom.binomial, "_coordinates", counted)
         f = bn_report(30030).frobenius
         for p in (f - 1, f):
             with pytest.raises(RuntimeError, match=f"F = {f} cannot both hold"):
@@ -1233,8 +1254,6 @@ def test_point_queries_at_max_n_list_no_apery_set(monkeypatch):
         raise AssertionError(f"bn_apery_closed({n}) called by a point query")
 
     monkeypatch.setattr(frobinom.binomial, "bn_apery_closed", listing_forbidden)
-    monkeypatch.setattr(frobinom.corepartitions, "bn_apery_closed", listing_forbidden,
-                        raising=False)
     n = 10**6
     f = bn_report(n).frobenius
 

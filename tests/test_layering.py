@@ -29,22 +29,34 @@ def test_engine_and_arithmetic_import_no_frobinom_module():
                 assert module.split(".")[0] != "frobinom", (name, ast.unparse(node))
 
 
+def imports(name):
+    """Each import in module `name`, with the words it names: the parts of
+    the module path and the imported names."""
+    for node in ast.walk(parsed(name)):
+        if isinstance(node, ast.ImportFrom):
+            # `from . import oracle` names the module as an imported name
+            yield node, {*(node.module or "").split("."), *(a.name for a in node.names)}
+        elif isinstance(node, ast.Import):
+            yield node, {word for alias in node.names for word in alias.name.split(".")}
+
+
+def test_set_layer_imports_no_closed_form():
+    # the numerical-set layer is generic, like the engine: the triple
+    # completion of S(B_n) lives beside its record in binomial
+    for node, words in imports("corepartitions.py"):
+        assert "binomial" not in words, ast.unparse(node)
+
+
 def test_closed_forms_import_neither_engine_nor_oracle():
     # below the CLI, only `oracle` brings the closed forms and the engine together
     for name in ("exactmath.py", "binomial.py", "corepartitions.py"):
-        for node in ast.walk(parsed(name)):
-            if isinstance(node, ast.ImportFrom):
-                # `from . import oracle` names the module as an imported name
-                words = {*(node.module or "").split("."), *(a.name for a in node.names)}
-            elif isinstance(node, ast.Import):
-                words = {word for alias in node.names for word in alias.name.split(".")}
-            else:
-                continue
+        for node, words in imports(name):
             assert words.isdisjoint({"semigroup", "oracle"}), (name, ast.unparse(node))
 
 
 def private_reads(owner, private):
-    """Imports and attribute reads of the `private` names outside `owner`."""
+    """Imports, attribute reads and bare names of the `private` names outside
+    `owner`."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == owner:
             continue
@@ -53,6 +65,8 @@ def private_reads(owner, private):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Attribute):
                 names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
             else:
                 continue
             if names & private:
@@ -88,8 +102,7 @@ def test_one_route_per_engine_fact():
 
 
 def test_private_imports_between_modules():
-    # the only private names one module imports from another are the
-    # closed-form lookups the triple completion reads, and the message
+    # the only private name one module imports from another is the message
     # rendering of long ints (semigroup keeps its own copy, as it imports
     # nothing from the package)
     imported = set()
@@ -98,36 +111,15 @@ def test_private_imports_between_modules():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 imported |= {(path.name, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_")}
-    assert imported == {("corepartitions.py", "binomial", "_coordinates"),
-                        ("corepartitions.py", "binomial", "_box"),
-                        ("binomial.py", "exactmath", "_int_text"),
+    assert imported == {("binomial.py", "exactmath", "_int_text"),
                         ("corepartitions.py", "exactmath", "_int_text"),
                         ("oracle.py", "exactmath", "_int_text")}
 
 
-def test_only_corepartitions_reads_the_box_record():
-    # outside binomial, the per-n record is imported only by the triple
-    # completion, which names it `box` and reads five of its fields; the
-    # record itself goes on only to the lookups that take it
-    assert {name for name, _ in private_reads("binomial.py", {"_box", "_Box"})} == \
-        {"corepartitions.py"}
-    tree = parsed("corepartitions.py")
-    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-    built = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_box"]
-    assert built
-    for call in built:
-        assert ast.unparse(parents[call]) == f"box = {ast.unparse(call)}"
-    fields = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "box" and isinstance(node.ctx, ast.Load):
-            parent = parents[node]
-            if isinstance(parent, ast.Attribute):
-                fields.add(parent.attr)
-            else:
-                assert isinstance(parent, ast.Call) and \
-                    ast.unparse(parent.func) in ("_coordinates", "_triple"), ast.unparse(parent)
-    assert fields == {"base", "values", "ordered", "frobenius", "frobenius_residue"}
+def test_only_binomial_names_the_box_record():
+    # the per-n record and the lookups over it are built and read in one module
+    record = {"_box", "_Box", "_coordinates", "_triple", "_check_p"}
+    assert list(private_reads("binomial.py", record)) == []
 
 
 def test_only_corepartitions_reads_the_set_bitmap():
