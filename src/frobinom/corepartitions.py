@@ -9,8 +9,9 @@ The triple-core machinery asks whether s, s+1 and s+p all lie in A(S) with
 s + p below the Frobenius number.
 """
 
+from functools import reduce
 from itertools import accumulate, compress, pairwise
-from operator import lt
+from operator import index, lt, or_
 
 from .exactmath import _int_text
 
@@ -50,8 +51,15 @@ class NumericalSet:
         zeros = memoryview(bytes(frobenius // m + 1))
         for r, w in enumerate(entries):
             member[r:w:m] = zeros[:(w - r) // m]
+        return cls._from_bitmap(member)
+
+    @classmethod
+    def _from_bitmap(cls, member) -> "NumericalSet":
+        """The set whose bitmap is `member`, one byte per integer up to its
+        Frobenius number F (0 at F); unchecked, as each caller builds it
+        within SET_BOUND."""
         S = cls.__new__(cls)
-        S.frobenius, S._member = frobenius, member
+        S.frobenius, S._member = len(member) - 1, member
         return S
 
     def __contains__(self, m: int) -> bool:
@@ -103,27 +111,28 @@ class Partition(tuple):
 
 _GAP_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # NumericalSet._member -> 1 at each gap
 _GAP_DIGITS = bytes.maketrans(b"\x00\x01", b"10")     # NumericalSet._member -> "1" at each gap
-_MEMBER_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # NumericalSet._member -> "1" at each member
+_MEMBER_FLAGS = bytes.maketrans(b"01", b"\x01\x00")   # "1" at each gap -> 1 at each member
 
 
-def _a_set_gaps(member) -> list[int]:
-    """Gaps of A(S), ascending, from the bitmap of S (`NumericalSet._member`).
+def _a_set_bitmap(member) -> bytearray:
+    """Bitmap of A(S) (as `NumericalSet._member`) from the bitmap of S.
 
     x is missing from A(S) iff x = g - s for a gap g and a member s, so the
-    result is the OR of gaps >> s over the members; with fewer gaps than
-    members, both masks are mirrored in F, x = (F - s) - (F - g), to shift
-    once per gap instead.  Masks go in and out as binary strings, linear in F.
+    gaps of A(S) are the OR of gaps >> s over the members; with fewer gaps
+    than members, both masks are mirrored in F, x = (F - s) - (F - g), to
+    shift once per gap instead.  Masks go in and out as binary strings,
+    linear in F.
     """
-    gaps, members = member.translate(_GAP_DIGITS), member.translate(_MEMBER_DIGITS)
-    mask, shifts = gaps[::-1], members  # bit g per gap g, shifted by each member s
+    gaps = member.translate(_GAP_DIGITS)  # read as an int: bit F - g per gap g
     if 2 * gaps.count(b"1") < len(gaps):
-        mask, shifts = members, gaps[::-1]  # mirrored: bit F - s, shifted by each F - g
-    mask = int(b"0" + mask, 2)  # the leading 0 reads the empty bitmap as 0
-    bad = 0
-    for s, digit in enumerate(shifts):
-        if digit == ord("1"):
-            bad |= mask >> s
-    return [x for x, digit in enumerate(bin(bad)[:1:-1]) if digit == "1"]
+        # mirrored: bit F - s per member s (the gap bits flipped), shifted by each F - g
+        mask, shifts = int(gaps, 2) ^ ((1 << len(gaps)) - 1), member.translate(_GAP_FLAGS)[::-1]
+    else:  # bit g per gap g, shifted by each member s; the leading 0 reads b"" as 0
+        mask, shifts = int(b"0" + gaps[::-1], 2), member
+    bad = reduce(or_, (mask >> s for s in compress(range(len(shifts)), shifts)), 0)
+    # F = F - 0 is missing from A(S), so bad has F + 1 binary digits; the
+    # empty bitmap (F = -1) keeps none of the one digit of bin(0)
+    return bytearray(bin(bad)[:1:-1][:len(member)], "ascii").translate(_MEMBER_FLAGS)
 
 
 def a_set(S: NumericalSet) -> NumericalSet:
@@ -133,7 +142,7 @@ def a_set(S: NumericalSet) -> NumericalSet:
     A(S) has the Frobenius number of S: it lies inside S (take s = 0), F + 0
     is not in S, and x + s > F for every x > F and s >= 0.
     """
-    return NumericalSet(_a_set_gaps(S._member))
+    return NumericalSet._from_bitmap(_a_set_bitmap(S._member))
 
 
 def partition_of(S: NumericalSet) -> Partition:
@@ -152,12 +161,13 @@ def hook_set(partition: Partition) -> list[int]:
     hooksets", 2011).  The argument is read as a `Partition`, so parts that
     are not positive and weakly decreasing raise its ValueError.
     """
-    S = NumericalSet(p + i for i, p in enumerate(reversed(Partition(partition))))
-    return _a_set_gaps(S._member)
+    return a_set(NumericalSet(p + i for i, p in enumerate(reversed(Partition(partition))))).gaps()
 
 
 def is_s_core(partition: Partition, s: int) -> bool:
-    """True iff no hook length of the partition is divisible by s."""
+    """True iff no hook length of the partition is divisible by s, read as an
+    integer (`operator.index`), so a float raises TypeError."""
+    s = index(s)
     if s < 1:
         raise ValueError(f"need s >= 1, got {_int_text(s)}")
     return all(h % s for h in hook_set(partition))
@@ -167,8 +177,10 @@ def is_triple_core(S: NumericalSet, s: int, p: int) -> bool:
     """True iff s, s+1 and s+p all lie in A(S).
 
     Equivalently the associated partition has no hook divisible by any of
-    s, s+1, s+p.
+    s, s+1, s+p.  s and p are read as integers (`operator.index`), so a
+    float raises TypeError.
     """
+    s, p = index(s), index(p)
     if s < 1 or p < 2:
         raise ValueError(f"need s >= 1 and p >= 2, got s={_int_text(s)}, p={_int_text(p)}")
     A = a_set(S)
@@ -176,7 +188,9 @@ def is_triple_core(S: NumericalSet, s: int, p: int) -> bool:
 
 
 def is_admissible(S: NumericalSet, s: int, p: int) -> bool:
-    """Triple-core condition plus the strict bound s + p < F(S)."""
+    """Triple-core condition plus the strict bound s + p < F(S); s and p are
+    read as integers, as there."""
+    s, p = index(s), index(p)
     return is_triple_core(S, s, p) and s + p < S.frobenius
 
 

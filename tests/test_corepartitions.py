@@ -108,6 +108,16 @@ def complete(reps, base, p):
     return t, t + 1, t + p
 
 
+class Index:
+    """An integer that only `operator.index` reads: no arithmetic, no comparison."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def bn_member(n, x):
     """Membership in the binomial-coefficient semigroup via its closed Apery table."""
     base, ap = bn_apery_closed(n)
@@ -389,6 +399,15 @@ class TestSCore:
     def test_validation(self):
         with pytest.raises(ValueError):
             is_s_core(Partition((2, 1)), 0)
+
+    def test_s_is_read_as_an_integer(self):
+        # the hooks of (3, 1) are 1, 2 and 4: a float s was taken as a
+        # divisor, so is_s_core((3, 1), 2.5) and is_s_core((3, 1), 1.5) read True
+        for s in (2.5, 1.5, 2.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                is_s_core((3, 1), s)
+        assert is_s_core((3, 1), Index(2)) is is_s_core((3, 1), 2) is False
+        assert is_s_core((3, 1), Index(3)) is True
 
 
 def core_gap_sets(steps):
@@ -734,6 +753,19 @@ class TestTripleCore:
         with pytest.raises(ValueError):
             is_triple_core(S, 3, 1)
 
+    def test_s_and_p_are_read_as_integers(self):
+        # a float reached the bitmap: is_triple_core and is_admissible raised
+        # "bytearray indices must be integers" from NumericalSet.__contains__
+        S, T = NumericalSet([1, 2, 3, 5, 7]), semigroup_set(5, 7, 9)
+        for call, args in ((is_triple_core, (S, 1.0, 2)), (is_triple_core, (S, 1, 2.0)),
+                           (is_admissible, (T, 9, 3.0)), (is_admissible, (T, 9.0, 3))):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(*args)
+        assert is_triple_core(S, Index(8), Index(2)) is is_triple_core(S, 8, 2) is True
+        assert is_triple_core(S, Index(1), Index(2)) is is_triple_core(S, 1, 2) is False
+        # (9, 3) is the one admissible pair of <5, 7, 9>
+        assert is_admissible(T, Index(9), Index(3)) is True
+
 
 class TestAdmissible:
     def test_worked_example(self):
@@ -843,13 +875,6 @@ class TestAlgorithm1:
                            (exists_admissible_bn, (100, 7.0))):
             with pytest.raises(TypeError):
                 call(*args)
-
-        class Index:
-            def __init__(self, value):
-                self.value = value
-
-            def __index__(self):
-                return self.value
 
         out = algorithm1(100, Index(5), Index(7))
         assert out == ((970077078881348634642105, 970077078881348634642106,
