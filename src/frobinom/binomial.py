@@ -91,10 +91,15 @@ class Representation(namedtuple(
     __slots__ = ()
 
 
-@lru_cache(maxsize=RECORD_CACHE)
+@lru_cache(maxsize=RECORD_CACHE, typed=True)
 def bn_spec(n: int) -> BinomialSemigroupSpec:
     """The spec stage of the per-n record: factor n and record the family's
-    gcd (p for prime powers, else 1), with no binomial computed.  Cached."""
+    gcd (p for prime powers, else 1), with no binomial computed.  Cached.
+
+    n is read through `operator.index`, so a float raises TypeError.  Both
+    stages key their caches by type too, so 30.0 never hits the record of 30.
+    """
+    n = index(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {_int_text(n)}")
     fac = tuple(factorize(n))
@@ -120,7 +125,7 @@ class _Box(namedtuple(
     __slots__ = ()
 
 
-@lru_cache(maxsize=RECORD_CACHE)
+@lru_cache(maxsize=RECORD_CACHE, typed=True)
 def _box(n: int) -> _Box:
     """The Apery box of S(B_n) and its lookup data, built once per n from
     the spec stage.
@@ -243,8 +248,10 @@ def decompose(n: int, m: int) -> Representation:
     coordinates of the Apery representative of C(n, m)'s residue class, and
     the remainder (necessarily a nonnegative multiple of the multiplicity)
     goes on the multiplicity generator.  In the prime-power case the target
-    is C(n, m)/p and the basis is the scaled system.
+    is C(n, m)/p and the basis is the scaled system.  n and m are read
+    through `operator.index`, so a float raises TypeError.
     """
+    n, m = index(n), index(m)
     if n < 2 or not 1 <= m <= n - 1:
         raise ValueError(
             f"decompose({_int_text(n)}, {_int_text(m)}) requires n >= 2 and 1 <= m <= n-1")

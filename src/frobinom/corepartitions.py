@@ -23,10 +23,11 @@ PAIR_BOUND = 5 * 10**6  # most admissible pairs enumerate_admissible will list: 
 
 class NumericalSet:
     """Co-finite subset of N containing 0, stored as a bitmap up to its
-    Frobenius number, which may not exceed SET_BOUND."""
+    Frobenius number, which may not exceed SET_BOUND.  The gaps are read
+    through `operator.index`, so a float raises TypeError."""
 
     def __init__(self, gaps=()):
-        gaps = list(gaps)
+        gaps = list(map(index, gaps))
         if gaps and min(gaps) < 1:
             raise ValueError("gaps must be positive (0 always belongs to the set)")
         frobenius = max(gaps, default=-1)
@@ -90,11 +91,12 @@ class NumericalSet:
 
 class Partition(tuple):
     """Integer partition as a weakly decreasing tuple of positive parts; it
-    equals, and hashes as, the plain tuple of its parts."""
+    equals, and hashes as, the plain tuple of its parts.  The parts are read
+    through `operator.index`, so a float raises TypeError."""
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(parts)
+        parts = tuple(map(index, parts))
         if min(parts, default=1) < 1:
             raise ValueError("partition parts must be positive")
         if any(map(lt, parts, parts[1:])):

@@ -2,7 +2,8 @@
 
 Everything here is pure integer arithmetic; no floats, no rounding.  Indices
 (n, k, primes, exponents) are expected to be machine-scale, while values
-(binomial coefficients) may be arbitrarily large.
+(binomial coefficients) may be arbitrarily large.  The public entries read
+their arguments through `operator.index`, so a float raises TypeError.
 
 `binomial` has two ways to compute C(n, k), chosen from (n, j) with
 j = min(k, n - k):
@@ -53,7 +54,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from itertools import compress
 from math import comb, gcd, isqrt, prod
-from operator import mul
+from operator import index, mul
 
 TREE_MIN_K = 400         # below this j = min(k, n-k), math.comb's word-sized steps win
 TREE_K2_PER_N = 32       # below j**2 = 32 n, walking the primes up to n costs more
@@ -85,6 +86,7 @@ def binomial(n: int, k: int) -> int:
     multiplies the prime powers of C(n, k) in a balanced product tree.  The
     module docstring gives the measured crossover.
     """
+    n, k = index(n), index(k)
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"binomial({_int_text(n)}, {_int_text(k)}) requires 0 <= k <= n")
     j = min(k, n - k)
@@ -161,6 +163,7 @@ def _binomial_from_primes(n: int, j: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; adequate for desk-scale inputs."""
+    n = index(n)
     if n < 2:
         return False
     if n < 4:
@@ -177,6 +180,7 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 2 as [(p, multiplicity), ...], primes ascending."""
+    n = index(n)
     if n < 2:
         raise ValueError(f"cannot factor {_int_text(n)}: need n >= 2")
     out = []
@@ -197,6 +201,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def p_adic_valuation(p: int, x: int) -> int:
     """Largest v with p^v dividing x, for x >= 1."""
+    p, x = index(p), index(x)
     if x < 1:
         raise ValueError(f"p-adic valuation of {_int_text(x)} is undefined here")
     if not is_prime(p):
@@ -214,6 +219,7 @@ def binomial_valuation_kummer(p: int, n: int, k: int) -> int:
     Independent of any factorization of the binomial coefficient itself,
     which makes it a useful cross-check for p_adic_valuation.
     """
+    p, n, k = index(p), index(n), index(k)
     if k < 0 or k > n:
         raise ValueError(f"binomial_valuation_kummer({_int_text(p)}, {_int_text(n)}, "
                          f"{_int_text(k)}) requires 0 <= k <= n")

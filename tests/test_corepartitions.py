@@ -1,23 +1,18 @@
-"""Numerical sets, partitions, hook sets, admissible pairs, triple completion."""
+"""Numerical sets, partitions, hook sets, cores and admissible pairs."""
 
 import copy
 import pickle
 import random
 import time
 from functools import cache
-from itertools import combinations, count
+from itertools import combinations
 from math import comb, gcd
 from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import frobinom.binomial
-from frobinom.binomial import (
-    _box, _coordinates, algorithm1, bn_apery_closed, bn_report, bn_spec, decompose,
-    exists_admissible_bn)
 from frobinom.corepartitions import (
-    ENUM_BOUND,
     PAIR_BOUND,
     NumericalSet,
     Partition,
@@ -29,13 +24,9 @@ from frobinom.corepartitions import (
     is_triple_core,
     partition_of,
 )
-from frobinom.exactmath import binomial, factorize, is_prime
-from frobinom.oracle import bn_family
 from frobinom.semigroup import NumericalSemigroup
 
-
-def semigroup_set(*gens):
-    return NumericalSet(NumericalSemigroup(list(gens)).gaps())
+from shared import Index, semigroup_set
 
 
 # elements of the well-tempered harmonic semigroup up to 48
@@ -93,38 +84,6 @@ small_semigroup_sets = st.lists(st.integers(1, 40), min_size=1, max_size=4).filt
     lambda gens: NumericalSet.from_semigroup(NumericalSemigroup(gens)))
 
 
-def apery_element(n, r):
-    """The Apery element in the class r, by the record's lookup."""
-    box = _box(n)
-    return sum(c * v for c, v in zip(_coordinates(box, r), box.values))
-
-
-def complete(reps, base, p):
-    """The completion by definition: the largest class representative,
-    raised by 0, base - 1 or (the least multiple of the base >= p) - p as
-    it is the class of s, s+1 or s+p, gives (t, t+1, t+p)."""
-    top = max(reps)
-    t = top + (0, base - 1, -(-p // base) * base - p)[reps.index(top)]
-    return t, t + 1, t + p
-
-
-class Index:
-    """An integer that only `operator.index` reads: no arithmetic, no comparison."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-
-def bn_member(n, x):
-    """Membership in the binomial-coefficient semigroup via its closed Apery table."""
-    base, ap = bn_apery_closed(n)
-    least = {w % base: w for w in ap}
-    return x >= 0 and x >= least[x % base]
-
-
 class TestNumericalSet:
     def test_from_gaps_example(self):
         S = NumericalSet([2, 5, 6, 8])
@@ -162,6 +121,13 @@ class TestNumericalSet:
         # not a NumericalSet: equality is left to the other side, and fails
         assert S.__eq__((0, 1, 3, 4, 7)) is NotImplemented
         assert not S == (0, 1, 3, 4, 7) and S != [2, 5, 6, 8]
+
+    def test_gaps_are_read_as_integers(self):
+        # NumericalSet([2.0, 5]) raised "bytearray indices must be integers"
+        for gaps in ([2.0, 5], [2, 5.0]):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                NumericalSet(gaps)
+        assert NumericalSet([Index(2), Index(5)]) == NumericalSet([2, 5])
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError, match="^Frobenius number 10000000 exceeds the bound"):
@@ -267,6 +233,15 @@ class TestPartitionType:
             with pytest.raises(ValueError) as caught:
                 Partition(parts)
             assert str(caught.value) == message, parts
+
+    def test_parts_are_read_as_integers(self):
+        # Partition((2.5, 1)) passed validation, and its hook_set raised
+        # "can't multiply sequence by non-int of type 'float'"
+        for parts in ((2.5, 1), (3, 1.0)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                Partition(parts)
+        lam = Partition((Index(3), Index(1)))
+        assert lam == (3, 1) and {type(p) for p in lam} == {int}
 
     def test_is_the_tuple_of_its_parts(self):
         lam = Partition((4, 4, 1))
@@ -821,500 +796,3 @@ class TestAdmissible:
                     for p in range(2, S.frobenius - s)
                     if is_admissible(S, s, p)]
         assert enumerate_admissible(S) == expected
-
-
-class TestAlgorithm1:
-    def test_golden_run_n50(self):
-        out = algorithm1(50, 65, 6)
-        assert out.triple == (379231827789565, 379231827789566, 379231827789571)
-        assert out.count == 126410606437653
-
-    def test_golden_run_n70(self):
-        out = algorithm1(70, 12, 11)
-        assert out.triple == (4831407922, 4831407923, 4831407933)
-        assert out.count == 2409654789
-
-    def test_golden_triples_are_admissible(self):
-        for n, (s, s1, sp) in ((50, algorithm1(50, 65, 6).triple),
-                               (70, algorithm1(70, 12, 11).triple)):
-            assert s1 == s + 1
-            assert all(bn_member(n, x) for x in (s, s1, sp))
-            assert sp < bn_report(n).frobenius
-
-    def test_small_run_n6(self):
-        # residue class of s holds the largest Apery element 55 >= F = 49, so
-        # the completion step is skipped and the raw class representatives
-        # come back: all members, third entry below F
-        out = algorithm1(6, 1, 2)
-        assert out.triple == (55, 20, 15)
-        assert out.count == 35
-        assert all(bn_member(6, x) for x in out.triple)
-        assert out.triple[2] < 49
-
-    def test_residue_collision_rejected(self):
-        with pytest.raises(ValueError):
-            algorithm1(6, 1, 6)
-        with pytest.raises(ValueError):
-            algorithm1(6, 1, 7)
-
-    def test_p_above_the_digit_limit_is_named_by_bit_length(self):
-        with pytest.raises(ValueError, match=r"^need p >= 2, got -<16610-bit integer>$"):
-            algorithm1(10, 1, -10**5000)
-        with pytest.raises(ValueError, match=r"^residues of \(s, s\+1, s\+<16610-bit integer>\) "
-                                             "collide mod 10 for every s$"):
-            exists_admissible_bn(10, 10**5000)
-        with pytest.raises(ValueError, match=r"^residues of \(s, s\+1, s\+16\) collide mod 5 "):
-            algorithm1(25, 1, 16, force_base=True)
-
-    def test_s_and_p_are_read_as_integers(self):
-        # a float reached the box arithmetic: algorithm1(100, 5, 7.0) gave a
-        # float third entry and count, algorithm1(6, 0.5, 2) and
-        # exists_admissible_bn(6, 2.5) a RuntimeError from the lookup
-        for call, args in ((algorithm1, (100, 5, 7.0)), (algorithm1, (100, 5.0, 7)),
-                           (algorithm1, (6, 0.5, 2)), (exists_admissible_bn, (6, 2.5)),
-                           (exists_admissible_bn, (100, 7.0))):
-            with pytest.raises(TypeError):
-                call(*args)
-
-        out = algorithm1(100, Index(5), Index(7))
-        assert out == ((970077078881348634642105, 970077078881348634642106,
-                        970077078881348634642112), 154496060)
-        assert {type(x) for x in (*out.triple, out.count)} == {int}
-        assert exists_admissible_bn(6, Index(2)) == exists_admissible_bn(6, 2) == 44
-
-    @pytest.mark.parametrize("p", [-5, 0, 1])
-    def test_p_below_two_rejected(self, p):
-        # the triple's domain, ahead of the residue-collision rule
-        with pytest.raises(ValueError, match="need p >= 2"):
-            algorithm1(10, 1, p)
-
-    def test_prime_power_needs_force_base(self):
-        with pytest.raises(ValueError):
-            algorithm1(8, 1, 2)
-        out = algorithm1(8, 1, 2, force_base=True)  # base 4 instead of n
-        assert all(bn_member(8, x) for x in out.triple)
-
-    def test_shift_lifts_a_triple_past_f_plus_base(self):
-        # at n = 6 (F = 49, base 6) the completion (45, 46, 56) has t2 above
-        # F + base, so the shift (floor((49 - 56) / 6) + 1) * 6 = -6 lifts it
-        reps = tuple(apery_element(6, 3 + d) for d in (0, 1, 11))
-        assert max(reps) < 49
-        assert complete(reps, 6, 11) == (45, 46, 56)
-        assert algorithm1(6, 3, 11) == ((51, 52, 62), -12)
-
-    def test_count_is_nonpositive_exactly_when_past_f(self):
-        # composite n < 80, 2 <= p < 24, 0 <= s < min(base, 24), wherever
-        # completion ran; 25 of those runs complete above F + base
-        lifted = 0
-        for n in range(4, 80):
-            if is_prime(n):
-                continue
-            f, base = bn_report(n).frobenius, _box(n).base
-            force = len(factorize(n)) == 1
-            for p in range(2, 24):
-                if p % base in (0, 1):
-                    continue
-                for s in range(min(base, 24)):
-                    reps = tuple(apery_element(n, s + d) for d in (0, 1, p))
-                    if max(reps) >= f:
-                        continue
-                    lifted += complete(reps, base, p)[2] > f + base
-                    out = algorithm1(n, s, p, force_base=force)
-                    assert (out.count <= 0) == (out.triple[2] >= f), (n, s, p)
-        assert lifted == 25
-
-    def test_membership_invariant_sweep(self):
-        # all composite n <= 12, 2 <= p < 30 (so also p > base), seeds
-        # across two periods
-        for n in range(4, 13):
-            if is_prime(n):
-                continue
-            force = len(factorize(n)) == 1
-            base, _ = bn_apery_closed(n)
-            for p in range(2, 30):
-                for seed in range(2 * base):
-                    residues = {seed % base, (seed + 1) % base, (seed + p) % base}
-                    if len(residues) != 3:
-                        continue
-                    out = algorithm1(n, seed, p, force_base=force)
-                    assert all(bn_member(n, x) for x in out.triple), (n, seed, p)
-                    if out.count > 0:
-                        assert out.triple[2] < bn_report(n).frobenius, (n, seed, p)
-
-
-# The corrected existence statement (criterion 9 keeps the published one).
-# With s0 the least s >= 1 that has s and s + 1 in S, no admissible pair has
-# p >= F - s0, since s >= s0 forces s + p >= F; below that tail the
-# negatives are one progression, F - s0 - k * base for k = 1..K.  K, by n,
-# is read off the ground truth: it has no formula yet.
-PROGRESSION_LENGTH = {4: 0, 6: 2, 8: 0, 9: 8, 10: 4, 12: 0, 16: 0, 14: 6, 15: 30, 18: 8, 20: 9,
-                      25: 2125}
-
-
-def assert_tail_plus_progression(searched, negative, tail, base, k_max):
-    """Every searched p >= tail is negative, and the negatives below the
-    tail are exactly tail - k * base for k = 1..k_max."""
-    assert all(p in negative for p in searched if p >= tail), tail
-    assert sorted(p for p in negative if p < tail) == [
-        tail - k * base for k in range(k_max, 0, -1)], tail
-
-
-class TestExistsAdmissible:
-    def test_verified_for_n50_p6(self):
-        s = exists_admissible_bn(50, 6)
-        assert all(bn_member(50, x) for x in (s, s + 1, s + 6))
-        assert s + 6 < bn_report(50).frobenius
-        # the golden triple's s works too
-        t = 379231827789565
-        assert all(bn_member(50, x) for x in (t, t + 1, t + 6))
-        assert t + 6 < bn_report(50).frobenius
-
-    def test_verified_for_n70_p11(self):
-        s = exists_admissible_bn(70, 11)
-        assert all(bn_member(70, x) for x in (s, s + 1, s + 11))
-        assert s + 11 < bn_report(70).frobenius
-
-    def test_small_case_against_enumeration(self):
-        s = exists_admissible_bn(6, 2)
-        pairs = enumerate_admissible(semigroup_set(6, 15, 20))
-        assert (s, 2) in pairs
-
-    def test_sweep_composite_up_to_20(self):
-        # Apery base 3 (n = 9) genuinely has no admissible pair for p == 2
-        # (mod 3): such a triple covers all three residue classes, and every
-        # element in the class of max(Ap) is >= F + base > F.  Those two grid
-        # points raise; everywhere else a verified s comes back.
-        for n in range(4, 21):
-            if is_prime(n):
-                continue
-            base, _ = bn_apery_closed(n)
-            f = bn_report(n).frobenius
-            for p in range(2, 8):
-                if p % base == 0 or (p - 1) % base == 0:
-                    with pytest.raises(ValueError):
-                        exists_admissible_bn(n, p)
-                    continue
-                if (n, p) in ((9, 2), (9, 5)):
-                    with pytest.raises(RuntimeError):
-                        exists_admissible_bn(n, p)
-                    continue
-                s = exists_admissible_bn(n, p)
-                assert s >= 1
-                assert all(bn_member(n, x) for x in (s, s + 1, s + p)), (n, p)
-                assert s + p < f, (n, p)
-
-    def test_no_pair_exists_at_base_three(self):
-        # exhaustive ground truth for the two raising cases above: every
-        # admissible p for <3, 28> is 0 or 1 mod 3
-        pairs = enumerate_admissible(semigroup_set(3, 28))
-        assert pairs
-        assert all(p % 3 != 2 for _, p in pairs)
-
-    def test_p_validation(self):
-        with pytest.raises(ValueError):
-            exists_admissible_bn(6, 1)
-
-    def test_negatives_against_enumeration(self):
-        # exhaustive ground truth wherever F <= ENUM_BOUND: over every p in
-        # the search's domain below F, it raises exactly when the engine's
-        # set lists no admissible pair with that p, and a returned s is listed
-        ns = [n for n in range(4, 60) if not is_prime(n) and bn_report(n).frobenius <= ENUM_BOUND]
-        assert ns == [4, 6, 8, 9, 10, 12, 16]
-        searched = negatives = 0
-        for n in ns:
-            report = bn_report(n)
-            base, f = report.apery_base, report.frobenius
-            listed = {}
-            engine = NumericalSemigroup(bn_family(n))
-            for s, p in enumerate_admissible(NumericalSet.from_semigroup(engine)):
-                listed.setdefault(p, set()).add(s)
-            ps, negative = [], set()
-            for p in range(2, f):
-                if p % base in (0, 1):
-                    continue
-                ps.append(p)
-                if p in listed:
-                    assert exists_admissible_bn(n, p) in listed[p], (n, p)
-                    continue
-                negative.add(p)
-                # p = F - 1 is refused before any walk (n = 10, 12, 16)
-                with pytest.raises(RuntimeError,
-                                   match="exhausted all" if p < f - 1 else "cannot both hold"):
-                    exists_admissible_bn(n, p)
-            s0 = next(s for s in count(1) if s in engine and s + 1 in engine)
-            assert_tail_plus_progression(ps, negative, f - s0, base, PROGRESSION_LENGTH[n])
-            searched += len(ps)
-            negatives += len(negative)
-        assert (searched, negatives) == (7274, 5694)
-        # one negative by name: S(B_8) = <4, 14, 35>, F = 45, has no
-        # admissible pair with p = 11, and the search says so
-        assert bn_report(8).frobenius == 45
-        assert 11 not in {p for _, p in enumerate_admissible(
-            NumericalSet.from_semigroup(NumericalSemigroup([4, 14, 35])))}
-        with pytest.raises(RuntimeError, match="exhausted all 4 seed classes"):
-            exists_admissible_bn(8, 11)
-
-    @pytest.mark.parametrize("n, tail_sample, counts", [
-        (14, None, (17715, 8830)), (15, None, (11185, 5235)), (25, None, (25499, 8500)),
-        (18, 2000, (46574, 1795)), (20, 2000, (48168, 1804))])
-    def test_negatives_against_the_member_mask(self, n, tail_sample, counts):
-        # ground truth up to F <= 10^5: a semigroup has A(S) = S, so (s, p)
-        # is admissible iff bit s of member & member>>1 & member>>p is set on
-        # [1, F - p).  Every p for n = 14, 15 and 25; for 18 and 20, every p
-        # below the tail F - s0, and tail_sample seeded p and p = F - 1 in it
-        engine = NumericalSemigroup(bn_family(n))
-        (base, entries), f = engine.apery, engine.frobenius()
-        bits = bytearray(f + 1)
-        for w in entries:
-            bits[w::base] = b"\x01" * len(range(w, f + 1, base))
-        member = int(bits.translate(bytes.maketrans(b"\x00\x01", b"01"))[::-1], 2)
-        pair_starts = member & member >> 1
-        tail = f - next(s for s in count(1) if pair_starts >> s & 1)
-        ps = range(2, f)
-        if tail_sample:
-            ps = {*range(2, tail), *random.Random(n).sample(range(tail, f), tail_sample), f - 1}
-        searched, negative = [p for p in sorted(ps) if p % base not in (0, 1)], set()
-        for p in searched:
-            admissible = pair_starts & member >> p & ((1 << (f - p)) - 2)
-            try:
-                s = exists_admissible_bn(n, p)
-            except RuntimeError:
-                assert not admissible, (n, p)
-                negative.add(p)
-                continue
-            assert admissible >> s & 1, (n, p, s)
-        assert (len(searched), len(negative)) == counts
-        assert_tail_plus_progression(searched, negative, tail, base, PROGRESSION_LENGTH[n])
-
-    def test_p_above_f_minus_2_is_refused_without_a_walk(self, monkeypatch):
-        calls = []
-
-        def counted(box, r):
-            calls.append(r)
-            return _coordinates(box, r)
-
-        monkeypatch.setattr(frobinom.binomial, "_coordinates", counted)
-        f = bn_report(30030).frobenius
-        for p in (f - 1, f):
-            with pytest.raises(RuntimeError, match=f"F = {f} cannot both hold"):
-                exists_admissible_bn(30030, p)
-        assert calls == []
-        exists_admissible_bn(30030, 5)
-        assert calls
-
-    @pytest.mark.parametrize("n", [59049, 100000, 2**19])
-    def test_refusal_above_the_digit_limit(self, n):
-        # F has more digits than str() prints by default: the refusal is
-        # still a RuntimeError, and names F and p by their bit lengths
-        box = _box(n)
-        f = box.frobenius
-        p = next(q for q in (f - 1, f, f + 1) if q % box.base not in (0, 1))
-        bits = f"<{f.bit_length()}-bit integer>"
-        with pytest.raises(RuntimeError, match=f"p={bits}: .* F = {bits} cannot both hold$"):
-            exists_admissible_bn(n, p)
-
-    def test_domain_errors_come_before_the_refusal(self):
-        # S(B_6) = <6, 15, 20>, F = 49: F - 1 and F collide mod 6
-        for p in (48, 49):
-            with pytest.raises(ValueError, match="collide mod 6"):
-                exists_admissible_bn(6, p)
-        with pytest.raises(RuntimeError, match="F = 49 cannot both hold"):
-            exists_admissible_bn(6, 50)
-
-    def test_matches_fresh_lookups_up_to_300(self):
-        # same s, or the same error, as deciding membership of every entry
-        # with its own Apery lookup
-        for n in range(4, 301):
-            if is_prime(n):
-                continue
-            base = _box(n).base
-            for p in range(2, min(base, 40)):
-                assert _outcome(exists_admissible_bn, n, p) == \
-                    _outcome(_exists_with_fresh_lookups, n, p), (n, p)
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
-
-
-def _exists_with_fresh_lookups(n, p):
-    """exists_admissible_bn with one Apery lookup per entry of each candidate."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    f = bn_report(n).frobenius
-    base = _box(n).base
-    if p % base == 0 or (p - 1) % base == 0:
-        raise ValueError(
-            f"residues of (s, s+1, s+{p}) collide mod {base} for every s")
-    for seed in range(base):
-        triple = complete(tuple(apery_element(n, seed + d) for d in (0, 1, p)), base, p)
-        if triple[2] >= f:
-            k = (triple[2] - f) // base + 1
-            triple = tuple(x - k * base for x in triple)
-        if triple[0] >= 1 and triple[2] < f and all(
-                x >= 0 and x >= apery_element(n, x) for x in triple):
-            return triple[0]
-    raise RuntimeError(
-        f"exhausted all {base} seed classes without an admissible s for n={n}, p={p}")
-
-
-def listed_classes(n):
-    """Base, the least element of each class (from the listed Apery set) and F."""
-    base, ap = bn_apery_closed(n)
-    return base, {w % base: w for w in ap}, ap[-1] - base
-
-
-def reference_algorithm1(n, s, p):
-    """algorithm1 by its definition, over the listed Apery set."""
-    base, least, f = listed_classes(n)
-    if p < 2 or p % base in (0, 1):
-        raise ValueError(p)
-    reps = tuple(least[(s + d) % base] for d in (0, 1, p))
-    triple = reps if max(reps) >= f else complete(reps, base, p)
-    diff = f - triple[2]
-    if diff <= 0:
-        shift = (diff // base + 1) * base
-        triple = tuple(x - shift for x in triple)
-        diff = f - triple[2]
-    return triple, diff if diff % base == 0 else diff + 1
-
-
-def reference_exists(n, p):
-    """exists_admissible_bn by its definition, over the listed Apery set."""
-    base, least, f = listed_classes(n)
-    if p < 2 or p % base in (0, 1):
-        raise ValueError(p)
-    for seed in range(base):
-        triple = complete(tuple(least[(seed + d) % base] for d in (0, 1, p)), base, p)
-        if triple[2] >= f:
-            k = (triple[2] - f) // base + 1
-            triple = tuple(x - k * base for x in triple)
-        if triple[0] >= 1 and triple[2] < f and all(x >= least[x % base] for x in triple):
-            return triple[0]
-    raise RuntimeError(p)
-
-
-def _result_or_error_type(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-
-
-class TestPointQueriesAgainstTheListing:
-    """The coordinate-order pick of the largest class and the membership
-    checks against the definitions, read off the listed Apery set."""
-
-    @given(st.integers(4, 3000).filter(lambda n: not is_prime(n)),
-           st.integers(0, 10**6), st.integers(0, 10**6))
-    @example(12, 5, 7)
-    @example(12, 1, 30)   # p = 32, above the base
-    @settings(max_examples=150, deadline=None)
-    def test_equal_to_the_definitions(self, n, s, k):
-        base = listed_classes(n)[0]
-        p = 2 + k % (3 * base)  # below and above the base
-        assert _result_or_error_type(algorithm1, n, s, p, force_base=True) == \
-            _result_or_error_type(reference_algorithm1, n, s, p), (n, s, p)
-        assert _result_or_error_type(exists_admissible_bn, n, p) == \
-            _result_or_error_type(reference_exists, n, p), (n, p)
-
-    def test_every_small_case_at_12(self):
-        # n = 12 is the one box found whose value order is not the
-        # coordinate order, so the largest class is picked by value there
-        assert not _box(12).ordered
-        for p in range(40):
-            assert _result_or_error_type(exists_admissible_bn, 12, p) == \
-                _result_or_error_type(reference_exists, 12, p), p
-            for s in range(-3, 30):
-                assert _result_or_error_type(algorithm1, 12, s, p) == \
-                    _result_or_error_type(reference_algorithm1, 12, s, p), (s, p)
-
-
-def test_algorithm1_factorizes_once_per_n(monkeypatch):
-    # the spec and box stages of the record of n are each cached
-    real, calls = frobinom.binomial.factorize, []
-
-    def counted(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(frobinom.binomial, "factorize", counted)
-    bn_spec.cache_clear()
-    _box.cache_clear()
-    for s in range(100):
-        algorithm1(30030, s, 7)
-    assert len(calls) <= 1
-
-
-def test_prime_power_rejected_before_any_binomial(monkeypatch):
-    # the rejection reads only the spec stage of the record
-    def binomial_forbidden(n, k):
-        raise AssertionError(f"C({n}, {k}) computed for a rejected prime power")
-
-    monkeypatch.setattr(frobinom.binomial, "binomial", binomial_forbidden)
-    _box.cache_clear()
-    with pytest.raises(ValueError, match=r"Apery base is 2\*\*18"):
-        algorithm1(2**19, 1, 2)
-
-
-def test_algorithm1_count_does_not_match_enumeration_at_n6():
-    # the returned count is the literal diff / diff+1 of the run; at n = 6 it
-    # is 35, while the semigroup has 87 admissible pairs in total (6 with
-    # p = 2, none with s == 1 mod 6), so no per-seed or global reading lines
-    # up at this size.  The n = 50 / n = 70 runs above are the anchor cases.
-    assert algorithm1(6, 1, 2).count == 35
-    pairs = enumerate_admissible(semigroup_set(6, 15, 20))
-    assert len(pairs) == 87
-    assert len([1 for s, p in pairs if p == 2]) == 6
-    assert len([1 for s, p in pairs if s % 6 == 1]) == 0
-
-
-def test_point_queries_at_max_n_list_no_apery_set(monkeypatch):
-    # n = 10^6 = 2^6 * 5^6 is the CLI bound; its Apery set has 10^6 elements
-    # of about 35000 digits, so the point queries must look residues up
-    def listing_forbidden(n):
-        raise AssertionError(f"bn_apery_closed({n}) called by a point query")
-
-    monkeypatch.setattr(frobinom.binomial, "bn_apery_closed", listing_forbidden)
-    n = 10**6
-    f = bn_report(n).frobenius
-
-    def member(x):
-        return x >= 0 and x >= apery_element(n, x)
-
-    rep = decompose(n, 7)
-    assert all(c >= 0 for c in rep.coefficients)
-    assert sum(c * b for c, b in zip(rep.coefficients, rep.basis)) == binomial(n, 7)
-
-    out = algorithm1(n, 1, 2)
-    assert all(member(x) for x in out.triple)
-    assert out.triple[1] == out.triple[0] + 1 and out.triple[2] == out.triple[0] + 2
-    assert out.triple[2] < f
-
-    s = exists_admissible_bn(n, 7)
-    assert s >= 1 and s + 7 < f
-    assert all(member(x) for x in (s, s + 1, s + 7))
-
-
-def lucas_residue(n, k, q):
-    """C(n, k) mod the prime q, digit by digit in base q (Lucas's theorem)."""
-    out = 1
-    while n or k:
-        out = out * comb(n % q, k % q) % q
-        n, k = n // q, k // q
-    return out
-
-
-def test_costliest_decompose_at_max_n():
-    # C(10^6, 5 * 10^5), about 10^6 bits, is the largest C(n, m) the CLI accepts
-    n, m = 10**6, 5 * 10**5
-    rep = decompose(n, m)
-    assert all(c >= 0 for c in rep.coefficients)
-    assert sum(c * b for c, b in zip(rep.coefficients, rep.basis)) == rep.value
-    full = rep.value * bn_spec(n).scale
-    assert 999_980 < full.bit_length() <= 10**6
-    for q in (3, 7, 11, 13, 999_983):
-        assert full % q == lucas_residue(n, m, q), q

@@ -31,6 +31,8 @@ from frobinom.exactmath import (
     sun_congruence_holds,
 )
 
+from shared import Index
+
 
 def pascal_triangle(rows):
     """Oracle: additive Pascal triangle, no multiplication or division."""
@@ -433,3 +435,18 @@ def test_messages_name_long_ints_by_bit_length(call, args):
         function(*args)
     assert "-bit integer>" in str(err.value)
     assert "Exceeds the limit" not in str(err.value)
+
+
+@pytest.mark.parametrize("entry, floats, ints", [
+    (binomial, (100000, 50000.0), (1000, 500)),
+    (factorize, (30.0,), (30,)),
+    (is_prime, (7.0,), (7,)),
+    (p_adic_valuation, (2, 8.0), (2, 8)),
+    (binomial_valuation_kummer, (2, 8.0, 4), (2, 8, 4)),
+], ids=["binomial", "factorize", "is_prime", "p_adic_valuation", "binomial_valuation_kummer"])
+def test_integers_are_read_through_index(entry, floats, ints):
+    # a float ran on: binomial(100000, 50000.0) overflowed in the product
+    # tree, factorize(30.0) listed the prime 5.0 and is_prime(7.0) was True
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        entry(*floats)
+    assert entry(*map(Index, ints)) == entry(*ints)

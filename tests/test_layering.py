@@ -47,6 +47,24 @@ def test_set_layer_imports_no_closed_form():
         assert "binomial" not in words, ast.unparse(node)
 
 
+def test_set_layer_tests_import_no_closed_form():
+    # the same rule for the set layer's tests and the helpers they share: the
+    # triple completion and the S(B_n) references are tested beside binomial
+    for name in ("test_corepartitions.py", "shared.py"):
+        tree = ast.parse((Path(__file__).parent / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[:2] not in (["frobinom", "binomial"],
+                                                     ["frobinom", "oracle"]), \
+                    (name, ast.unparse(node))
+
+
 def test_closed_forms_import_neither_engine_nor_oracle():
     # below the CLI, only `oracle` brings the closed forms and the engine together
     for name in ("exactmath.py", "binomial.py", "corepartitions.py"):
