@@ -27,14 +27,18 @@ Per-n data is cached in two stages (the RECORD_CACHE most recent n of
 each).  The spec stage, `bn_spec(n)`, is the factorization and the scale
 (p for n = p^m, else 1), with no binomial computed, so a check that needs
 only the spec (such as `algorithm1`'s prime-power rejection) stays cheap.  The
-box stage, `_box(n)`, is built from it: the base, the box generators and
-their values, F, the digit-solve steps and an `ordered` flag.  When each
-value exceeds the largest sum of the generators below it, Apery elements
-order as their coordinate vectors read from the largest generator down, so
-the triple completion finds the largest of three classes from word-size
-coordinates and sums one element, not three.  The record's only big ints
-are the generator values and F.  The closed forms, the point queries and
-the CLI read the two stages and neither factor n nor sum the box again.
+box stage, `_box(n)`, is built from it and keyed by its int `n`: every reader
+reaches the record through `bn_spec`, which reads n through `operator.index`
+(`decompose` also reads it, to check n and m together first), so the box is
+a function of the validated spec alone.  The box holds the base, the box
+generators and their values, F, the digit-solve steps and an `ordered` flag.
+When each value exceeds the largest sum of the generators below it, Apery
+elements order as their coordinate vectors read from the largest generator
+down, so the triple completion finds the largest of three classes from
+word-size coordinates and sums one element, not three.  The record's only
+big ints are the generator values and F.  The closed forms, the point
+queries and the CLI read the two stages and neither factor n nor sum the
+box again.
 """
 
 from collections import namedtuple
@@ -96,8 +100,9 @@ def bn_spec(n: int) -> BinomialSemigroupSpec:
     """The spec stage of the per-n record: factor n and record the family's
     gcd (p for prime powers, else 1), with no binomial computed.  Cached.
 
-    n is read through `operator.index`, so a float raises TypeError.  Both
-    stages key their caches by type too, so 30.0 never hits the record of 30.
+    n is read through `operator.index`, so a float raises TypeError; the
+    cache is keyed by type too, so 30.0 never hits the record of 30.  The
+    box stage is keyed by the int `n` of the spec this returns.
     """
     n = index(n)
     if n < 2:
@@ -125,10 +130,11 @@ class _Box(namedtuple(
     __slots__ = ()
 
 
-@lru_cache(maxsize=RECORD_CACHE, typed=True)
+@lru_cache(maxsize=RECORD_CACHE)
 def _box(n: int) -> _Box:
     """The Apery box of S(B_n) and its lookup data, built once per n from
-    the spec stage.
+    the spec stage.  n is the int `bn_spec(n).n`, which every reader passes,
+    so the cache sees ints only.
 
     The Apery set at `base` is the set of sums of c * value with 0 <= c < p,
     one coordinate per generator.  The values are C(n, p^j) for the prime
@@ -198,6 +204,7 @@ def bn_apery_closed(n: int) -> tuple[int, tuple[int, ...]]:
     This is the only function that enumerates the box; single residues come
     from `_coordinates`.
     """
+    n = bn_spec(n).n
     box = _box(n)
     base = box.base
     sums = [0]
@@ -221,6 +228,7 @@ def bn_report(n: int) -> BinomialSemigroupReport:
     (p - 1) * value over the box minus the base.  The semigroup is symmetric,
     so the genus is (F + 1)/2.  Prime n raises DegenerateSemigroupError.
     """
+    n = bn_spec(n).n
     box = _box(n)
     base, f = box.base, box.frobenius
     genus, odd = divmod(f + 1, 2)
@@ -249,16 +257,17 @@ def decompose(n: int, m: int) -> Representation:
     the remainder (necessarily a nonnegative multiple of the multiplicity)
     goes on the multiplicity generator.  In the prime-power case the target
     is C(n, m)/p and the basis is the scaled system.  n and m are read
-    through `operator.index`, so a float raises TypeError.
+    through `operator.index`, so a float raises TypeError, and checked
+    together before n is factored, so an m out of range costs no spec.
     """
     n, m = index(n), index(m)
     if n < 2 or not 1 <= m <= n - 1:
         raise ValueError(
             f"decompose({_int_text(n)}, {_int_text(m)}) requires n >= 2 and 1 <= m <= n-1")
+    spec = bn_spec(n)
     box = _box(n)
     base = box.base
-    scale = n // base  # p for n = p^m, else 1
-    value = binomial(n, m) // scale
+    value = binomial(n, m) // spec.scale
     box_coeffs = _coordinates(box, value % base)
     # the division is exact, as _coordinates puts the box sum in the class of
     # value mod base; q < 0 (value below its Apery element) is non-membership
@@ -267,7 +276,7 @@ def decompose(n: int, m: int) -> Representation:
         raise RuntimeError(
             f"C({n},{m}) has no nonnegative representation over the minimal system; "
             "this contradicts the closed form")
-    return Representation((n, m), (base, *box.values), (q, *box_coeffs), value, scale > 1)
+    return Representation((n, m), (base, *box.values), (q, *box_coeffs), value, spec.scale > 1)
 
 
 class AdmissiblePairResult(namedtuple("AdmissiblePairResult", "triple count")):
@@ -343,10 +352,10 @@ def algorithm1(n: int, s_seed: int, p: int, force_base: bool = False) -> Admissi
     spec = bn_spec(n)
     if spec.scale > 1 and spec.factorization[0][1] > 1 and not force_base:
         raise ValueError(
-            f"n = {n} is a prime power; its Apery base is {spec.factorization[0][0]}"
+            f"n = {spec.n} is a prime power; its Apery base is {spec.factorization[0][0]}"
             f"**{spec.factorization[0][1] - 1}, not n. Pass force_base=True (--force-base) "
             "to run against that base")
-    box = _box(n)
+    box = _box(spec.n)
     f, base = box.frobenius, box.base
     _check_p(base, p)
     coords, top, triple = _triple(box, s_seed, p)
@@ -381,6 +390,7 @@ def exists_admissible_bn(n: int, p: int) -> int:
     any p == 2 (mod 3).
     """
     p = index(p)
+    n = bn_spec(n).n
     box = _box(n)
     f, base = box.frobenius, box.base
     _check_p(base, p)

@@ -64,6 +64,8 @@ class NumericalSet:
         return S
 
     def __contains__(self, m: int) -> bool:
+        """m is read through `operator.index`, so a float raises TypeError."""
+        m = index(m)
         if m < 0:
             return False
         if m > self.frobenius:

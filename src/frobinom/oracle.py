@@ -14,6 +14,7 @@ that patches `binomial` reaches the comparison.
 
 from collections import namedtuple
 from math import gcd
+from operator import index
 
 from . import binomial as bn
 from .exactmath import _int_text
@@ -24,7 +25,9 @@ def bn_family(n: int) -> list[int]:
     """The full generating family C(n,1), ..., C(n,n-1), divided by its gcd: the
     engine's input, by Pascal's rule C(n, k+1) = C(n, k) * (n - k) / (k + 1)
     and the row's own gcd, so it shares no arithmetic with the closed forms.
-    Only k <= n/2 is built; C(n, n-k) = C(n, k) mirrors the same ints."""
+    Only k <= n/2 is built; C(n, n-k) = C(n, k) mirrors the same ints.  n
+    is read through `operator.index`, so a float raises TypeError."""
+    n = index(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {_int_text(n)}")
     half = [n]
@@ -38,8 +41,10 @@ def bn_family(n: int) -> list[int]:
 
 def engine_cost(n: int) -> int:
     """Multiplicity times distinct generators of the engine run on
-    `bn_family(n)`: n/scale times the n//2 distinct members."""
-    return n // bn.bn_spec(n).scale * (n // 2)
+    `bn_family(n)`: n/scale times the n//2 distinct members, read off the
+    spec, so n is read as `bn_spec` reads it."""
+    spec = bn.bn_spec(n)
+    return spec.n // spec.scale * (spec.n // 2)
 
 
 class OracleComparison(namedtuple("OracleComparison", "n fields")):
@@ -60,9 +65,10 @@ def verify_closed_vs_oracle(n: int) -> OracleComparison:
     mismatches are reported, not raised.  The closed Apery listing is
     compared with the engine's own table, at its multiplicity n/gcd, which
     is the closed base when the closed forms are right; a wrong closed base
-    fails the `minimal_generators` row.  n = 30030 takes about 0.47 s and
-    61 MB peak RSS."""
+    fails the `minimal_generators` row.  n is read off the report, so as
+    `bn_spec` reads it.  n = 30030 takes about 0.47 s and 61 MB peak RSS."""
     report = bn.bn_report(n)
+    n = report.n
     engine = NumericalSemigroup(bn_family(n))
     pseudo_frobenius = tuple(engine.pseudo_frobenius())
     fields = {

@@ -16,6 +16,7 @@ candidates keeps one table and finds the minimal system on the way.
 import sys
 from collections import namedtuple
 from math import gcd, inf
+from operator import index
 
 
 def _int_text(x: int) -> str:
@@ -112,14 +113,19 @@ class NumericalSemigroup:
         return f"NumericalSemigroup([{', '.join(map(_int_text, self.generators))}])"
 
     def apery_set(self, x: int | None = None) -> AperyTable:
-        """Apery table at x, which must be a nonzero element (default: multiplicity)."""
-        if x is None or x == self.multiplicity:
+        """Apery table at x, which must be a nonzero element (default:
+        multiplicity).  x is read through `operator.index`, so a float
+        raises TypeError."""
+        x = self.multiplicity if x is None else index(x)
+        if x == self.multiplicity:
             return self.apery
         if x < 1 or x not in self:
             raise ValueError(f"{_int_text(x)} is not a nonzero element of {self!r}")
         return AperyTable(x, tuple(_apery_table(self.generators, x)[0]))
 
     def __contains__(self, m: int) -> bool:
+        """m is read through `operator.index`, so a float raises TypeError."""
+        m = index(m)
         if m < 0:
             return False
         return m >= self.apery.entries[m % self.multiplicity]

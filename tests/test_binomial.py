@@ -29,7 +29,7 @@ from frobinom.binomial import (
 from frobinom.cli import main
 from frobinom.corepartitions import ENUM_BOUND, NumericalSet, enumerate_admissible
 from frobinom.exactmath import binomial, factorize, is_prime
-from frobinom.oracle import bn_family, verify_closed_vs_oracle
+from frobinom.oracle import bn_family, engine_cost, verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup, minimal_generators
 
 from shared import Index, semigroup_set
@@ -54,15 +54,34 @@ class TestSpec:
             with pytest.raises(ValueError, match=f"^need n >= 2, got {n}$"):
                 bn_family(n)
 
-    def test_n_is_read_as_an_integer(self):
+    @pytest.mark.parametrize("call, n, rest", [
+        (bn_spec, 30, ()),
+        (bn_report, 30, ()),
+        (bn_report, 13, ()),
+        (bn_apery_closed, 30, ()),
+        (algorithm1, 30, (1, 7)),
+        (algorithm1, 8, (1, 3)),
+        (exists_admissible_bn, 30, (7,)),
+        (exists_admissible_bn, 9, (2,)),
+        (bn_family, 30, ()),
+        (engine_cost, 30, ()),
+        (verify_closed_vs_oracle, 30, ()),
+    ], ids=["bn_spec", "bn_report", "bn_report-prime", "bn_apery_closed", "algorithm1",
+            "algorithm1-prime-power", "exists_admissible_bn", "exists_admissible_bn-none",
+            "bn_family", "engine_cost", "verify_closed_vs_oracle"])
+    def test_n_is_read_as_an_integer(self, call, n, rest):
         # bn_spec(30.0) gave n = 30.0 and the prime 5.0; with 30 cached, every
-        # record reader answered 30.0 from the record of 30
-        bn_report(30)
-        for call in (bn_spec, bn_report, bn_apery_closed):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                call(30.0)
-        spec = bn_spec(Index(30))
-        assert spec == bn_spec(30) and type(spec.n) is int
+        # record reader answered 30.0 from the record of 30.  The box was
+        # keyed by and built from the caller's n, so on Index(30) every entry
+        # but bn_spec raised ("unsupported operand type(s)" or "'<' not
+        # supported")
+        expected = _outcome(call, n, *rest)  # and the record of n is cached
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(float(n), *rest)
+        # results and messages alike: prime 13, prime power 8 without
+        # force_base and S(B_9) at p = 2 raise, naming n = 13, 8 and 9; a
+        # record or message holding Index(n) compares unequal
+        assert _outcome(call, Index(n), *rest) == expected
 
     def test_scale_equals_family_gcd_up_to_200(self):
         for n in range(2, 201):

@@ -128,6 +128,13 @@ class TestNumericalSet:
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 NumericalSet(gaps)
         assert NumericalSet([Index(2), Index(5)]) == NumericalSet([2, 5])
+        # membership: 2.5 in S was True (above F) and 1.5 in S raised from
+        # the bitmap's index
+        S = NumericalSet([1, 2])
+        for attempt in (lambda: 2.5 in S, lambda: 1.5 in S):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                attempt()
+        assert [Index(x) in S for x in range(-1, 5)] == [x in S for x in range(-1, 5)]
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError, match="^Frobenius number 10000000 exceeds the bound"):
