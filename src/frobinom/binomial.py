@@ -424,6 +424,7 @@ def identity_pq_check(p: int, q: int, r: int) -> int:
     is that lead is an integer (possibly negative) for every r coprime to
     pq; this returns it, and raises RuntimeError if it is not.
     """
+    p, q, r = index(p), index(q), index(r)
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError(f"need two distinct primes, got {_int_text(p)}, {_int_text(q)}")
     if not 0 <= r <= p * q or r % p == 0 or r % q == 0:
@@ -448,6 +449,7 @@ def identity_pm_check(p: int, m: int, r: int) -> int:
     forces lead to be integral only when p divides m - 1; outside that case
     this raises RuntimeError rather than return a fractional coefficient.
     """
+    p, m, r = index(p), index(m), index(r)
     if not is_prime(p) or p == 2:
         raise ValueError(f"p = {_int_text(p)} must be an odd prime")
     if m < 2:

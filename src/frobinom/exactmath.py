@@ -30,7 +30,13 @@ Far from the crossover the tree is much faster: C(10^6, 5*10^5) takes
 The primes are sieved on first use, never at import, into one cache that
 grows to cover the largest n seen, at least doubling its limit each time,
 and never beyond PRIME_CACHE_CAP (the CLI's bound on n); above it
-`binomial` always uses `math.comb`.
+`binomial` always uses `math.comb`.  A growth extends the cache: it sieves
+only the odd numbers above the old limit, by the cached primes up to the
+square root of the new one (grown to that root first), appends the new
+primes, completes the last partial block and appends the new block
+products.  The record is still replaced whole.  The doubling can leave the
+limit at up to twice the largest n asked for; that is what keeps the
+growths to O(log n).
 
 The cache holds the primes as machine words, an `array('I')` sieved
 straight into the array, and beside it the product of each aligned block
@@ -98,24 +104,29 @@ def binomial(n: int, k: int) -> int:
 def _primes_up_to(n: int) -> _Sieve:
     """The cached sieve record, grown to cover at least n <= PRIME_CACHE_CAP."""
     global _sieve
-    limit = _sieve.limit
-    if n > limit:
+    if n > _sieve.limit:
         # at least double the limit, so that callers whose n creeps upward
         # sieve O(log n) times rather than once per call
-        limit = min(PRIME_CACHE_CAP, max(n, 2 * limit))
-        # odd numbers only: flags[i] stands for 2i + 1, so a step of p here is 2p
-        size = (limit + 1) // 2
+        limit = min(PRIME_CACHE_CAP, max(n, 2 * _sieve.limit))
+        # only the odd numbers above the old limit are sieved, by the cached
+        # primes up to sqrt(limit), so the cache covers sqrt(limit) first
+        root = isqrt(limit)
+        old = _primes_up_to(root) if root > _sieve.limit else _sieve
+        # flags[i] stands for start + 2i; each odd prime p starts at its least
+        # odd multiple that is in range and at least p * p, and steps by 2p
+        start = old.limit + 1 | 1
+        size = len(range(start, limit + 1, 2))
         flags = bytearray([1]) * size
-        flags[0] = 0
-        for i in range(1, (isqrt(limit) + 1) // 2):
-            if flags[i]:
-                p = 2 * i + 1
-                flags[p * p // 2::p] = bytes(len(range(p * p // 2, size, p)))
-        # extended one prime at a time: no list of every prime is ever built
-        primes = array("I", [2])
-        primes.extend(compress(range(1, limit + 1, 2), flags))
-        blocks = [prod(primes[i:i + PRIME_BLOCK])
-                  for i in range(0, len(primes) - PRIME_BLOCK + 1, PRIME_BLOCK)]
+        for p in old.primes[1:bisect_right(old.primes, root)]:
+            i = (p * max(p, -(-start // p) | 1) - start) // 2
+            flags[i::p] = bytes(len(range(i, size, p)))
+        # extended one prime at a time: no list of every prime is ever built;
+        # 2, the one even prime, starts an empty cache
+        primes = array("I", old.primes or [2])
+        primes.extend(compress(range(start, limit + 1, 2), flags))
+        # the last partial block is completed, and the new whole ones appended
+        blocks = old.blocks + [prod(primes[i:i + PRIME_BLOCK]) for i in range(
+            PRIME_BLOCK * len(old.blocks), len(primes) - PRIME_BLOCK + 1, PRIME_BLOCK)]
         _sieve = _Sieve(limit, primes, blocks)
     return _sieve
 
@@ -246,6 +257,7 @@ def sun_congruence_holds(p: int, a: int, m: int, n2: int) -> bool:
     For n2 = 0 the modulus exponent is taken as 2 and the statement
     degenerates to 1 == 1.
     """
+    p, a, m, n2 = index(p), index(a), index(m), index(n2)
     if not is_prime(p):
         raise ValueError(f"{_int_text(p)} is not prime")
     if not m >= n2 >= 0 or a < 0:
@@ -269,8 +281,11 @@ def binom_residue_lemma(n: int, p: int, k: int) -> tuple[int, int]:
     """Both sides of C(n, p^k) == n/p^k (mod n), reduced mod n.
 
     Returns (C(n, p^k) mod n, (n/p^k) mod n) so callers can assert they agree.
-    Requires k >= 1 and p^k | n.
+    Requires n >= 1, k >= 1 and p^k | n.
     """
+    n, p, k = index(n), index(p), index(k)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {_int_text(n)}")
     if k < 1:
         raise ValueError("exponent k must be at least 1")
     if not is_prime(p):

@@ -83,8 +83,10 @@ def _apery_table(generators, base):
 
 
 def minimal_generators(raw) -> list[int]:
-    """The unique inclusion-minimal subset of `raw` generating the same monoid."""
-    gens = sorted(set(raw))
+    """The unique inclusion-minimal subset of `raw` generating the same monoid.
+    Each generator is read through `operator.index`, so a float raises
+    TypeError."""
+    gens = sorted(set(map(index, raw)))
     if not gens:
         raise ValueError("need at least one generator")
     if gens[0] < 1:

@@ -29,10 +29,10 @@ from frobinom.binomial import (
 from frobinom.cli import main
 from frobinom.corepartitions import ENUM_BOUND, NumericalSet, enumerate_admissible
 from frobinom.exactmath import binomial, factorize, is_prime
-from frobinom.oracle import bn_family, engine_cost, verify_closed_vs_oracle
+from frobinom.oracle import bn_family, verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup, minimal_generators
 
-from shared import Index, semigroup_set
+from shared import semigroup_set
 
 COMPOSITES_30 = [n for n in range(4, 31) if not is_prime(n)]
 COMPOSITES_100 = [n for n in range(4, 101) if not is_prime(n)]
@@ -53,35 +53,6 @@ class TestSpec:
         for n in (1, 0, -3):
             with pytest.raises(ValueError, match=f"^need n >= 2, got {n}$"):
                 bn_family(n)
-
-    @pytest.mark.parametrize("call, n, rest", [
-        (bn_spec, 30, ()),
-        (bn_report, 30, ()),
-        (bn_report, 13, ()),
-        (bn_apery_closed, 30, ()),
-        (algorithm1, 30, (1, 7)),
-        (algorithm1, 8, (1, 3)),
-        (exists_admissible_bn, 30, (7,)),
-        (exists_admissible_bn, 9, (2,)),
-        (bn_family, 30, ()),
-        (engine_cost, 30, ()),
-        (verify_closed_vs_oracle, 30, ()),
-    ], ids=["bn_spec", "bn_report", "bn_report-prime", "bn_apery_closed", "algorithm1",
-            "algorithm1-prime-power", "exists_admissible_bn", "exists_admissible_bn-none",
-            "bn_family", "engine_cost", "verify_closed_vs_oracle"])
-    def test_n_is_read_as_an_integer(self, call, n, rest):
-        # bn_spec(30.0) gave n = 30.0 and the prime 5.0; with 30 cached, every
-        # record reader answered 30.0 from the record of 30.  The box was
-        # keyed by and built from the caller's n, so on Index(30) every entry
-        # but bn_spec raised ("unsupported operand type(s)" or "'<' not
-        # supported")
-        expected = _outcome(call, n, *rest)  # and the record of n is cached
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            call(float(n), *rest)
-        # results and messages alike: prime 13, prime power 8 without
-        # force_base and S(B_9) at p = 2 raise, naming n = 13, 8 and 9; a
-        # record or message holding Index(n) compares unequal
-        assert _outcome(call, Index(n), *rest) == expected
 
     def test_scale_equals_family_gcd_up_to_200(self):
         for n in range(2, 201):
@@ -430,13 +401,6 @@ class TestDecompose:
                 total = sum(c * b for c, b in zip(rep.coefficients, rep.basis))
                 assert total == rep.value == binomial(n, m) // scale, (n, m)
 
-    def test_n_and_m_are_read_as_integers(self):
-        # decompose(100000, 50000.0) raised OverflowError from the product tree
-        for args in ((100000, 50000.0), (50.0, 7)):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                decompose(*args)
-        assert decompose(Index(50), Index(7)) == decompose(50, 7)
-
     def test_box_coefficients_stay_in_bounds(self):
         # non-multiplicity coefficients never reach their prime's bound
         for n in (12, 30, 36):
@@ -756,22 +720,6 @@ class TestAlgorithm1:
             exists_admissible_bn(10, 10**5000)
         with pytest.raises(ValueError, match=r"^residues of \(s, s\+1, s\+16\) collide mod 5 "):
             algorithm1(25, 1, 16, force_base=True)
-
-    def test_s_and_p_are_read_as_integers(self):
-        # a float reached the box arithmetic: algorithm1(100, 5, 7.0) gave a
-        # float third entry and count, algorithm1(6, 0.5, 2) and
-        # exists_admissible_bn(6, 2.5) a RuntimeError from the lookup
-        for call, args in ((algorithm1, (100, 5, 7.0)), (algorithm1, (100, 5.0, 7)),
-                           (algorithm1, (6, 0.5, 2)), (exists_admissible_bn, (6, 2.5)),
-                           (exists_admissible_bn, (100, 7.0))):
-            with pytest.raises(TypeError):
-                call(*args)
-
-        out = algorithm1(100, Index(5), Index(7))
-        assert out == ((970077078881348634642105, 970077078881348634642106,
-                        970077078881348634642112), 154496060)
-        assert {type(x) for x in (*out.triple, out.count)} == {int}
-        assert exists_admissible_bn(6, Index(2)) == exists_admissible_bn(6, 2) == 44
 
     @pytest.mark.parametrize("p", [-5, 0, 1])
     def test_p_below_two_rejected(self, p):

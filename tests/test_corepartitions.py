@@ -26,7 +26,7 @@ from frobinom.corepartitions import (
 )
 from frobinom.semigroup import NumericalSemigroup
 
-from shared import Index, semigroup_set
+from shared import semigroup_set
 
 
 # elements of the well-tempered harmonic semigroup up to 48
@@ -121,20 +121,6 @@ class TestNumericalSet:
         # not a NumericalSet: equality is left to the other side, and fails
         assert S.__eq__((0, 1, 3, 4, 7)) is NotImplemented
         assert not S == (0, 1, 3, 4, 7) and S != [2, 5, 6, 8]
-
-    def test_gaps_are_read_as_integers(self):
-        # NumericalSet([2.0, 5]) raised "bytearray indices must be integers"
-        for gaps in ([2.0, 5], [2, 5.0]):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                NumericalSet(gaps)
-        assert NumericalSet([Index(2), Index(5)]) == NumericalSet([2, 5])
-        # membership: 2.5 in S was True (above F) and 1.5 in S raised from
-        # the bitmap's index
-        S = NumericalSet([1, 2])
-        for attempt in (lambda: 2.5 in S, lambda: 1.5 in S):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                attempt()
-        assert [Index(x) in S for x in range(-1, 5)] == [x in S for x in range(-1, 5)]
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError, match="^Frobenius number 10000000 exceeds the bound"):
@@ -240,15 +226,6 @@ class TestPartitionType:
             with pytest.raises(ValueError) as caught:
                 Partition(parts)
             assert str(caught.value) == message, parts
-
-    def test_parts_are_read_as_integers(self):
-        # Partition((2.5, 1)) passed validation, and its hook_set raised
-        # "can't multiply sequence by non-int of type 'float'"
-        for parts in ((2.5, 1), (3, 1.0)):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                Partition(parts)
-        lam = Partition((Index(3), Index(1)))
-        assert lam == (3, 1) and {type(p) for p in lam} == {int}
 
     def test_is_the_tuple_of_its_parts(self):
         lam = Partition((4, 4, 1))
@@ -381,15 +358,6 @@ class TestSCore:
     def test_validation(self):
         with pytest.raises(ValueError):
             is_s_core(Partition((2, 1)), 0)
-
-    def test_s_is_read_as_an_integer(self):
-        # the hooks of (3, 1) are 1, 2 and 4: a float s was taken as a
-        # divisor, so is_s_core((3, 1), 2.5) and is_s_core((3, 1), 1.5) read True
-        for s in (2.5, 1.5, 2.0):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                is_s_core((3, 1), s)
-        assert is_s_core((3, 1), Index(2)) is is_s_core((3, 1), 2) is False
-        assert is_s_core((3, 1), Index(3)) is True
 
 
 def core_gap_sets(steps):
@@ -734,19 +702,6 @@ class TestTripleCore:
             is_triple_core(S, 0, 2)
         with pytest.raises(ValueError):
             is_triple_core(S, 3, 1)
-
-    def test_s_and_p_are_read_as_integers(self):
-        # a float reached the bitmap: is_triple_core and is_admissible raised
-        # "bytearray indices must be integers" from NumericalSet.__contains__
-        S, T = NumericalSet([1, 2, 3, 5, 7]), semigroup_set(5, 7, 9)
-        for call, args in ((is_triple_core, (S, 1.0, 2)), (is_triple_core, (S, 1, 2.0)),
-                           (is_admissible, (T, 9, 3.0)), (is_admissible, (T, 9.0, 3))):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                call(*args)
-        assert is_triple_core(S, Index(8), Index(2)) is is_triple_core(S, 8, 2) is True
-        assert is_triple_core(S, Index(1), Index(2)) is is_triple_core(S, 1, 2) is False
-        # (9, 3) is the one admissible pair of <5, 7, 9>
-        assert is_admissible(T, Index(9), Index(3)) is True
 
 
 class TestAdmissible:

@@ -5,9 +5,11 @@ large n, where binomial may take the prime product tree; valuations are
 checked three ways (carry counting, divide-out loop, floor-sum formula).
 """
 
+import operator
 from array import array
 from bisect import bisect_right
 from functools import cache
+from itertools import compress
 from math import comb, gcd, isqrt, prod
 from sys import getsizeof
 
@@ -31,8 +33,6 @@ from frobinom.exactmath import (
     sun_congruence_holds,
 )
 
-from shared import Index
-
 
 def pascal_triangle(rows):
     """Oracle: additive Pascal triangle, no multiplication or division."""
@@ -51,6 +51,9 @@ def trial_division_primes(limit):
         if all(k % q for q in primes[:bisect_right(primes, isqrt(k))]):
             primes.append(k)
     return primes
+
+
+SIEVE_PRIMES = trial_division_primes(2**16)
 
 
 def fresh_sieve():
@@ -237,6 +240,39 @@ class TestBinomialDispatch:
             assert blocks == [prod(expected[i:i + PRIME_BLOCK])
                               for i in range(0, len(expected) - PRIME_BLOCK + 1, PRIME_BLOCK)], limit
 
+    def test_a_growth_sieves_only_above_the_old_limit(self, monkeypatch):
+        # a growth reads nothing at or below the old limit and keeps its block products
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
+        old = frobinom.exactmath._primes_up_to(1000)
+        read = []
+
+        def recording(data, selectors):
+            read.append(data)
+            return compress(data, selectors)
+
+        monkeypatch.setattr(frobinom.exactmath, "compress", recording)
+        grown = frobinom.exactmath._primes_up_to(5000)
+        assert grown.limit == 5000 and read == [range(1001, 5001, 2)]
+        assert all(map(operator.is_, grown.blocks, old.blocks))
+        assert len(grown.blocks) > len(old.blocks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, bisect_right(SIEVE_PRIMES, 2**15) // PRIME_BLOCK - 1).flatmap(
+        lambda b: st.integers(SIEVE_PRIMES[PRIME_BLOCK * b - 1] - 1, SIEVE_PRIMES[PRIME_BLOCK * b])),
+        min_size=1, max_size=6))
+    def test_growths_across_block_edges(self, limits):
+        # each n from just below the last prime of a block to the first of the
+        # next, so a growth ends, or starts, inside a block or on its edge; n
+        # <= 2^15 keeps every doubled limit within the reference's 2^16
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
+            for n in limits:
+                limit, primes, blocks = frobinom.exactmath._primes_up_to(n)
+                expected = SIEVE_PRIMES[:bisect_right(SIEVE_PRIMES, limit)]
+                assert primes.tolist() == expected, limit
+                assert blocks == [prod(expected[i:i + PRIME_BLOCK])
+                                  for i in range(0, len(expected) - PRIME_BLOCK + 1, PRIME_BLOCK)]
+
     def test_prime_cache_at_the_cap_is_under_one_megabyte(self):
         # the primes to 10^6 as machine words plus their block products: 0.57 MB;
         # as a list of ints they take 2.70 MB
@@ -357,6 +393,11 @@ class TestResidueLemma:
             binom_residue_lemma(50, 5, 0)
         with pytest.raises(ValueError, match="^4 is not prime$"):
             binom_residue_lemma(12, 4, 1)
+        # the lemma's own domain, checked before any binomial
+        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+            binom_residue_lemma(0, 2, 1)
+        with pytest.raises(ValueError, match="^need n >= 1, got -6$"):
+            binom_residue_lemma(-6, 3, 1)
 
     def test_equality_on_provable_domain_up_to_300(self):
         # true exactly when (p odd and k <= 2) or (p = 2 and k = 1)
@@ -435,18 +476,3 @@ def test_messages_name_long_ints_by_bit_length(call, args):
         function(*args)
     assert "-bit integer>" in str(err.value)
     assert "Exceeds the limit" not in str(err.value)
-
-
-@pytest.mark.parametrize("entry, floats, ints", [
-    (binomial, (100000, 50000.0), (1000, 500)),
-    (factorize, (30.0,), (30,)),
-    (is_prime, (7.0,), (7,)),
-    (p_adic_valuation, (2, 8.0), (2, 8)),
-    (binomial_valuation_kummer, (2, 8.0, 4), (2, 8, 4)),
-], ids=["binomial", "factorize", "is_prime", "p_adic_valuation", "binomial_valuation_kummer"])
-def test_integers_are_read_through_index(entry, floats, ints):
-    # a float ran on: binomial(100000, 50000.0) overflowed in the product
-    # tree, factorize(30.0) listed the prime 5.0 and is_prime(7.0) was True
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        entry(*floats)
-    assert entry(*map(Index, ints)) == entry(*ints)

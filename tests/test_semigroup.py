@@ -18,8 +18,6 @@ from frobinom.semigroup import (
     minimal_generators,
 )
 
-from shared import Index
-
 
 def dp_members(gens, limit):
     """Oracle: membership table for [0, limit] by plain DP."""
@@ -165,19 +163,6 @@ class TestAperySet:
         S = NumericalSemigroup([6, 15, 20])
         with pytest.raises(ValueError):
             S.apery_set(7)
-
-    def test_members_and_bases_are_read_as_integers(self):
-        # 3.0 in S and apery_set(5.0) raised from a tuple index, and
-        # apery_set(3.0) returned the table at 3
-        S = NumericalSemigroup([3, 5])
-        for attempt in (lambda: 3.0 in S, lambda: S.apery_set(3.0), lambda: S.apery_set(5.0)):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                attempt()
-        assert [Index(x) in S for x in range(-1, 9)] == [x in S for x in range(-1, 9)]
-        assert S.apery_set(Index(3)) is S.apery
-        assert S.apery_set(Index(5)) == S.apery_set(5) == AperyTable(5, (0, 6, 12, 3, 9))
-        with pytest.raises(ValueError, match="^4 is not a nonzero element"):
-            S.apery_set(Index(4))
 
     # bases of 2^63 or more, which no list can index, are refused before the
     # table is allocated; a base a list could index is never tried here
