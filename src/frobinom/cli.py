@@ -31,30 +31,32 @@ which rebuild the set exactly) and lists the set only when the base is at
 most ELIDE_ABOVE; above that, `apery_set_elided` takes its place, so
 `report` costs O(box) at every n.
 
-Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
-error (an invariant violation, a stdout closed by its reader, or any other
-unexpected exception), 64 usage error.  n, multiplicities and --apery-base
+Exit codes: 0 success, 1 verification mismatch (a closed form that raises
+in `verify` is one), 2 domain error, 3 internal error (an invariant
+violation, a stdout closed by its reader, or any other unexpected
+exception), 64 usage error.  n, multiplicities and --apery-base
 are capped at MAX_N, which is `exactmath.PRIME_CACHE_CAP`, so the prime
 cache covers every n accepted.  One engine budget bounds every engine run,
 and is checked before the engine starts: `semigroup` and `core --semigroup`
 refuse a multiplicity (or --apery-base) times number of distinct generators
 above ENGINE_BUDGET, and `verify --max-n` takes 4 up to where the same
 product for each n's engine run, `oracle.engine_cost(n)`, summed over the
-composite n of the sweep, stays within it (354).  `verify` reads the
-comparison of each n from `oracle.verify_closed_vs_oracle`.
+composite n of `oracle.verify_sweep`, stays within it (354).  `verify`
+prints the rows of `oracle.verify_rows`, which compares each n of the same
+sweep and runs the arithmetic self-checks; the CLI keeps only the budget and
+the rendering.
 """
 
 import json
 import os
 import sys
 import time
-from itertools import filterfalse
 from types import SimpleNamespace
 
 from . import binomial as bn
 from . import corepartitions as core
 from . import oracle
-from .exactmath import PRIME_CACHE_CAP as MAX_N, invariant_report, is_prime
+from .exactmath import PRIME_CACHE_CAP as MAX_N
 from .semigroup import NumericalSemigroup
 
 EXIT_OK = 0
@@ -118,30 +120,18 @@ def _check_generators(generators, apery_base=None):
                              f"exceeds the engine budget {ENGINE_BUDGET}")
 
 
-def _verify_checks(max_n):
-    """{name, passed, detail} of each closed form against the engine for the
-    composite n <= max_n, then of each arithmetic self-check.
-
-    The sweep costs the sum of `oracle.engine_cost(n)` over the composite n;
-    before any engine work, the first n that takes the sum past
-    ENGINE_BUDGET refuses the call."""
+def _check_max_n(max_n):
+    """Refuse a `verify` sweep that checks no closed form, or whose engine
+    runs, the sum of `oracle.engine_cost(n)` over `oracle.verify_sweep(max_n)`,
+    take more than ENGINE_BUDGET: the first n that takes the sum past it is
+    named, before any engine work."""
     if max_n < 4:  # below 4, the least composite n, no closed form is checked
         raise UsageError(f"--max-n {max_n} is below 4, the least composite n")
     cost = 0
-    for n in filterfalse(is_prime, range(4, max_n + 1)):
+    for n in oracle.verify_sweep(max_n):
         cost += oracle.engine_cost(n)
         if cost > ENGINE_BUDGET:
             raise UsageError(f"--max-n {max_n} exceeds the engine budget {ENGINE_BUDGET} at n={n}")
-    checks = []
-    for n in filterfalse(is_prime, range(4, max_n + 1)):
-        cmp = oracle.verify_closed_vs_oracle(n)
-        for field, (closed, engine) in sorted(cmp.fields.items()):
-            ok = closed == engine
-            detail = "" if ok else f"closed={closed!r} oracle={engine!r}"
-            checks.append({"name": f"n={n} {field}", "passed": ok, "detail": detail})
-    for label, ok in invariant_report():
-        checks.append({"name": label, "passed": ok, "detail": ""})
-    return checks
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -240,7 +230,8 @@ def _run_admissible(args):
 
 
 def _run_verify(args):
-    checks = _verify_checks(args.max_n)
+    _check_max_n(args.max_n)
+    checks = oracle.verify_rows(args.max_n)
     all_passed = all(check["passed"] for check in checks)
     return ({"max_n": args.max_n}, {"checks": checks, "all_passed": all_passed},
             EXIT_OK if all_passed else EXIT_MISMATCH)

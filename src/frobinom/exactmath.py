@@ -59,7 +59,7 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import compress
-from math import comb, gcd, isqrt, prod
+from math import comb, isqrt, prod
 from operator import index, mul
 
 TREE_MIN_K = 400         # below this j = min(k, n-k), math.comb's word-sized steps win
@@ -290,9 +290,10 @@ def binom_residue_lemma(n: int, p: int, k: int) -> tuple[int, int]:
         raise ValueError("exponent k must be at least 1")
     if not is_prime(p):
         raise ValueError(f"{_int_text(p)} is not prime")
-    pk = p**k
-    if n % pk:
+    # p^k > n once k exceeds n's bit length, so it is refused before it is built
+    if k > n.bit_length() or n % p**k:
         raise ValueError(f"{p}^{k} does not divide {_int_text(n)}")
+    pk = p**k
     return binomial(n, pk) % n, (n // pk) % n
 
 
@@ -305,87 +306,3 @@ def _legendre_valuation(p: int, n: int, k: int) -> int:
         q *= p
     return total
 
-
-def invariant_report() -> list[tuple[str, bool]]:
-    """Run this module's self-consistency sweeps; returns (label, passed) rows.
-
-    Used by the CLI `verify` command.  The pytest suite runs the same checks
-    with independent in-test oracles.
-    """
-    rows = []
-
-    ok = True
-    row = [1]
-    for n in range(1, 61):
-        row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]
-        for k in range(n + 1):
-            value = binomial(n, k)
-            if value != row[k] or value != binomial(n, n - k):
-                ok = False
-    rows.append(("pascal recurrence and symmetry, n <= 60", ok))
-
-    ok = True
-    for n in range(61):
-        for k in range(n + 1):
-            b = binomial(n, k)
-            for p in (2, 3, 5, 7, 11, 13):
-                v = binomial_valuation_kummer(p, n, k)
-                if v != _legendre_valuation(p, n, k):
-                    ok = False
-                if v != p_adic_valuation(p, b):
-                    ok = False
-    rows.append(("carry count = divide-out valuation = floor-sum formula, n <= 60", ok))
-
-    # The sweeps here stay below TREE_MIN_K, so check the product tree against
-    # math.comb at the least j = min(k, n-k) it takes, and one below it: at
-    # n = 800 only TREE_MIN_K binds, at 5000 both rules meet, at 10^4 the
-    # square rule binds.
-    ok = True
-    for n in (2 * TREE_MIN_K, TREE_MIN_K**2 // TREE_K2_PER_N, 10**4):
-        j = max(TREE_MIN_K, isqrt(TREE_K2_PER_N * n - 1) + 1)
-        for k in (j - 1, j, j + 1, n - j):
-            if binomial(n, k) != comb(n, k):
-                ok = False
-    rows.append(("product tree = math.comb at the dispatch thresholds, n <= 10^4", ok))
-
-    # The residue congruence C(n, p^k) == n/p^k (mod n) is provable only for
-    # k <= 2 with p odd, or k = 1 with p = 2 (the p = 2 correction term breaks
-    # it otherwise: C(8,4) = 70 == 6 (mod 8), not 2).  Sweep that domain.
-    ok = True
-    for n in range(2, 301):
-        for p, kmax in factorize(n):
-            for k in range(1, kmax + 1):
-                if (p == 2 and k >= 2) or k >= 3:
-                    continue
-                lhs, rhs = binom_residue_lemma(n, p, k)
-                if lhs != rhs:
-                    ok = False
-    rows.append(("binomial residue congruence on its provable domain, n <= 300", ok))
-
-    # At a = 0 the quotient is 1 while the p = 2 right-hand side is not, so
-    # the congruence only holds from a >= 1 for p = 2.
-    ok = True
-    for p in (2, 3, 5, 7):
-        for a in range(3):
-            if p == 2 and a == 0:
-                continue
-            for m in range(13):
-                for n2 in range(m + 1):
-                    if not sun_congruence_holds(p, a, m, n2):
-                        ok = False
-    rows.append(("prime-power quotient congruence (a >= 1 for p = 2), p in 2..7, m <= 12", ok))
-
-    ok = True
-    for n in range(2, 201):
-        fac = factorize(n)
-        expected = fac[0][0] if len(fac) == 1 else 1
-        g = 0
-        for k in range(1, n):
-            g = gcd(g, binomial(n, k))
-            if g == 1:  # no later term can change it; a prime-power row runs to the end
-                break
-        if g != expected:
-            ok = False
-    rows.append(("gcd of binomial family: p for prime powers else 1, n <= 200", ok))
-
-    return rows

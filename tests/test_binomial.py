@@ -29,7 +29,7 @@ from frobinom.binomial import (
 from frobinom.cli import main
 from frobinom.corepartitions import ENUM_BOUND, NumericalSet, enumerate_admissible
 from frobinom.exactmath import binomial, factorize, is_prime
-from frobinom.oracle import bn_family, verify_closed_vs_oracle
+from frobinom.oracle import _arithmetic_checks, bn_family, verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup, minimal_generators
 
 from shared import semigroup_set
@@ -574,6 +574,11 @@ class TestOracleEquivalence:
     def test_closed_telescopic_claim_matches_engine_up_to_30(self):
         for n in COMPOSITES_30:
             assert NumericalSemigroup(bn_family(n)).is_telescopic(), n
+
+
+def test_arithmetic_checks_all_pass():
+    rows = list(_arithmetic_checks())
+    assert rows and all(ok for _, ok in rows), [name for name, ok in rows if not ok]
 
 
 POINT_NS = [5040, 15625, 30030]

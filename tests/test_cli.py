@@ -25,7 +25,7 @@ from frobinom.exactmath import is_prime
 from frobinom.oracle import bn_family
 from frobinom.semigroup import NumericalSemigroup
 
-from cli_contract import CASES, check
+from cli_contract import CASES, ORACLE_FIELDS, check
 
 
 def run(capsys, *argv):
@@ -358,7 +358,7 @@ class TestVerify:
     @pytest.mark.parametrize("max_n", [355, 10**30])
     def test_budget_refusal(self, capsys, monkeypatch, max_n):
         # the sum stops at n = 355, whatever max_n is, and the engine never runs
-        monkeypatch.setattr(frobinom.oracle, "verify_closed_vs_oracle", engine_forbidden)
+        monkeypatch.setattr(frobinom.oracle, "NumericalSemigroup", engine_forbidden)
         started = time.perf_counter()
         code, out, err = run(capsys, "verify", "--max-n", str(max_n))
         assert time.perf_counter() - started < 1
@@ -371,12 +371,14 @@ class TestVerify:
         # distinct generators, of each composite n's family, summed up to max_n
         swept = []
 
-        def stub(n):
+        def closed_forms(n):
             swept.append(n)
-            return frobinom.oracle.OracleComparison(n, {"genus": (0, 0)})
+            return n, None
 
-        monkeypatch.setattr(frobinom.oracle, "verify_closed_vs_oracle", stub)
-        monkeypatch.setattr(frobinom.cli, "invariant_report", lambda: [])
+        monkeypatch.setattr(frobinom.oracle, "_closed_forms", closed_forms)
+        monkeypatch.setattr(frobinom.oracle, "_compare", lambda n, listing:
+                            frobinom.oracle.OracleComparison(n, {"genus": (0, 0)}))
+        monkeypatch.setattr(frobinom.oracle, "_arithmetic_checks", lambda: [])
         cost = 0
         for max_n in range(4, 401):
             if not is_prime(max_n):
@@ -421,6 +423,56 @@ class TestVerify:
         assert code == 1
         assert env["result"]["all_passed"] is False
         assert sum(not c["passed"] for c in env["result"]["checks"]) == 3
+
+    def test_a_raising_closed_form_is_one_failed_row(self, capsys, monkeypatch):
+        real = frobinom.binomial.bn_report
+
+        def report(n):
+            if n == 6:
+                raise ValueError("closed-form stand-in")
+            return real(n)
+
+        monkeypatch.setattr(frobinom.binomial, "bn_report", report)
+        code, out, _ = run(capsys, "verify", "--max-n", "8")
+        assert code == 1
+        failed = [re.split(r" {2,}", line) for line in out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == [["FAIL", "n=6 closed forms", "ValueError: closed-form stand-in"]]
+        assert {f"PASS  n={n} {field}" for n in (4, 8) for field in ORACLE_FIELDS} \
+            <= set(out.splitlines())
+        assert out.endswith("\nMISMATCHES FOUND\n")
+        code, env, _ = run_json(capsys, "verify", "--max-n", "8")
+        assert code == 1
+        assert [c for c in env["result"]["checks"] if not c["passed"]] == [
+            {"name": "n=6 closed forms", "passed": False,
+             "detail": "ValueError: closed-form stand-in"}]
+
+    @pytest.mark.parametrize("name", ["bn_family", "NumericalSemigroup"])
+    def test_a_raising_engine_is_an_internal_error(self, capsys, monkeypatch, name):
+        def broken(n):
+            raise RuntimeError("engine stand-in")
+
+        monkeypatch.setattr(frobinom.oracle, name, broken)
+        code, out, err = run(capsys, "verify", "--max-n", "8")
+        assert (code, out) == (3, "")
+        assert err == "frobinom: internal error: RuntimeError: engine stand-in\n"
+
+    def test_each_closed_form_is_read_once_per_n(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(frobinom.binomial, name)
+
+            def read(n):
+                calls.append((name, n))
+                return real(n)
+            return read
+
+        for name in ("bn_report", "bn_apery_closed"):
+            monkeypatch.setattr(frobinom.binomial, name, counted(name))
+        assert run(capsys, "verify", "--max-n", "9")[0] == 0
+        assert sorted(calls) == [(name, n) for name in ("bn_apery_closed", "bn_report")
+                                 for n in (4, 6, 8, 9)]
 
     def test_wrong_closed_genus_fails_only_the_genus_rows(self, capsys, monkeypatch):
         real = frobinom.binomial.bn_report

@@ -6,6 +6,7 @@ checked three ways (carry counting, divide-out loop, floor-sum formula).
 """
 
 import operator
+import tracemalloc
 from array import array
 from bisect import bisect_right
 from functools import cache
@@ -27,7 +28,6 @@ from frobinom.exactmath import (
     binomial,
     binomial_valuation_kummer,
     factorize,
-    invariant_report,
     is_prime,
     p_adic_valuation,
     sun_congruence_holds,
@@ -230,7 +230,8 @@ class TestBinomialDispatch:
 
     def test_odd_sieve_at_each_growth_step(self, monkeypatch):
         # each step just past the cached limit doubles it: 2, 4, 8, ..., 2^15;
-        # the block products are rebuilt over the grown prime list each time
+        # each growth completes the last partial block and appends the new
+        # whole ones, which must equal the products over the grown prime list
         monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
         reference = trial_division_primes(2**15)
         while frobinom.exactmath._sieve[0] < 2**15:
@@ -418,6 +419,23 @@ class TestResidueLemma:
         lhs, rhs = binom_residue_lemma(54, 3, 3)
         assert lhs != rhs
 
+    def test_an_exponent_past_the_bit_length_is_refused_before_p_k_is_built(self):
+        # 2^k > n once k exceeds n's bit length: 2^4 = 16 does not divide 8
+        # by the division, 2^5 by the bound, and 2^(10^7), a 1.25 MB int, is
+        # never built
+        assert binom_residue_lemma(8, 2, 3) == (1, 1)
+        for k in (4, 5):
+            with pytest.raises(ValueError, match=f"^2\\^{k} does not divide 8$"):
+                binom_residue_lemma(8, 2, k)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^2\^10000000 does not divide 6$"):
+                binom_residue_lemma(6, 2, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class TestGcdList:
     def test_binomial_family_gcd_up_to_200(self):
@@ -426,11 +444,6 @@ class TestGcdList:
             fac = factorize(n)
             expected = fac[0][0] if len(fac) == 1 else 1
             assert gcd(*(binomial(n, k) for k in range(1, n))) == expected, n
-
-
-def test_invariant_report_all_pass():
-    rows = invariant_report()
-    assert rows and all(ok for _, ok in rows), [name for name, ok in rows if not ok]
 
 
 def test_package_exports_no_modules():

@@ -165,6 +165,7 @@ INTEGER_ENTRIES = [
     ("identity_pm_check", (2, 3, 1), (ValueError, "p = 2 must be an odd prime")),
     ("bn_family", (30,)),
     ("oracle.engine_cost", (30,)),
+    ("oracle.verify_rows", (4,)),
     ("verify_closed_vs_oracle", (30,)),
     ("minimal_generators", ([6, 10, 15, 12],), [6, 10, 15]),
     ("minimal_generators", ([4, 6],),
