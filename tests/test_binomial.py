@@ -389,6 +389,9 @@ class TestDecompose:
             decompose(10, 10)
         with pytest.raises(DegenerateSemigroupError):
             decompose(7, 3)
+        # the least n is in the domain, and prime
+        with pytest.raises(DegenerateSemigroupError, match="n = 2 is prime"):
+            decompose(2, 1)
 
     def test_soundness_sweep_up_to_40(self):
         for n in range(4, 41):
@@ -737,6 +740,11 @@ class TestAlgorithm1:
             algorithm1(8, 1, 2)
         out, S = algorithm1(8, 1, 2, force_base=True), listed_classes(8)  # base 4 instead of n
         assert all(x in S for x in out.triple)
+
+    def test_prime_n_is_degenerate_not_a_prime_power(self):
+        # a prime is p^1: its family generates all of N, with no base to force
+        with pytest.raises(DegenerateSemigroupError, match="n = 7 is prime"):
+            algorithm1(7, 1, 2)
 
     def test_shift_lifts_a_triple_past_f_plus_base(self):
         # at n = 6 (F = 49, base 6) the completion (45, 46, 56) has t2 above

@@ -12,7 +12,9 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import frobinom.corepartitions
 from frobinom.corepartitions import (
+    ENUM_BOUND,
     PAIR_BOUND,
     NumericalSet,
     Partition,
@@ -739,6 +741,20 @@ class TestAdmissible:
     def test_largest_benchmark_set_still_lists(self):
         # <55, 56> (F = 2969): the largest pair list a benchmark set makes
         assert len(enumerate_admissible(semigroup_set(55, 56))) == 1047969
+
+    def test_enumeration_bound_is_inclusive(self):
+        assert enumerate_admissible(NumericalSet(range(1, ENUM_BOUND + 1))) == []
+        with pytest.raises(ValueError, match="exceeds the enumeration bound"):
+            enumerate_admissible(NumericalSet(range(1, ENUM_BOUND + 2)))
+
+    def test_pair_bound_is_inclusive(self, monkeypatch):
+        # the one admissible pair of this set is (8, 2)
+        S = NumericalSet([1, 2, 3, 5, 7, 11])
+        monkeypatch.setattr(frobinom.corepartitions, "PAIR_BOUND", 1)
+        assert enumerate_admissible(S) == [(8, 2)]
+        monkeypatch.setattr(frobinom.corepartitions, "PAIR_BOUND", 0)
+        with pytest.raises(ValueError, match="1 admissible pairs exceed the pair bound 0"):
+            enumerate_admissible(S)
 
     def test_pair_budget_refuses_before_listing(self):
         # <100, 101> (F = 9899 <= ENUM_BOUND) has 11,920,524 pairs, ~1.4 GB as

@@ -1,9 +1,12 @@
-"""Import layering of the package, read from its source with ast, and the
-rules every public entry keeps."""
+"""The package's architecture, read from its source with ast, and the rules
+every public entry keeps.  The table LAYERS is the architecture: a new
+layering decision is a row of it, checked by the same two rules."""
 
 import ast
+import inspect
 import subprocess
 import sys
+from collections import defaultdict
 from functools import reduce
 from itertools import product
 from pathlib import Path
@@ -21,81 +24,103 @@ def parsed(name):
     return ast.parse((PACKAGE / name).read_text(), filename=name)
 
 
-def test_engine_and_arithmetic_import_no_frobinom_module():
-    # the generic engine and the closed forms share no code
-    for name in ("semigroup.py", "exactmath.py"):
-        for node in ast.walk(parsed(name)):
-            if isinstance(node, ast.ImportFrom):
-                # a relative import is one of the package's own modules
-                modules = [node.module] if node.level == 0 else ["frobinom"]
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                continue
-            for module in modules:
-                assert module.split(".")[0] != "frobinom", (name, ast.unparse(node))
+SOURCES = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+LIBRARY = {"exactmath", "semigroup", "binomial", "corepartitions", "oracle"}
+
+# Each module, and each test file held to a module's layer, with the package
+# modules it may import.  Below the CLI only `oracle` imports both the engine
+# and the closed forms.
+LAYERS = {
+    "exactmath": set(),
+    "semigroup": set(),
+    "binomial": {"exactmath"},
+    "corepartitions": {"exactmath"},
+    "oracle": {"exactmath", "binomial", "semigroup"},
+    "cli": LIBRARY,
+    "__init__": LIBRARY,
+    # the set layer's tests and shared helpers; S(B_n) is tested beside binomial
+    "tests/test_corepartitions.py": {"corepartitions", "semigroup"},
+    "tests/shared.py": {"corepartitions", "semigroup"},
+}
+
+# The one private name that leaves its module, with the modules that define it
+# and those that import it: long ints in messages (the engine keeps a copy)
+SHARED_PRIVATE = {"_int_text": ({"exactmath", "semigroup"}, {"binomial", "corepartitions", "oracle"})}
 
 
-def imports(name):
-    """Each import in module `name`, with the words it names: the parts of
-    the module path and the imported names."""
-    for node in ast.walk(parsed(name)):
-        if isinstance(node, ast.ImportFrom):
-            # `from . import oracle` names the module as an imported name
-            yield node, {*(node.module or "").split("."), *(a.name for a in node.names)}
-        elif isinstance(node, ast.Import):
-            yield node, {word for alias in node.names for word in alias.name.split(".")}
+def reached(node):
+    """The package modules that an import statement reaches."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    elif node.level:  # a relative import is the module it names
+        return {node.module or alias.name for alias in node.names}
+    elif node.module == "frobinom":  # a name of the package is the module defining it
+        return {inspect.getmodule(getattr(frobinom, alias.name)).__name__.removeprefix("frobinom.")
+                for alias in node.names}
+    else:
+        paths = [node.module]
+    # `import frobinom.x` is x, and a bare `import frobinom` every module
+    return {module for path in paths if path.split(".")[0] == "frobinom"
+            for module in path.split(".")[1:2] or SOURCES}
 
 
-def test_set_layer_imports_no_closed_form():
-    # the numerical-set layer is generic, like the engine: the triple
-    # completion of S(B_n) lives beside its record in binomial
-    for node, words in imports("corepartitions.py"):
-        assert "binomial" not in words, ast.unparse(node)
+def import_escapes(sources):
+    """Each import of a package module outside the importer's row of LAYERS,
+    as (file, line, module reached)."""
+    return [(name, node.lineno, module) for name, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for module in sorted(reached(node)) if module not in LAYERS[name]]
 
 
-def test_set_layer_tests_import_no_closed_form():
-    # the same rule for the set layer's tests and the helpers they share: the
-    # triple completion and the S(B_n) references are tested beside binomial
-    for name in ("test_corepartitions.py", "shared.py"):
-        tree = ast.parse((Path(__file__).parent / name).read_text(), filename=name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                modules = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                continue
-            for module in modules:
-                assert module.split(".")[:2] not in (["frobinom", "binomial"],
-                                                     ["frobinom", "oracle"]), \
-                    (name, ast.unparse(node))
+def private_escapes(sources):
+    """Each use of a private name (one leading underscore, so neither a dunder
+    nor `_`) outside the one module that defines it, as (module, line, name).
+    A def, a class, an assignment, an import's `as` or an attribute store such
+    as `self._member` defines a name; an import, an attribute read or a bare
+    name reads it."""
+    uses = []  # (module, line, name, whether the use defines the name)
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses.append((module, node.lineno, node.name, True))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                uses += [(module, node.lineno, alias.name, False) for alias in node.names]
+                uses += [(module, node.lineno, alias.asname, True) for alias in node.names
+                         if alias.asname]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.append((module, node.lineno, name, isinstance(node.ctx, ast.Store)))
+    homes = defaultdict(set)
+    for module, _, name, defines in uses:
+        if defines and len(name) > 1 and name[0] == "_" and name[1] != "_":
+            homes[name].add(module)
+    # (definers, importers); a name that two modules define has no home
+    allowed = {name: SHARED_PRIVATE.get(name, (modules if len(modules) == 1 else set(), set()))
+               for name, modules in homes.items()}
+    return [(module, line, name) for module, line, name, defines in uses
+            if name in allowed and module not in allowed[name][0]
+            and (defines or module not in allowed[name][1])]
 
 
-def test_closed_forms_import_neither_engine_nor_oracle():
-    # below the CLI, only `oracle` brings the closed forms and the engine together
-    for name in ("exactmath.py", "binomial.py", "corepartitions.py"):
-        for node, words in imports(name):
-            assert words.isdisjoint({"semigroup", "oracle"}), (name, ast.unparse(node))
+def test_every_import_is_in_its_row_of_layers():
+    root = Path(__file__).parents[1]
+    assert import_escapes(SOURCES | {name: (root / name).read_text() for name in LAYERS if "/" in name}) == []
 
 
-def private_reads(owner, private):
-    """Imports, attribute reads and bare names of the `private` names outside
-    `owner`."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == owner:
-            continue
-        for node in ast.walk(parsed(path.name)):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
-            elif isinstance(node, ast.Name):
-                names = {node.id}
-            else:
-                continue
-            if names & private:
-                yield path.name, ast.unparse(node)
+def test_no_private_name_leaves_its_module():
+    assert private_escapes(SOURCES) == []
+
+
+@pytest.mark.parametrize("module, probe, rule, named", [
+    # the engine reached through the package rather than through `.semigroup`
+    ("binomial", "from frobinom import NumericalSemigroup", import_escapes, "semigroup"),
+    # a private name read through a module alias rather than imported
+    ("oracle", "em._legendre_valuation(2, 8, 1)", private_escapes, "_legendre_valuation"),
+])
+def test_each_rule_names_the_escape(module, probe, rule, named):
+    line = SOURCES[module].count("\n") + 1
+    assert rule(SOURCES | {module: SOURCES[module] + probe + "\n"}) == [(module, line, named)]
 
 
 PUBLIC_API = [
@@ -238,32 +263,6 @@ def test_one_route_per_engine_fact():
     for cls in (frobinom.NumericalSemigroup, frobinom.NumericalSet):
         assert not hasattr(cls, "contains"), cls
     assert not hasattr(frobinom.NumericalSemigroup, "type")
-
-
-def test_private_imports_between_modules():
-    # the only private name one module imports from another is the message
-    # rendering of long ints (semigroup keeps its own copy, as it imports
-    # nothing from the package)
-    imported = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(parsed(path.name)):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
-                imported |= {(path.name, node.module, alias.name) for alias in node.names
-                             if alias.name.startswith("_")}
-    assert imported == {("binomial.py", "exactmath", "_int_text"),
-                        ("corepartitions.py", "exactmath", "_int_text"),
-                        ("oracle.py", "exactmath", "_int_text")}
-
-
-def test_only_binomial_names_the_box_record():
-    # the per-n record and the lookups over it are built and read in one module
-    record = {"_box", "_Box", "_coordinates", "_triple", "_check_p"}
-    assert list(private_reads("binomial.py", record)) == []
-
-
-def test_only_corepartitions_reads_the_set_bitmap():
-    # the encoding of a NumericalSet lives in one module
-    assert list(private_reads("corepartitions.py", {"_member"})) == []
 
 
 def test_oracle_family_shares_no_arithmetic_with_the_closed_forms():
