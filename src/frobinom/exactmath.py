@@ -292,7 +292,7 @@ def binom_residue_lemma(n: int, p: int, k: int) -> tuple[int, int]:
         raise ValueError(f"{_int_text(p)} is not prime")
     # p^k > n once k exceeds n's bit length, so it is refused before it is built
     if k > n.bit_length() or n % p**k:
-        raise ValueError(f"{p}^{k} does not divide {_int_text(n)}")
+        raise ValueError(f"{p}^{_int_text(k)} does not divide {_int_text(n)}")
     pk = p**k
     return binomial(n, pk) % n, (n // pk) % n
 

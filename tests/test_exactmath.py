@@ -96,14 +96,6 @@ class TestBinomial:
         assert binomial(6, 3) == 20
         assert binomial(123, 0) == 1
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial(5, 7)
-        with pytest.raises(ValueError):
-            binomial(5, -1)
-        with pytest.raises(ValueError):
-            binomial(-2, 0)
-
 
 def dispatch_thresholds(n):
     """The least j = min(k, n-k) allowed on the tree path by each of the two rules."""
@@ -300,11 +292,6 @@ class TestFactorize:
         assert factorize(27) == [(3, 3)]
         assert factorize(2) == [(2, 1)]
 
-    def test_domain_error(self):
-        for bad in (1, 0, -5):
-            with pytest.raises(ValueError):
-                factorize(bad)
-
     @given(st.integers(2, 10**6))
     def test_reconstructs_and_primes_ascend(self, n):
         fac = factorize(n)
@@ -321,18 +308,6 @@ class TestValuations:
         assert p_adic_valuation(2, 40) == 3
         assert p_adic_valuation(3, 81) == 4
         assert p_adic_valuation(5, 126410606437752) == 0
-
-    def test_divide_out_rejects_zero(self):
-        with pytest.raises(ValueError):
-            p_adic_valuation(5, 0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="^4 is not prime$"):
-            p_adic_valuation(4, 8)
-        with pytest.raises(ValueError, match=r"^binomial_valuation_kummer\(2, 5, 6\) requires"):
-            binomial_valuation_kummer(2, 5, 6)
-        with pytest.raises(ValueError, match="^4 is not prime$"):
-            binomial_valuation_kummer(4, 8, 2)
 
     def test_kummer_examples(self):
         assert binomial_valuation_kummer(2, 4, 2) == 1
@@ -372,33 +347,12 @@ class TestSunCongruence:
     def test_counterexample_at_a_zero(self):
         assert not sun_congruence_holds(2, 0, 2, 1)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            sun_congruence_holds(4, 1, 3, 1)
-        with pytest.raises(ValueError):
-            sun_congruence_holds(2, 1, 3, 5)
-
 
 class TestResidueLemma:
     def test_examples(self):
         assert binom_residue_lemma(50, 5, 1) == (10, 10)
         assert binom_residue_lemma(50, 5, 2) == (2, 2)
         assert binom_residue_lemma(6, 2, 1) == (3, 3)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binom_residue_lemma(50, 3, 1)
-        with pytest.raises(ValueError):
-            binom_residue_lemma(50, 5, 3)
-        with pytest.raises(ValueError):
-            binom_residue_lemma(50, 5, 0)
-        with pytest.raises(ValueError, match="^4 is not prime$"):
-            binom_residue_lemma(12, 4, 1)
-        # the lemma's own domain, checked before any binomial
-        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
-            binom_residue_lemma(0, 2, 1)
-        with pytest.raises(ValueError, match="^need n >= 1, got -6$"):
-            binom_residue_lemma(-6, 3, 1)
 
     def test_equality_on_provable_domain_up_to_300(self):
         # true exactly when (p odd and k <= 2) or (p = 2 and k = 1)
@@ -420,13 +374,9 @@ class TestResidueLemma:
         assert lhs != rhs
 
     def test_an_exponent_past_the_bit_length_is_refused_before_p_k_is_built(self):
-        # 2^k > n once k exceeds n's bit length: 2^4 = 16 does not divide 8
-        # by the division, 2^5 by the bound, and 2^(10^7), a 1.25 MB int, is
-        # never built
+        # 2^k > n once k exceeds n's bit length, so 2^(10^7), a 1.25 MB int,
+        # is never built
         assert binom_residue_lemma(8, 2, 3) == (1, 1)
-        for k in (4, 5):
-            with pytest.raises(ValueError, match=f"^2\\^{k} does not divide 8$"):
-                binom_residue_lemma(8, 2, k)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"^2\^10000000 does not divide 6$"):
@@ -458,34 +408,3 @@ def test_package_exports_no_modules():
     assert inspect.ismodule(frobinom.binomial)
     assert frobinom.exactmath.binomial(10, 3) == 120
 
-
-LONG = 10**5000  # 5001 digits, over the interpreter's 4300-digit int-to-str limit
-
-
-@pytest.mark.parametrize("call, args", [
-    ("factorize", (-LONG,)),
-    ("bn_spec", (-LONG,)),
-    ("bn_family", (-LONG,)),
-    ("decompose", (10, LONG)),
-    ("exactmath.binomial", (10, LONG)),
-    ("identity_pq_check", (LONG, 5, 1)),
-    ("identity_pq_check", (3, 5, LONG + 1)),
-    ("identity_pm_check", (3, -LONG, 1)),
-    ("identity_pm_check", (3, 2, LONG + 1)),
-    ("p_adic_valuation", (2, -LONG)),
-    ("binomial_valuation_kummer", (2, 5, LONG)),
-    ("sun_congruence_holds", (2, -LONG, 1, 0)),
-    ("is_s_core", (frobinom.Partition([1]), -LONG)),
-    ("is_triple_core", (frobinom.NumericalSet([1]), -LONG, 2)),
-], ids=["factorize", "bn_spec", "bn_family", "decompose", "binomial", "identity_pq_check-p",
-        "identity_pq_check-r", "identity_pm_check-m", "identity_pm_check-r", "p_adic_valuation",
-        "binomial_valuation_kummer", "sun_congruence_holds", "is_s_core", "is_triple_core"])
-def test_messages_name_long_ints_by_bit_length(call, args):
-    # building the message must not raise in place of the error it reports
-    function = frobinom
-    for name in call.split("."):
-        function = getattr(function, name)
-    with pytest.raises(ValueError) as err:
-        function(*args)
-    assert "-bit integer>" in str(err.value)
-    assert "Exceeds the limit" not in str(err.value)

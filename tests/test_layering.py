@@ -1,8 +1,11 @@
 """The package's architecture, read from its source with ast, and the rules
 every public entry keeps.  The table LAYERS is the architecture: a new
-layering decision is a row of it, checked by the same two rules."""
+layering decision is a row of it, checked by the same two rules.  The table
+REFUSALS lists every refusal of the library: a new one is a row of it, with
+its exact class and message."""
 
 import ast
+import importlib
 import inspect
 import subprocess
 import sys
@@ -14,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import frobinom
-from frobinom import AperyTable, NotANumericalSemigroup
+from cli_contract import CASES
+from frobinom import AperyTable, DegenerateSemigroupError, NotANumericalSemigroup
 from shared import Index, semigroup_set
 
 PACKAGE = Path(frobinom.__file__).parent
@@ -163,10 +167,10 @@ INTEGER_ENTRIES = [
     ("p_adic_valuation", (2, 8), 3),
     ("binomial_valuation_kummer", (2, 8, 4), 1),
     ("sun_congruence_holds", (3, 1, 4, 2), True),
-    ("sun_congruence_holds", (4, 1, 4, 2), (ValueError, "4 is not prime")),
+    ("sun_congruence_holds", (4, 1, 4, 2)),
     ("binom_residue_lemma", (9, 3, 1), (3, 3)),
-    ("binom_residue_lemma", (50, 5, 3), (ValueError, "5^3 does not divide 50")),
-    ("binom_residue_lemma", (0, 2, 1), (ValueError, "need n >= 1, got 0")),
+    ("binom_residue_lemma", (50, 5, 3)),
+    ("binom_residue_lemma", (0, 2, 1)),
     ("bn_spec", (30,)),
     ("bn_report", (30,)),
     ("bn_report", (13,)),  # prime
@@ -184,22 +188,20 @@ INTEGER_ENTRIES = [
     ("exists_admissible_bn", (6, 2), 44),
     ("exists_admissible_bn", (100, 7)),
     ("identity_pq_check", (3, 5, 2), -1085),
-    ("identity_pq_check", (3, 3, 2), (ValueError, "need two distinct primes, got 3, 3")),
+    ("identity_pq_check", (3, 3, 2)),
     ("identity_pm_check", (3, 4, 2)),
     ("identity_pm_check", (3, 3, 2)),  # not an integer, as 3 does not divide 3 - 1
-    ("identity_pm_check", (2, 3, 1), (ValueError, "p = 2 must be an odd prime")),
+    ("identity_pm_check", (2, 3, 1)),
     ("bn_family", (30,)),
     ("oracle.engine_cost", (30,)),
     ("oracle.verify_rows", (4,)),
     ("verify_closed_vs_oracle", (30,)),
     ("minimal_generators", ([6, 10, 15, 12],), [6, 10, 15]),
-    ("minimal_generators", ([4, 6],),
-     (NotANumericalSemigroup, "generators have gcd 2; a numerical semigroup requires gcd 1")),
+    ("minimal_generators", ([4, 6],)),
     ("NumericalSemigroup", ([3, 5],)),
     ("NumericalSemigroup.apery_set", (S35, 3), S35.apery),  # the multiplicity
     ("NumericalSemigroup.apery_set", (S35, 5), AperyTable(5, (0, 6, 12, 3, 9))),
-    ("NumericalSemigroup.apery_set", (S35, 4),
-     (ValueError, "4 is not a nonzero element of NumericalSemigroup([3, 5])")),
+    ("NumericalSemigroup.apery_set", (S35, 4)),
     *(("NumericalSemigroup.__contains__", (S35, x)) for x in range(-1, 9)),
     ("NumericalSet", ([2, 5],)),
     *(("NumericalSet.__contains__", (frobinom.NumericalSet([1, 2]), x)) for x in range(-1, 5)),
@@ -225,6 +227,11 @@ def rebuilt(args, value):
     return [each(i, arg) for i, arg in enumerate(args)]
 
 
+def entry(name):
+    """The public entry a row names under frobinom."""
+    return reduce(getattr, name.split("."), frobinom)
+
+
 def outcome(call, args):
     """The result, or the exception's type and message.  The engine compares
     by identity, so its attributes stand for it."""
@@ -238,7 +245,7 @@ def outcome(call, args):
 @pytest.mark.parametrize("row", INTEGER_ENTRIES, ids=[row[0] for row in INTEGER_ENTRIES])
 def test_integers_are_read_through_index(row):
     name, args, *pinned = row
-    call = reduce(getattr, name.split("."), frobinom)
+    call = entry(name)
     expected = outcome(call, args)
     assert pinned in ([], [expected])
     # an Index equals no int, so one kept in a result or printed in a message shows
@@ -256,6 +263,187 @@ def test_every_public_entry_reads_integers_or_takes_none():
     assert NO_INTEGERS.isdisjoint(rows)
     assert sorted({name for name in rows if "." not in name} | NO_INTEGERS) == \
         sorted(frobinom.__all__)
+
+
+LONG = 10**5000  # 5001 digits, over the interpreter's 4300-digit int-to-str limit
+BITS = "<16610-bit integer>"  # LONG in a message
+S57, S61520 = frobinom.NumericalSemigroup([5, 7]), frobinom.NumericalSemigroup([6, 15, 20])
+NS = frobinom.NumericalSet
+GCD = "generators have gcd {}; a numerical semigroup requires gcd 1".format
+TABLE = "Apery table base <{}-bit integer> has more classes than a list can index".format
+PRIME = ("n = {} is prime: the scaled binomial family generates all of N, "
+         "so the closed forms do not apply").format
+COLLIDE = "residues of (s, s+1, s+{}) collide mod {} for every s".format
+GAPS = "gaps must be positive (0 always belongs to the set)"
+
+# Every refusal of the library, one row per call: its name under frobinom,
+# its arguments, the exception's exact class and its exact message.  Each
+# raise of a ValueError in the library is reached by some row, and each row's
+# error is raised by one of them, not by Python inside the library.
+REFUSALS = [
+    ("exactmath.binomial", (5, 7), ValueError, "binomial(5, 7) requires 0 <= k <= n"),
+    ("exactmath.binomial", (5, -1), ValueError, "binomial(5, -1) requires 0 <= k <= n"),
+    ("exactmath.binomial", (-2, 0), ValueError, "binomial(-2, 0) requires 0 <= k <= n"),
+    ("exactmath.binomial", (10, LONG), ValueError, f"binomial(10, {BITS}) requires 0 <= k <= n"),
+    *(("factorize", (n,), ValueError, f"cannot factor {n}: need n >= 2") for n in (1, 0, -5)),
+    ("factorize", (-LONG,), ValueError, f"cannot factor -{BITS}: need n >= 2"),
+    ("p_adic_valuation", (5, 0), ValueError, "p-adic valuation of 0 is undefined here"),
+    ("p_adic_valuation", (2, -LONG), ValueError, f"p-adic valuation of -{BITS} is undefined here"),
+    ("p_adic_valuation", (4, 8), ValueError, "4 is not prime"),
+    ("binomial_valuation_kummer", (2, 5, 6), ValueError,
+     "binomial_valuation_kummer(2, 5, 6) requires 0 <= k <= n"),
+    ("binomial_valuation_kummer", (2, 5, LONG), ValueError,
+     f"binomial_valuation_kummer(2, 5, {BITS}) requires 0 <= k <= n"),
+    ("binomial_valuation_kummer", (4, 8, 2), ValueError, "4 is not prime"),
+    ("sun_congruence_holds", (4, 1, 3, 1), ValueError, "4 is not prime"),
+    ("sun_congruence_holds", (4, 1, 4, 2), ValueError, "4 is not prime"),
+    ("sun_congruence_holds", (2, 1, 3, 5), ValueError,
+     "need m >= n2 >= 0 and a >= 0, got a=1, m=3, n2=5"),
+    ("sun_congruence_holds", (2, -LONG, 1, 0), ValueError,
+     f"need m >= n2 >= 0 and a >= 0, got a=-{BITS}, m=1, n2=0"),
+    # the residue lemma's own domain, checked before any binomial
+    ("binom_residue_lemma", (0, 2, 1), ValueError, "need n >= 1, got 0"),
+    ("binom_residue_lemma", (-6, 3, 1), ValueError, "need n >= 1, got -6"),
+    ("binom_residue_lemma", (50, 5, 0), ValueError, "exponent k must be at least 1"),
+    ("binom_residue_lemma", (12, 4, 1), ValueError, "4 is not prime"),
+    ("binom_residue_lemma", (50, 3, 1), ValueError, "3^1 does not divide 50"),
+    ("binom_residue_lemma", (50, 5, 3), ValueError, "5^3 does not divide 50"),
+    ("binom_residue_lemma", (8, 2, 4), ValueError, "2^4 does not divide 8"),  # by the division
+    ("binom_residue_lemma", (8, 2, 5), ValueError, "2^5 does not divide 8"),  # by the bit length
+    ("binom_residue_lemma", (6, 2, LONG), ValueError, f"2^{BITS} does not divide 6"),
+    ("minimal_generators", ([],), ValueError, "need at least one generator"),
+    ("minimal_generators", ([0, 3],), ValueError, "generators must be positive integers"),
+    ("minimal_generators", ([4, 6],), NotANumericalSemigroup, GCD(2)),
+    ("NumericalSemigroup", ([4, 6],), NotANumericalSemigroup, GCD(2)),
+    ("NumericalSemigroup", ([LONG, 2 * LONG],), NotANumericalSemigroup, GCD(BITS)),
+    # bases of 2^63 or more, which no list can index, are refused before the
+    # table is allocated; a base a list could index is never tried here
+    ("NumericalSemigroup", ([2**63, 2**63 + 1],), ValueError, TABLE(64)),
+    ("NumericalSemigroup.apery_set", (S57, 2**63), ValueError, TABLE(64)),
+    ("NumericalSemigroup.apery_set", (S57, LONG + 1), ValueError, TABLE(16610)),
+    ("NumericalSemigroup.apery_set", (S61520, 7), ValueError,
+     "7 is not a nonzero element of NumericalSemigroup([6, 15, 20])"),
+    ("NumericalSemigroup.apery_set", (S35, 4), ValueError,
+     "4 is not a nonzero element of NumericalSemigroup([3, 5])"),
+    ("NumericalSemigroup.apery_set", (S57, -LONG), ValueError,
+     f"-{BITS} is not a nonzero element of NumericalSemigroup([5, 7])"),
+    ("NumericalSemigroup.apery_set", (frobinom.NumericalSemigroup([2, LONG + 1]), 3), ValueError,
+     f"3 is not a nonzero element of NumericalSemigroup([2, {BITS}])"),
+    # positivity is checked before the bound
+    *(("NumericalSet", (gaps,), ValueError, GAPS) for gaps in ([0, 3], [3, 0], [10**7, 0])),
+    ("NumericalSet", ([10**7],), ValueError, "Frobenius number 10000000 exceeds the bound 1000000"),
+    ("NumericalSet", ([LONG],), ValueError, f"Frobenius number {BITS} exceeds the bound 1000000"),
+    ("NumericalSet.from_semigroup", (frobinom.NumericalSemigroup([1001, 1002]),), ValueError,
+     "Frobenius number 1000999 exceeds the bound 1000000"),
+    ("NumericalSet.from_semigroup", (frobinom.NumericalSemigroup([2, 10 * LONG + 1]),),
+     ValueError, "Frobenius number <16613-bit integer> exceeds the bound 1000000"),
+    # positivity is checked before the order
+    *(("Partition", (parts,), ValueError, "partition parts must be positive")
+      for parts in ((2, 0), (0, 3), (3, -1, 2))),
+    ("Partition", ((3, 4),), ValueError, "partition parts must be weakly decreasing"),
+    ("is_s_core", (frobinom.Partition((2, 1)), 0), ValueError, "need s >= 1, got 0"),
+    ("is_s_core", (frobinom.Partition((1,)), -LONG), ValueError, f"need s >= 1, got -{BITS}"),
+    ("is_triple_core", (NS([1]), 0, 2), ValueError, "need s >= 1 and p >= 2, got s=0, p=2"),
+    ("is_triple_core", (NS([1]), 3, 1), ValueError, "need s >= 1 and p >= 2, got s=3, p=1"),
+    ("is_triple_core", (NS([1]), -LONG, 2), ValueError,
+     f"need s >= 1 and p >= 2, got s=-{BITS}, p=2"),
+    ("enumerate_admissible", (NS([10**5]),), ValueError,
+     "Frobenius number 100000 exceeds the enumeration bound 10000"),
+    ("enumerate_admissible", (NS(range(1, 10**4 + 2)),), ValueError,  # F = ENUM_BOUND + 1
+     "Frobenius number 10001 exceeds the enumeration bound 10000"),
+    # <100, 101> (F = 9899) has 11,920,524 pairs: counted and refused
+    ("enumerate_admissible", (semigroup_set(100, 101),), ValueError,
+     "11920524 admissible pairs exceed the pair bound 5000000"),
+    *(("bn_family", (n,), ValueError, f"need n >= 2, got {n}") for n in (1, 0, -3)),
+    ("bn_family", (-LONG,), ValueError, f"need n >= 2, got -{BITS}"),
+    ("bn_spec", (1,), ValueError, "need n >= 2, got 1"),
+    ("bn_spec", (-LONG,), ValueError, f"need n >= 2, got -{BITS}"),
+    *(("bn_report", (p,), DegenerateSemigroupError, PRIME(p)) for p in (2, 3, 7, 13, 97)),
+    ("bn_apery_closed", (11,), DegenerateSemigroupError, PRIME(11)),
+    ("decompose", (7, 3), DegenerateSemigroupError, PRIME(7)),
+    ("decompose", (2, 1), DegenerateSemigroupError, PRIME(2)),  # the least n, and prime
+    # a prime is p^1: its family generates all of N, with no base to force
+    ("algorithm1", (7, 1, 2), DegenerateSemigroupError, PRIME(7)),
+    ("decompose", (10, 0), ValueError, "decompose(10, 0) requires n >= 2 and 1 <= m <= n-1"),
+    ("decompose", (10, 10), ValueError, "decompose(10, 10) requires n >= 2 and 1 <= m <= n-1"),
+    ("decompose", (10, LONG), ValueError,
+     f"decompose(10, {BITS}) requires n >= 2 and 1 <= m <= n-1"),
+    # the triple's domain: p >= 2 first, then the residue-collision rule
+    *(("algorithm1", (10, 1, p), ValueError, f"need p >= 2, got {p}") for p in (-5, 0, 1)),
+    ("algorithm1", (10, 1, -LONG), ValueError, f"need p >= 2, got -{BITS}"),
+    ("exists_admissible_bn", (6, 1), ValueError, "need p >= 2, got 1"),
+    ("algorithm1", (6, 1, 6), ValueError, COLLIDE(6, 6)),
+    ("algorithm1", (6, 1, 7), ValueError, COLLIDE(7, 6)),
+    ("algorithm1", (25, 1, 16, True), ValueError, COLLIDE(16, 5)),
+    ("exists_admissible_bn", (10, LONG), ValueError, COLLIDE(BITS, 10)),
+    ("algorithm1", (8, 1, 2), ValueError, "n = 8 is a prime power; its Apery base is 2**2, not n. "
+     "Pass force_base=True (--force-base) to run against that base"),
+    ("identity_pq_check", (4, 5, 3), ValueError, "need two distinct primes, got 4, 5"),
+    ("identity_pq_check", (3, 3, 2), ValueError, "need two distinct primes, got 3, 3"),
+    ("identity_pq_check", (LONG, 5, 1), ValueError, f"need two distinct primes, got {BITS}, 5"),
+    ("identity_pq_check", (3, 5, 6), ValueError, "r = 6 must lie in [0, 15] and be coprime to 15"),
+    ("identity_pq_check", (3, 5, LONG + 1), ValueError,
+     f"r = {BITS} must lie in [0, 15] and be coprime to 15"),
+    ("identity_pm_check", (2, 3, 1), ValueError, "p = 2 must be an odd prime"),
+    ("identity_pm_check", (3, 1, 1), ValueError, "need m >= 2, got 1"),
+    ("identity_pm_check", (3, -LONG, 1), ValueError, f"need m >= 2, got -{BITS}"),
+    ("identity_pm_check", (3, 2, 6), ValueError,
+     "r = 6 must lie in [0, 9] and not be a multiple of 3"),
+    ("identity_pm_check", (3, 2, LONG + 1), ValueError,
+     f"r = {BITS} must lie in [0, 9] and not be a multiple of 3"),
+]
+
+
+@pytest.mark.parametrize("row", REFUSALS, ids=[row[0] for row in REFUSALS])
+def test_each_refusal_is_its_row(row):
+    name, args, cls, message = row
+    assert outcome(entry(name), args) == (cls, message)
+
+
+def refusal_sites():
+    """Each raise statement of the library whose class, resolved in its
+    module's namespace, is ValueError or a subclass, as (module, first line,
+    last line)."""
+    sites = []
+    for module in sorted(LIBRARY):
+        namespace = vars(importlib.import_module(f"frobinom.{module}"))
+        for node in ast.walk(ast.parse(SOURCES[module])):
+            if isinstance(node, ast.Raise) and node.exc:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if issubclass(eval(ast.unparse(raised), namespace), ValueError):
+                    sites.append((module, node.lineno, node.end_lineno))
+    return sites
+
+
+def raised_at(call, args):
+    """The module (or file) and line of the last frame of the call's traceback."""
+    try:
+        call(*args)
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        path = Path(tb.tb_frame.f_code.co_filename)
+        return path.stem if path.parent == PACKAGE else str(path), tb.tb_lineno
+
+
+def test_every_refusal_site_has_a_row_and_every_row_a_site():
+    sites, reached, unsited = refusal_sites(), set(), []
+    for name, args, *_ in REFUSALS:
+        module, line = raised_at(entry(name), args)
+        site = [site for site in sites if site[0] == module and site[1] <= line <= site[2]]
+        reached.update(site)
+        if not site:  # Python raised inside the library, not a refusal
+            unsited.append((name, module, line))
+    assert unsited == []
+    assert [site for site in sites if site not in reached] == []  # a refusal with no row
+
+
+def test_each_cli_domain_error_is_a_refusal():
+    # exit 2 comes only from a documented refusal, printed as it is
+    messages = {f"frobinom: {message}\n" for *_, message in REFUSALS}
+    assert [case["argv"] for case in CASES if case["exit"] == 2
+            and case["stderr"] not in messages] == []
 
 
 def test_one_route_per_engine_fact():

@@ -75,21 +75,11 @@ class TestMinimalGenerators:
         assert err.value.gcd == 2
 
     def test_gcd_above_the_digit_limit(self):
-        # the message names a gcd over str()'s digit limit by its bit length
+        # the attribute keeps a gcd over str()'s digit limit whole; the message,
+        # a row of REFUSALS in test_layering.py, names it by its bit length
         with pytest.raises(NotANumericalSemigroup) as err:
             NumericalSemigroup([10**5000, 2 * 10**5000])
         assert err.value.gcd == 10**5000
-        assert str(err.value) == ("generators have gcd <16610-bit integer>; "
-                                  "a numerical semigroup requires gcd 1")
-        with pytest.raises(NotANumericalSemigroup) as err:
-            NumericalSemigroup([4, 6])
-        assert str(err.value) == "generators have gcd 2; a numerical semigroup requires gcd 1"
-
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            minimal_generators([])
-        with pytest.raises(ValueError):
-            minimal_generators([0, 3])
 
     @given(gen_sets)
     def test_idempotent_and_order_independent(self, gens):
@@ -158,35 +148,6 @@ class TestAperySet:
         x = S.generators[-1] + k * S.multiplicity
         limit = max(S.frobenius(), 0) + 2 * x + 1
         assert S.apery_set(x).entries == tuple(dp_apery(S.generators, x, limit))
-
-    def test_non_member_base_rejected(self):
-        S = NumericalSemigroup([6, 15, 20])
-        with pytest.raises(ValueError):
-            S.apery_set(7)
-
-    # bases of 2^63 or more, which no list can index, are refused before the
-    # table is allocated; a base a list could index is never tried here
-    @pytest.mark.parametrize("build, bits", [
-        (lambda: NumericalSemigroup([5, 7]).apery_set(10**5000 + 1), 16610),
-        (lambda: NumericalSemigroup([5, 7]).apery_set(2**63), 64),
-        (lambda: NumericalSemigroup([2**63, 2**63 + 1]), 64),
-    ], ids=["apery_set-long", "apery_set-2^63", "multiplicity-2^63"])
-    def test_base_no_list_can_index(self, build, bits):
-        with pytest.raises(ValueError) as err:
-            build()
-        assert str(err.value) == (f"Apery table base <{bits}-bit integer> has more classes "
-                                  "than a list can index")
-
-    def test_long_ints_in_the_base_message(self):
-        # the message names ints over str()'s digit limit by their bit length
-        with pytest.raises(ValueError) as err:
-            NumericalSemigroup([5, 7]).apery_set(-10**5000)
-        assert str(err.value) == ("-<16610-bit integer> is not a nonzero element of "
-                                  "NumericalSemigroup([5, 7])")
-        with pytest.raises(ValueError) as err:
-            NumericalSemigroup([2, 10**5000 + 1]).apery_set(3)
-        assert str(err.value) == ("3 is not a nonzero element of "
-                                  "NumericalSemigroup([2, <16610-bit integer>])")
 
     @given(gen_sets)
     @settings(max_examples=60)
