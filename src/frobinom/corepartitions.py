@@ -21,6 +21,15 @@ PAIR_BOUND = 5 * 10**6  # most admissible pairs enumerate_admissible will list: 
                         # tuples, and above the (F-2)(F-3)/2 pairs any set with F <= 3000 can have
 
 
+def _all_members(frobenius: int) -> bytearray:
+    """The bitmap of every integer from 0 to frobenius, each a member: the
+    start of a set with that Frobenius number, refused above SET_BOUND
+    before it is allocated."""
+    if frobenius > SET_BOUND:
+        raise ValueError(f"Frobenius number {_int_text(frobenius)} exceeds the bound {SET_BOUND}")
+    return bytearray(b"\x01" * (frobenius + 1))
+
+
 class NumericalSet:
     """Co-finite subset of N containing 0, stored as a bitmap up to its
     Frobenius number, which may not exceed SET_BOUND.  The gaps are read
@@ -30,12 +39,8 @@ class NumericalSet:
         gaps = list(map(index, gaps))
         if gaps and min(gaps) < 1:
             raise ValueError("gaps must be positive (0 always belongs to the set)")
-        frobenius = max(gaps, default=-1)
-        if frobenius > SET_BOUND:
-            raise ValueError(
-                f"Frobenius number {_int_text(frobenius)} exceeds the bound {SET_BOUND}")
-        self.frobenius = frobenius
-        self._member = bytearray(b"\x01" * (frobenius + 1))
+        self.frobenius = max(gaps, default=-1)
+        self._member = _all_members(self.frobenius)
         for g in gaps:
             self._member[g] = 0
 
@@ -44,11 +49,8 @@ class NumericalSet:
         """The semigroup as a set: the gaps of the class r mod m are r, r + m,
         ..., below its Apery element w, so one slice clears (w - r) / m bytes."""
         frobenius = semigroup.frobenius()
-        if frobenius > SET_BOUND:
-            raise ValueError(
-                f"Frobenius number {_int_text(frobenius)} exceeds the bound {SET_BOUND}")
+        member = _all_members(frobenius)
         m, entries = semigroup.apery
-        member = bytearray(b"\x01" * (frobenius + 1))
         zeros = memoryview(bytes(frobenius // m + 1))
         for r, w in enumerate(entries):
             member[r:w:m] = zeros[:(w - r) // m]

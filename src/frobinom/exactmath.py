@@ -172,41 +172,48 @@ def _binomial_from_primes(n: int, j: int) -> int:
     return _product_tree(factors) * _product_tree(whole)
 
 
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division by 2, 3 and then
+    the numbers 6k - 1 and 6k + 1, among which every larger prime lies."""
+    if n % 2 == 0:
+        return 2
+    if n % 3 == 0:
+        return 3
+    f = 5
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        if n % (f + 2) == 0:
+            return f + 2
+        f += 6
+    return n
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test; adequate for desk-scale inputs."""
     n = index(n)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    return n >= 2 and _least_factor(n) == n
+
+
+def _check_prime(p: int):
+    """The one refusal of an argument that must be prime."""
+    if not is_prime(p):
+        raise ValueError(f"{_int_text(p)} is not prime")
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 2 as [(p, multiplicity), ...], primes ascending."""
+    """Prime factorization of n >= 2 as [(p, multiplicity), ...], primes
+    ascending: what is left of n is divided by its least factor until 1 is left."""
     n = index(n)
     if n < 2:
         raise ValueError(f"cannot factor {_int_text(n)}: need n >= 2")
     out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            out.append((p, k))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
+    while n > 1:
+        p, k = _least_factor(n), 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        out.append((p, k))
     return out
 
 
@@ -215,8 +222,7 @@ def p_adic_valuation(p: int, x: int) -> int:
     p, x = index(p), index(x)
     if x < 1:
         raise ValueError(f"p-adic valuation of {_int_text(x)} is undefined here")
-    if not is_prime(p):
-        raise ValueError(f"{_int_text(p)} is not prime")
+    _check_prime(p)
     v = 0
     while x % p == 0:
         x //= p
@@ -234,8 +240,7 @@ def binomial_valuation_kummer(p: int, n: int, k: int) -> int:
     if k < 0 or k > n:
         raise ValueError(f"binomial_valuation_kummer({_int_text(p)}, {_int_text(n)}, "
                          f"{_int_text(k)}) requires 0 <= k <= n")
-    if not is_prime(p):
-        raise ValueError(f"{_int_text(p)} is not prime")
+    _check_prime(p)
     a, b = k, n - k
     carry = carries = 0
     while a or b or carry:
@@ -258,8 +263,7 @@ def sun_congruence_holds(p: int, a: int, m: int, n2: int) -> bool:
     degenerates to 1 == 1.
     """
     p, a, m, n2 = index(p), index(a), index(m), index(n2)
-    if not is_prime(p):
-        raise ValueError(f"{_int_text(p)} is not prime")
+    _check_prime(p)
     if not m >= n2 >= 0 or a < 0:
         raise ValueError(f"need m >= n2 >= 0 and a >= 0, got a={_int_text(a)}, "
                          f"m={_int_text(m)}, n2={_int_text(n2)}")
@@ -288,8 +292,7 @@ def binom_residue_lemma(n: int, p: int, k: int) -> tuple[int, int]:
         raise ValueError(f"need n >= 1, got {_int_text(n)}")
     if k < 1:
         raise ValueError("exponent k must be at least 1")
-    if not is_prime(p):
-        raise ValueError(f"{_int_text(p)} is not prime")
+    _check_prime(p)
     # p^k > n once k exceeds n's bit length, so it is refused before it is built
     if k > n.bit_length() or n % p**k:
         raise ValueError(f"{p}^{_int_text(k)} does not divide {_int_text(n)}")

@@ -37,6 +37,10 @@ all checks passed
 """
 PRIME_POWER_REFUSAL = ("frobinom: n = 8 is a prime power; its Apery base is 2**2, not n. "
                        "Pass force_base=True (--force-base) to run against that base\n")
+# multiplicity 10^6 with seven distinct generators, one over the engine budget
+OVER_BUDGET = " ".join(str(10**6 + i) for i in range(7))
+ENGINE_BUDGET_REFUSAL = ("frobinom: error: multiplicity 1000000 x 7 distinct generators = "
+                         "7000000 exceeds the engine budget 6000000\n")
 TOP_USAGE = ("usage: frobinom [--format {text,json}] "
              "{report,semigroup,decompose,core,admissible,verify} ...\n")
 
@@ -159,6 +163,16 @@ telescopic          true
         "gaps                (252821217113612 gaps; min 1, max 505642434227223)"]),
     dict(argv="semigroup 4 6", exit=2, stdout="",
          stderr="frobinom: generators have gcd 2; a numerical semigroup requires gcd 1\n"),
+    # the CLI bound and the engine budget (multiplicity or --apery-base times
+    # distinct generators) are checked before the engine runs
+    dict(argv="semigroup 1000001 1000002", exit=64, stdout="",
+         stderr="frobinom: error: multiplicity 1000001 exceeds the CLI bound 1000000\n"),
+    dict(argv="semigroup 5 7 --apery-base 1000001", exit=64, stdout="",
+         stderr="frobinom: error: --apery-base 1000001 exceeds the CLI bound 1000000\n"),
+    dict(argv="semigroup 5 6 7 8 9 10 11 --apery-base 1000000", exit=64, stdout="", stderr=(
+        "frobinom: error: --apery-base 1000000 x 7 distinct generators = 7000000 "
+        "exceeds the engine budget 6000000\n")),
+    dict(argv=f"semigroup {OVER_BUDGET}", exit=64, stdout="", stderr=ENGINE_BUDGET_REFUSAL),
 
     # decompose: C(n, m) over the minimal system
     dict(argv="decompose 50 7", exit=0, stderr="", stdout="""\
@@ -214,6 +228,10 @@ A(S)       {0, ...}
         "frobenius": "-1", "gaps": [], "partition": [], "hook_set": []}),
     dict(argv="core --gaps 0 3", exit=2, stdout="",
          stderr="frobinom: gaps must be positive (0 always belongs to the set)\n"),
+    dict(argv=f"core --semigroup {OVER_BUDGET}", exit=64, stdout="",
+         stderr=ENGINE_BUDGET_REFUSAL),
+    dict(argv="core --semigroup 1000001 1000002", exit=64, stdout="",
+         stderr="frobinom: error: multiplicity 1000001 exceeds the CLI bound 1000000\n"),
 
     # admissible: the triple completion over the closed Apery set
     dict(argv="admissible 50 65 6", exit=0, stderr="", stdout="""\
@@ -255,6 +273,9 @@ count   11
          lines=[f"PASS  n=354 {field}" for field in ORACLE_FIELDS] + ["all checks passed"]),
     dict(argv="verify --max-n 355", exit=64, stdout="",
          stderr="frobinom: error: --max-n 355 exceeds the engine budget 6000000 at n=355\n"),
+    # the sum stops at the first n past the budget, whatever max_n is
+    dict(argv=f"verify --max-n {10**30}", exit=64, stdout="", stderr=(
+        f"frobinom: error: --max-n {10**30} exceeds the engine budget 6000000 at n=355\n")),
     dict(argv="verify --max-n 3", exit=64, stdout="",
          stderr="frobinom: error: --max-n 3 is below 4, the least composite n\n"),
     dict(argv="verify --max-n 0", exit=64, stdout="",

@@ -2,7 +2,8 @@
 every public entry keeps.  The table LAYERS is the architecture: a new
 layering decision is a row of it, checked by the same two rules.  The table
 REFUSALS lists every refusal of the library: a new one is a row of it, with
-its exact class and message."""
+its exact class and message.  The table WORK pins the work a call may do: a
+new rule about what a call computes, or must not, is a row of it."""
 
 import ast
 import importlib
@@ -17,8 +18,10 @@ from pathlib import Path
 import pytest
 
 import frobinom
+import frobinom.cli
 from cli_contract import CASES
-from frobinom import AperyTable, DegenerateSemigroupError, NotANumericalSemigroup
+from frobinom import (AdmissiblePairResult, AperyTable, DegenerateSemigroupError,
+                      NotANumericalSemigroup, Representation)
 from shared import Index, semigroup_set
 
 PACKAGE = Path(frobinom.__file__).parent
@@ -446,6 +449,109 @@ def test_each_cli_domain_error_is_a_refusal():
             and case["stderr"] not in messages] == []
 
 
+def oracle_mismatches(*ns):
+    """The oracle's mismatches at each n, as one call."""
+    return [frobinom.verify_closed_vs_oracle(n).mismatches for n in ns]
+
+
+def seeded(n, p, seeds):
+    """algorithm1 at n and p from each seed below seeds, as one call."""
+    return [frobinom.algorithm1(n, s, p) for s in range(seeds)]
+
+
+BN, CLI, CORE = frobinom.binomial, frobinom.cli, frobinom.corepartitions
+ENGINE = frobinom.NumericalSemigroup
+MAX_N = 10**6  # the CLI bound: 2^6 5^6, whose Apery set has 10^6 elements of ~35000 digits
+F30030 = frobinom.bn_report(30030).frobenius
+NO_WALK = "no admissible s for n=30030, p={}: s >= 1 and s + p < F = {} cannot both hold".format
+FIRST = lambda first, *rest: first  # n, for the per-n functions
+ANY = lambda *args: args  # a binding that must not be called
+# the CLI contract's usage refusals: the CLI bound and the engine budget among them
+REFUSED = [case["argv"] for case in CASES if case["exit"] == 64]
+
+# One row per rule about the work a call may do: the call (an argv run
+# through the CLI's main, or a function with its arguments); its outcome
+# (the exit code, or the result, or the result's class where the result is
+# too long to write, or the exception's class and message); the watched
+# binding as (owner, attribute); the key read off each call of the binding;
+# and the keys, in order, that the call makes.  [] means the binding must not
+# be called, and the outcome shows that the call ran past where it would be.
+WORK = [
+    # the oracle scans pseudo-Frobenius once per n, at the engine's
+    # multiplicity, and reads the engine's own table, asking for no other
+    ((oracle_mismatches, (6, 9, 30, 4096)), [[]] * 4, (ENGINE, "pseudo_frobenius"),
+     lambda S: S.multiplicity, [6, 3, 30, 2048]),
+    ((oracle_mismatches, (6, 9, 30, 4096)), [[]] * 4, (ENGINE, "apery_set"), ANY, []),
+    # each prefix's membership is read off one table pass: no prefix semigroup
+    ((S61520.is_telescopic, ()), True, (frobinom.semigroup, "minimal_generators"), ANY, []),
+    # the spec stage is cached, so each call shares one factorization per n
+    ((seeded, (30030, 7, 100)), list, (BN, "factorize"), FIRST, [30030]),
+    *((argv + fmt, 0, (BN, "factorize"), FIRST, [30030])
+      for argv in ("report 30030", "decompose 30030 7") for fmt in ("", " --format json")),
+    # a prime power is refused from the spec stage, before any binomial
+    ((frobinom.algorithm1, (2**19, 1, 2)), (ValueError, (
+        "n = 524288 is a prime power; its Apery base is 2**18, not n. Pass force_base=True "
+        "(--force-base) to run against that base")), (BN, "binomial"), ANY, []),
+    # p > F - 2 is refused before any walk; p = 5 walks its first seed's classes
+    *(((frobinom.exists_admissible_bn, (30030, p)), (RuntimeError, NO_WALK(p, F30030)),
+       (BN, "_coordinates"), ANY, []) for p in (F30030 - 1, F30030)),
+    ((frobinom.exists_admissible_bn, (30030, 5)), int, (BN, "_coordinates"),
+     lambda box, r: r, [0, 1, 5]),
+    # point queries, and report above a base of 1000, list no Apery set; at
+    # MAX_N, report's answers exceed the 4300-digit int-to-str limit
+    ((frobinom.decompose, (MAX_N, 7)), Representation, (BN, "bn_apery_closed"), ANY, []),
+    ((frobinom.algorithm1, (MAX_N, 1, 2)), AdmissiblePairResult, (BN, "bn_apery_closed"),
+     ANY, []),
+    ((frobinom.exists_admissible_bn, (MAX_N, 7)), int, (BN, "bn_apery_closed"), ANY, []),
+    ("report 510510", 0, (BN, "bn_apery_closed"), ANY, []),
+    (f"report {MAX_N}", 2, (BN, "bn_apery_closed"), ANY, []),
+    # the CLI bound and the engine budget are checked before the engine runs
+    *((argv, 64, (CLI, "NumericalSemigroup"), ANY, [])
+      for argv in REFUSED if argv.startswith(("semigroup", "core"))),
+    *((argv, 64, (frobinom.oracle, "NumericalSemigroup"), ANY, [])
+      for argv in REFUSED if argv.startswith("verify")),
+    # verify reads each closed form once per n
+    *(("verify --max-n 9", 0, (BN, name), FIRST, [4, 6, 8, 9])
+      for name in ("bn_report", "bn_apery_closed")),
+    # core lists a semigroup's gaps once and reads A(S) as S, as a semigroup
+    # is closed under addition; a gap set's A(S) is computed once
+    *((f"core --semigroup 46 47{fmt}", 0, (NS, "gaps"), lambda S: S.frobenius, [2069])
+      for fmt in ("", " --format json")),
+    *((f"core --semigroup {gens}", 0, (CORE, "_a_set_bitmap"), ANY, [])
+      for gens in ("5 7 9", "3 28", "6 15 20", "12 19 24", "46 47 --format json")),
+    ("core --gaps 2 5 6 8 --format json", 0, (CORE, "_a_set_bitmap"),
+     lambda member: len(member) - 1, [8]),
+    # JSON builds no text line
+    *((f"core {source} --format json", 0, binding, ANY, [])
+      for source in ("--semigroup 46 47", "--gaps 2 5 6 8")
+      for binding in ((NS, "members_below_frobenius"), (CLI, "_fmt_list"))),
+]
+
+
+def work_id(row):
+    call, _, (_, name), *_ = row
+    return f"{call if isinstance(call, str) else call[0].__name__}-{name}"
+
+
+@pytest.mark.parametrize("row", WORK, ids=[work_id(row) for row in WORK])
+def test_each_call_does_only_its_work(row, monkeypatch):
+    call, expected, (owner, name), key, keys = row
+    real, seen = getattr(owner, name), []
+
+    def recorded(*args, **kwargs):
+        seen.append(key(*args))
+        if len(seen) > len(keys):  # at once, so a refused call starts no long run
+            raise AssertionError(f"{name} called with {seen[-1]!r} after {keys}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    BN.bn_spec.cache_clear()
+    BN._box.cache_clear()
+    got = CLI.main(call.split()) if isinstance(call, str) else outcome(*call)
+    assert seen == keys
+    assert got == expected or type(got) is expected
+
+
 def test_one_route_per_engine_fact():
     # membership is `x in S`, and the type is len(S.pseudo_frobenius())
     for cls in (frobinom.NumericalSemigroup, frobinom.NumericalSet):
@@ -480,12 +586,14 @@ def test_no_cli_handler_builds_text():
                     (handler.name, ast.unparse(node))
 
 
-def test_a_cli_call_loads_no_argparse():
-    # argv is read from one command table: importing argparse and building
-    # its parsers cost more than a small command's own work
+def test_a_cli_call_loads_no_unused_stdlib_module():
+    # argv is read from one command table, and the records are namedtuples:
+    # importing argparse, dataclasses or inspect costs more than a small
+    # command's own work
     probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import frobinom.cli; "
              "code = frobinom.cli.main(['report', '6']); "
-             "print(code, 'argparse' in sys.modules, file=sys.stderr)")
+             "print(code, sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)), "
+             "file=sys.stderr)")
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert done.stderr == "0 False\n"
+    assert done.stderr == "0 []\n"

@@ -9,7 +9,6 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import frobinom.semigroup
 from frobinom.exactmath import binomial
 from frobinom.semigroup import (
     AperyTable,
@@ -309,17 +308,3 @@ class TestSymmetryAndTelescopic:
     def test_telescopic_against_the_chain_definition(self, gens):
         assume(gcd(*gens) == 1)
         assert NumericalSemigroup(gens).is_telescopic() == chain_telescopic(gens)
-
-    def test_telescopic_builds_no_semigroup(self, monkeypatch):
-        # each prefix's membership is read off one Apery table pass; no
-        # prefix semigroup, and so no minimal-generator pass, is made
-        S = NumericalSemigroup([6, 15, 20])
-        calls = []
-
-        def counted(raw):
-            calls.append(raw)
-            return minimal_generators(raw)
-
-        monkeypatch.setattr(frobinom.semigroup, "minimal_generators", counted)
-        assert S.is_telescopic()
-        assert calls == []
