@@ -47,7 +47,6 @@ sweep and runs the arithmetic self-checks; the CLI keeps only the budget and
 the rendering.
 """
 
-import json
 import os
 import sys
 import time
@@ -420,6 +419,8 @@ def main(argv=None) -> int:
         # rendered inside the try, so str() of an int over the interpreter's
         # digit limit raises ValueError here, before anything prints
         if args.format == "json":
+            import json  # imported here, so a text call does not load it
+
             envelope = {
                 "command": args.command,
                 "input": echo,

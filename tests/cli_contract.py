@@ -115,6 +115,14 @@ telescopic          true
     dict(argv="report fifty", exit=64, stdout="", stderr=(
         "usage: frobinom report n [--format {text,json}]\n"
         "frobinom: error: invalid literal for int() with base 10: 'fifty'\n")),
+    # an argument is read by int(): an underscore, a sign and any Unicode
+    # decimal digits are a number, an exponent is not
+    dict(argv="report 3_0", exit=0, stderr="", lines=["n                   30"]),
+    dict(argv="report +30", exit=0, stderr="", lines=["n                   30"]),
+    dict(argv="report ٣٠", exit=0, stderr="", lines=["n                   30"]),
+    dict(argv="report 1e3", exit=64, stdout="", stderr=(
+        "usage: frobinom report n [--format {text,json}]\n"
+        "frobinom: error: invalid literal for int() with base 10: '1e3'\n")),
 
     # semigroup: the generic engine; <6, 15, 20> is telescopic, <5, 7, 9> is not
     dict(argv="semigroup 5 7 9", exit=0, stderr="", stdout="""\
