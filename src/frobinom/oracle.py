@@ -144,8 +144,8 @@ def _legendre(p: int, n: int, k: int) -> int:
 def _arithmetic_checks():
     """Yield (label, passed) of each self-check of `exactmath`: a sweep against an
     independent reference (Pascal's rule, Legendre's floor sum, `math.comb`)
-    or a lemma on the domain where it is provable.  The suite runs the same
-    checks with its own references."""
+    or a lemma on the domain where it is provable.  The FAULTS table in
+    tests/test_layering.py plants a fault that fails each of them."""
     ok = True
     row = [1]
     for n in range(1, 61):

@@ -268,7 +268,11 @@ count   11
     dict(argv="admissible 10 1 -5 --format json", exit=2, stdout="",
          stderr="frobinom: need p >= 2, got -5\n"),
 
-    # verify: closed forms against the engine, then the arithmetic rows
+    # verify: closed forms against the engine, then the arithmetic rows; the
+    # default sweep is every composite n <= 30
+    dict(argv="verify", exit=0, stderr="", stdout="".join(
+        f"PASS  n={n} {field}\n" for n in range(4, 31) if any(n % d == 0 for d in range(2, n))
+        for field in ORACLE_FIELDS) + ARITHMETIC_ROWS),
     dict(argv="verify --max-n 4", exit=0, stderr="",
          stdout="".join(f"PASS  n=4 {field}\n" for field in ORACLE_FIELDS) + ARITHMETIC_ROWS),
     dict(argv="verify --max-n 6", exit=0, stderr="", stdout="".join(

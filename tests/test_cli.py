@@ -255,11 +255,6 @@ class TestCore:
 
 
 class TestVerify:
-    def test_default_sweep_passes(self, capsys):
-        code, out, _ = run(capsys, "verify")
-        assert code == 0
-        assert out.count("PASS") > 170
-
     def test_json_shape(self, capsys):
         code, env, _ = run_json(capsys, "verify", "--max-n", "6")
         assert code == 0
@@ -306,24 +301,6 @@ class TestVerify:
             assert "FAIL" not in out and "PASS  n=354 genus" in out
             assert out.endswith("\nall checks passed\n")
 
-    def test_wrong_binomial_fails_its_arithmetic_rows(self, capsys, monkeypatch):
-        real = frobinom.exactmath.binomial
-        monkeypatch.setattr(frobinom.exactmath, "binomial",
-                            lambda n, k: real(n, k) + ((n, k) == (10, 3)))
-        code, out, _ = run(capsys, "verify", "--max-n", "4")
-        assert code == 1
-        failed = [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")]
-        assert failed == [
-            "pascal recurrence and symmetry, n <= 60",
-            "carry count = divide-out valuation = floor-sum formula, n <= 60",
-            "prime-power quotient congruence (a >= 1 for p = 2), p in 2..7, m <= 12",
-        ]
-        assert out.endswith("\nMISMATCHES FOUND\n")
-        code, env, _ = run_json(capsys, "verify", "--max-n", "4")
-        assert code == 1
-        assert env["result"]["all_passed"] is False
-        assert sum(not c["passed"] for c in env["result"]["checks"]) == 3
-
     def test_a_raising_closed_form_is_one_failed_row(self, capsys, monkeypatch):
         real = frobinom.binomial.bn_report
 
@@ -343,6 +320,7 @@ class TestVerify:
         assert out.endswith("\nMISMATCHES FOUND\n")
         code, env, _ = run_json(capsys, "verify", "--max-n", "8")
         assert code == 1
+        assert env["result"]["all_passed"] is False
         assert [c for c in env["result"]["checks"] if not c["passed"]] == [
             {"name": "n=6 closed forms", "passed": False,
              "detail": "ValueError: closed-form stand-in"}]
@@ -356,45 +334,6 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-n", "8")
         assert (code, out) == (3, "")
         assert err == "frobinom: internal error: RuntimeError: engine stand-in\n"
-
-    def test_wrong_closed_genus_fails_only_the_genus_rows(self, capsys, monkeypatch):
-        real = frobinom.binomial.bn_report
-        monkeypatch.setattr(frobinom.binomial, "bn_report",
-                            lambda n: real(n)._replace(genus=real(n).genus + 1))
-        code, out, _ = run(capsys, "verify", "--max-n", "6")
-        assert code == 1
-        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert [line.split()[1:3] for line in failed] == [["n=4", "genus"], ["n=6", "genus"]]
-        assert failed[0].endswith("closed=2 oracle=1")
-        assert failed[1].endswith("closed=26 oracle=25")
-        assert out.endswith("\nMISMATCHES FOUND\n")
-
-    def test_wrong_closed_base_fails_only_the_generator_rows(self, capsys, monkeypatch):
-        # the oracle compares the closed listing with the engine's own table,
-        # so a closed base off by one is a reported mismatch, not an engine
-        # error about a base that is no element (7 is not in S(B_6))
-        real_report, real_apery = frobinom.binomial.bn_report, frobinom.binomial.bn_apery_closed
-
-        def report(n):
-            r = real_report(n)
-            gens = (r.minimal_generators[0] + 1, *r.minimal_generators[1:])
-            return r._replace(minimal_generators=gens, apery_base=r.apery_base + 1)
-
-        def apery(n):
-            base, listing = real_apery(n)
-            return base + 1, listing
-
-        monkeypatch.setattr(frobinom.binomial, "bn_report", report)
-        monkeypatch.setattr(frobinom.binomial, "bn_apery_closed", apery)
-        code, out, _ = run(capsys, "verify", "--max-n", "6")
-        assert code == 1
-        failed = [line.split()[1:3] for line in out.splitlines() if line.startswith("FAIL")]
-        assert failed == [["n=4", "minimal_generators"], ["n=6", "minimal_generators"]]
-        assert out.endswith("\nMISMATCHES FOUND\n")
-        code, env, _ = run_json(capsys, "verify", "--max-n", "6")
-        assert code == 1
-        failed = [c["name"] for c in env["result"]["checks"] if not c["passed"]]
-        assert failed == ["n=4 minimal_generators", "n=6 minimal_generators"]
 
 
 class TestClosedStdout:

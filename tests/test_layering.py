@@ -3,7 +3,9 @@ every public entry keeps.  The table LAYERS is the architecture: a new
 layering decision is a row of it, checked by the same two rules.  The table
 REFUSALS lists every refusal of the library: a new one is a row of it, with
 its exact class and message.  The table WORK pins the work a call may do: a
-new rule about what a call computes, or must not, is a row of it."""
+new rule about what a call computes, or must not, is a row of it.  The table
+FAULTS plants one fault per row under `verify` and names the rows it fails:
+a new kind of `verify` row needs a fault that fails it."""
 
 import ast
 import importlib
@@ -459,7 +461,7 @@ def seeded(n, p, seeds):
     return [frobinom.algorithm1(n, s, p) for s in range(seeds)]
 
 
-BN, CLI, CORE = frobinom.binomial, frobinom.cli, frobinom.corepartitions
+BN, CLI, CORE, EM = frobinom.binomial, frobinom.cli, frobinom.corepartitions, frobinom.exactmath
 ENGINE = frobinom.NumericalSemigroup
 MAX_N = 10**6  # the CLI bound: 2^6 5^6, whose Apery set has 10^6 elements of ~35000 digits
 F30030 = frobinom.bn_report(30030).frobenius
@@ -550,6 +552,107 @@ def test_each_call_does_only_its_work(row, monkeypatch):
     got = CLI.main(call.split()) if isinstance(call, str) else outcome(*call)
     assert seen == keys
     assert got == expected or type(got) is expected
+
+
+def faulty(edit, where=lambda *args: True):
+    """A fault: wraps the real function so that its result is edited at the
+    arguments where `where` holds."""
+    def wrap(real):
+        def planted(*args):
+            result = real(*args)
+            return edit(result) if where(*args) else result
+        return planted
+    return wrap
+
+
+def report_with(**edits):
+    """A fault of bn_report: each named field is its edit of the real record."""
+    return faulty(lambda report: report._replace(
+        **{field: edit(report) for field, edit in edits.items()}))
+
+
+PASCAL = "pascal recurrence and symmetry, n <= 60"
+CARRIES = "carry count = divide-out valuation = floor-sum formula, n <= 60"
+QUOTIENT = "prime-power quotient congruence (a >= 1 for p = 2), p in 2..7, m <= 12"
+
+# One row per fault planted under `verify`: the binding as (owner, attribute),
+# the wrapper that makes the fault from the real function, the max_n of
+# `oracle.verify_rows`, and each row that must fail, by name, with its
+# detail.  A row of `verify` that no fault fails checks nothing, so each kind
+# of row is failed by some fault here: a new kind of row needs a fault row.
+FAULTS = [
+    # no fault: every row passes
+    ((BN, "bn_report"), lambda real: real, 6, {}),
+    # each field of the report against the engine, at each n of the sweep
+    ((BN, "bn_report"), report_with(genus=lambda r: r.genus + 1), 6,
+     {"n=4 genus": "closed=2 oracle=1", "n=6 genus": "closed=26 oracle=25"}),
+    ((BN, "bn_report"), report_with(frobenius=lambda r: r.frobenius + 1), 6,
+     {"n=4 frobenius": "closed=2 oracle=1", "n=6 frobenius": "closed=50 oracle=49"}),
+    ((BN, "bn_report"), report_with(pseudo_frobenius=lambda r: (r.frobenius + 1,)), 6,
+     {"n=4 pseudo_frobenius": "closed=(2,) oracle=(1,)",
+      "n=6 pseudo_frobenius": "closed=(50,) oracle=(49,)"}),
+    ((BN, "bn_report"), report_with(type=lambda r: 2), 6,
+     {"n=4 type": "closed=2 oracle=1", "n=6 type": "closed=2 oracle=1"}),
+    ((BN, "bn_report"), report_with(symmetric=lambda r: False), 6,
+     {"n=4 symmetric": "closed=False oracle=True", "n=6 symmetric": "closed=False oracle=True"}),
+    ((BN, "bn_report"), report_with(telescopic=lambda r: False), 6,
+     {"n=4 telescopic": "closed=False oracle=True",
+      "n=6 telescopic": "closed=False oracle=True"}),
+    ((BN, "bn_report"), report_with(embedding_dimension=lambda r: r.embedding_dimension + 1), 6,
+     {"n=4 embedding_dimension": "closed=3 oracle=2",
+      "n=6 embedding_dimension": "closed=4 oracle=3"}),
+    # a closed base off by one is a reported mismatch, not an engine error
+    # about a base that is no element: the listing is compared with the
+    # engine's own table, at its multiplicity
+    ((BN, "bn_report"), report_with(
+        minimal_generators=lambda r: (r.minimal_generators[0] + 1, *r.minimal_generators[1:]),
+        apery_base=lambda r: r.apery_base + 1), 6,
+     {"n=4 minimal_generators": "closed=(3, 3) oracle=(2, 3)",
+      "n=6 minimal_generators": "closed=(7, 15, 20) oracle=(6, 15, 20)"}),
+    ((BN, "bn_apery_closed"), faulty(lambda out: (out[0], (*out[1][:-1], out[1][-1] + 1))), 6,
+     {"n=4 apery_set": "closed=(0, 4) oracle=(0, 3)",
+      "n=6 apery_set": "closed=(0, 15, 20, 35, 40, 56) oracle=(0, 15, 20, 35, 40, 55)"}),
+    # exactmath's arithmetic against the oracle's own references
+    ((EM, "binomial"), faulty(lambda b: b + 1, lambda n, k: (n, k) == (10, 3)), 4,
+     {PASCAL: "", CARRIES: "", QUOTIENT: ""}),
+    ((EM, "_binomial_from_primes"), faulty(lambda b: 3 * b), 4,
+     {"product tree = math.comb at the dispatch thresholds, n <= 10^4": ""}),
+    ((EM, "binom_residue_lemma"), faulty(lambda out: (out[0] + 1, out[1]), lambda n, p, k: n == 12),
+     4, {"binomial residue congruence on its provable domain, n <= 300": ""}),
+    ((EM, "factorize"), faulty(lambda out: [(2, 1), (3, 0)], lambda n: n == 8), 4,
+     {"gcd of binomial family: p for prime powers else 1, n <= 200": ""}),
+]
+
+
+def kind(name):
+    """A verify row's kind: its name without the n."""
+    return name.split(" ", 1)[1] if name.startswith("n=") else name
+
+
+def fault_id(row):
+    (_, name), *_, failed = row
+    return f"{name}-{'+'.join(sorted({kind(check).split()[0] for check in failed})) or 'none'}"
+
+
+@pytest.mark.parametrize("row", FAULTS, ids=[fault_id(row) for row in FAULTS])
+def test_each_fault_fails_exactly_its_verify_rows(row, monkeypatch):
+    (owner, name), wrap, max_n, failed = row
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    BN.bn_spec.cache_clear()
+    BN._box.cache_clear()
+    try:
+        rows = frobinom.oracle.verify_rows(max_n)
+    finally:  # no record built under the fault outlives the row
+        monkeypatch.undo()
+        BN.bn_spec.cache_clear()
+        BN._box.cache_clear()
+    assert {check["name"]: check["detail"] for check in rows if not check["passed"]} == failed
+
+
+def test_every_kind_of_verify_row_is_failed_by_a_fault():
+    kinds = {kind(check["name"]) for check in frobinom.oracle.verify_rows(4)}
+    assert len(kinds) == 15  # the nine fields and the six arithmetic checks
+    assert kinds - {kind(name) for *_, failed in FAULTS for name in failed} == set()
 
 
 def test_one_route_per_engine_fact():
