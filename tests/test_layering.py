@@ -612,6 +612,28 @@ FAULTS = [
     ((BN, "bn_apery_closed"), faulty(lambda out: (out[0], (*out[1][:-1], out[1][-1] + 1))), 6,
      {"n=4 apery_set": "closed=(0, 4) oracle=(0, 3)",
       "n=6 apery_set": "closed=(0, 15, 20, 35, 40, 56) oracle=(0, 15, 20, 35, 40, 55)"}),
+    # a record that drops its last generator and counts one fewer agrees with
+    # itself, so only the engine's system fails it
+    ((BN, "bn_report"), report_with(
+        minimal_generators=lambda r: r.minimal_generators[:-1],
+        embedding_dimension=lambda r: r.embedding_dimension - 1), 6,
+     {"n=4 minimal_generators": "closed=(2,) oracle=(2, 3)",
+      "n=4 embedding_dimension": "closed=1 oracle=2",
+      "n=6 minimal_generators": "closed=(6, 15) oracle=(6, 15, 20)",
+      "n=6 embedding_dimension": "closed=2 oracle=3"}),
+    # the comparison holds the engine to the closed forms too: a wrong engine
+    # fails its field, and each field the engine derives from it
+    ((ENGINE, "frobenius"), faulty(lambda f: f + 1), 6,
+     {"n=4 frobenius": "closed=1 oracle=2", "n=4 symmetric": "closed=True oracle=False",
+      "n=6 frobenius": "closed=49 oracle=50", "n=6 symmetric": "closed=True oracle=False"}),
+    ((ENGINE, "genus"), faulty(lambda g: g + 1), 6,
+     {"n=4 genus": "closed=1 oracle=2", "n=4 symmetric": "closed=True oracle=False",
+      "n=6 genus": "closed=25 oracle=26", "n=6 symmetric": "closed=True oracle=False"}),
+    ((ENGINE, "pseudo_frobenius"), faulty(lambda pf: [pf[0] - 1, *pf]), 6,
+     {"n=4 pseudo_frobenius": "closed=(1,) oracle=(0, 1)", "n=4 type": "closed=1 oracle=2",
+      "n=6 pseudo_frobenius": "closed=(49,) oracle=(48, 49)", "n=6 type": "closed=1 oracle=2"}),
+    ((ENGINE, "is_telescopic"), faulty(lambda t: False), 6,
+     {"n=4 telescopic": "closed=True oracle=False", "n=6 telescopic": "closed=True oracle=False"}),
     # exactmath's arithmetic against the oracle's own references
     ((EM, "binomial"), faulty(lambda b: b + 1, lambda n, k: (n, k) == (10, 3)), 4,
      {PASCAL: "", CARRIES: "", QUOTIENT: ""}),
@@ -621,6 +643,16 @@ FAULTS = [
      4, {"binomial residue congruence on its provable domain, n <= 300": ""}),
     ((EM, "factorize"), faulty(lambda out: [(2, 1), (3, 0)], lambda n: n == 8), 4,
      {"gcd of binomial family: p for prime powers else 1, n <= 200": ""}),
+    # a fault at one point of one routine fails only the row that reads it
+    ((EM, "sun_congruence_holds"), faulty(lambda holds: False,
+                                          lambda p, a, m, n2: (p, a, m, n2) == (3, 1, 5, 2)),
+     4, {QUOTIENT: ""}),
+    ((EM, "binomial_valuation_kummer"), faulty(lambda v: v + 1,
+                                               lambda p, n, k: (p, n, k) == (2, 10, 3)),
+     4, {CARRIES: ""}),
+    # v_13(C(10, 3)): no p of the quotient row, whose routine reads valuations too
+    ((EM, "p_adic_valuation"), faulty(lambda v: v + 1, lambda p, x: (p, x) == (13, 120)),
+     4, {CARRIES: ""}),
 ]
 
 
