@@ -71,27 +71,29 @@ class OracleComparison(namedtuple("OracleComparison", "n fields")):
 def verify_closed_vs_oracle(n: int) -> OracleComparison:
     """Diff every closed form against the generic engine run on `bn_family(n)`;
     mismatches are reported, not raised.  The closed Apery listing is
-    compared with the engine's entries in the same sorted order: the engine
-    is the closed base when the closed forms are right; a wrong closed base
-    fails the `minimal_generators` row.  n is read off the report, so as
-    `bn_spec` reads it.  n = 30030 takes about 0.47 s and 61 MB peak RSS."""
+    compared with its base, as `bn_apery_closed` returns them, against the
+    engine's multiplicity and its entries in the same sorted order: a wrong
+    base from either fails the `apery_set` row, and a wrong base in the
+    report fails the `minimal_generators` row.  n is read off the report, so
+    as `bn_spec` reads it.  n = 30030 takes about 0.47 s and 61 MB peak RSS."""
     return _compare(*_closed_forms(n))
 
 
 def _closed_forms(n: int) -> tuple:
-    # the report and the Apery listing, each read once per n; kept apart from
-    # `_compare`, so `verify_rows` tells their exceptions from the engine's
+    # the report and the Apery listing with its base, each read once per n;
+    # kept apart from `_compare`, so `verify_rows` tells their exceptions
+    # from the engine's
     report = bn.bn_report(n)
-    return report, bn.bn_apery_closed(report.n)[1]
+    return report, bn.bn_apery_closed(report.n)
 
 
-def _compare(report, listing) -> OracleComparison:
+def _compare(report, apery) -> OracleComparison:
     engine = NumericalSemigroup(bn_family(report.n))
     pseudo_frobenius = tuple(engine.pseudo_frobenius())
     fields = {
         "minimal_generators": (report.minimal_generators, engine.generators),
         "embedding_dimension": (report.embedding_dimension, len(engine.generators)),
-        "apery_set": (listing, tuple(sorted(engine.apery.entries))),
+        "apery_set": (apery, (engine.multiplicity, tuple(sorted(engine.apery.entries)))),
         "frobenius": (report.frobenius, engine.frobenius()),
         "genus": (report.genus, engine.genus()),
         "pseudo_frobenius": (report.pseudo_frobenius, pseudo_frobenius),

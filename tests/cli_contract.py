@@ -100,6 +100,16 @@ telescopic          true
             "436073", "570024", "570459", "574084", "574519", "578144", "578579"],
         "frobenius": "578549", "genus": "289275", "pseudo_frobenius": ["578549"],
         "type": "1", "symmetric": True, "telescopic": True}),
+    # the box whose value order is not its coordinate order: 66 + 2 * 220 > 495
+    dict(argv="report 12 --format json", exit=0, stderr="", result={
+        "n": "12", "factorization": [["2", "2"], ["3", "1"]], "scale": "1",
+        "minimal_generators": ["12", "66", "220", "495"], "embedding_dimension": "4",
+        "apery_base": "12",
+        "apery_box": {"base": "12", "generators": [["66", "2"], ["220", "3"], ["495", "2"]]},
+        "apery_set": ["0", "66", "220", "286", "440", "495", "506", "561", "715", "781",
+                      "935", "1001"],
+        "frobenius": "989", "genus": "495", "pseudo_frobenius": ["989"], "type": "1",
+        "symmetric": True, "telescopic": True}),
     # --format may come before the command
     dict(argv="--format json report 6", exit=0, stderr="", result={
         "n": "6", "factorization": [["2", "1"], ["3", "1"]], "scale": "1",
@@ -199,6 +209,10 @@ identity     1997688*50 = 99884400
     dict(argv="decompose 6 3 --format json", exit=0, stderr="", result={
         "n": "6", "m": "3", "basis": ["6", "15", "20"], "coefficients": ["0", "0", "1"],
         "value": "20", "scaled": False, "binomial": "20"}),
+    # a prime power: C(9, 2) = 36 is scaled by 3 onto the basis <3, 28>
+    dict(argv="decompose 9 2 --format json", exit=0, stderr="", result={
+        "n": "9", "m": "2", "basis": ["3", "28"], "coefficients": ["4", "0"], "value": "12",
+        "scaled": True, "binomial": "36"}),
     dict(argv="decompose 10 10", exit=2, stdout="",
          stderr="frobinom: decompose(10, 10) requires n >= 2 and 1 <= m <= n-1\n"),
 

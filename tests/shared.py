@@ -8,6 +8,16 @@ def semigroup_set(*gens):
     return NumericalSet(NumericalSemigroup(list(gens)).gaps())
 
 
+def outcome(call, *args, **kwargs):
+    """The result of the call, or the exception's type and message.  The
+    engine compares by identity, so its attributes stand for it."""
+    try:
+        result = call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return vars(result) if isinstance(result, NumericalSemigroup) else result
+
+
 class Index:
     """An integer that only `operator.index` reads: no arithmetic, no comparison."""
 

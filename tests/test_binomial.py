@@ -23,7 +23,6 @@ from frobinom.binomial import (
     decompose,
     exists_admissible_bn,
     identity_pm_check,
-    identity_pq_check,
 )
 from frobinom.cli import main
 from frobinom.corepartitions import ENUM_BOUND, NumericalSet, enumerate_admissible
@@ -31,7 +30,7 @@ from frobinom.exactmath import binomial, factorize, is_prime
 from frobinom.oracle import bn_family, verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup
 
-from shared import semigroup_set
+from shared import outcome, semigroup_set
 
 
 class TestSpec:
@@ -71,16 +70,6 @@ class TestSpec:
 
 
 class TestMinimalSystem:
-    def test_examples(self):
-        assert bn_report(12).minimal_generators == (12, 66, 220, 495)
-        assert bn_report(9).minimal_generators == (3, 28)
-        assert bn_report(6).minimal_generators == (6, 15, 20)
-
-    def test_embedding_dimension_examples(self):
-        assert bn_report(12).embedding_dimension == 4
-        assert bn_report(70).embedding_dimension == 4
-        assert bn_report(9).embedding_dimension == 2
-
     def test_built_ascending_up_to_6000(self):
         # the base, then the box values: strictly ascending with no sort
         for n in range(4, 6001):
@@ -89,13 +78,6 @@ class TestMinimalSystem:
                 gens = report.minimal_generators
                 assert gens == (report.apery_base, *(v for v, _ in report.apery_box[1])), n
                 assert all(map(lt, gens, gens[1:])), n
-
-
-class TestAperyClosed:
-    def test_examples(self):
-        assert bn_apery_closed(6) == (6, (0, 15, 20, 35, 40, 55))
-        assert bn_apery_closed(9) == (3, (0, 28, 56))
-        assert bn_apery_closed(4) == (2, (0, 3))
 
 
 def value_of(box, coords):
@@ -251,20 +233,23 @@ class TestBoxOrder:
         assert big and all(id(v) in values for v in big)
 
 
+# the n of the benchmark's point-query pool, plus two near the CLI's bound
+SCALE_NS = [2310, 30030, 60060, 90090, 120120, 4000, 10000, 20000, 50000, 100000,
+            1024, 2187, 15625, 16807, 59049, 510510, 10**6]
+
+
 class TestRecordCache:
     def test_seventeen_n_are_built_once(self):
-        # a pool of 17 n queried twice builds 17 records in each stage
-        pool = (2310, 30030, 60060, 90090, 120120, 4000, 10000, 20000, 50000, 100000,
-                1024, 2187, 15625, 16807, 59049, 510510, 10**6)
+        # the 17 n queried twice build 17 records in each stage
         bn_spec.cache_clear()
         _box.cache_clear()
         for _ in range(2):
-            for n in pool:
+            for n in SCALE_NS:
                 decompose(n, 7)
                 algorithm1(n, 1, 5, force_base=True)
                 exists_admissible_bn(n, 5)
-        assert _box.cache_info().misses == len(pool)
-        assert bn_spec.cache_info().misses == len(pool)
+        assert _box.cache_info().misses == len(SCALE_NS)
+        assert bn_spec.cache_info().misses == len(SCALE_NS)
         assert _box.cache_info().maxsize == bn_spec.cache_info().maxsize == RECORD_CACHE
 
     def test_prime_n_caches_no_box(self):
@@ -277,31 +262,6 @@ class TestRecordCache:
 
 
 class TestClosedQuantities:
-    def test_genus_examples(self):
-        assert bn_report(6).genus == 25
-        assert bn_report(50).genus == 252821217113612
-        assert bn_report(4).genus == 1
-
-    def test_pseudo_frobenius_examples(self):
-        assert bn_report(6).pseudo_frobenius == (49,)
-        assert bn_report(9).pseudo_frobenius == (53,)  # Sylvester on <3,28>: 3*28-3-28
-        assert bn_report(70).pseudo_frobenius == (7241062721,)
-
-    def test_report_fields(self):
-        rep = bn_report(6)
-        assert rep.minimal_generators == (6, 15, 20)
-        assert (rep.frobenius, rep.genus, rep.embedding_dimension) == (49, 25, 3)
-        assert rep.pseudo_frobenius == (49,)
-        assert rep.type == 1 and rep.symmetric and rep.telescopic
-        assert bn_report(50).frobenius == 505642434227223
-        assert bn_report(9).minimal_generators == (3, 28)
-        assert bn_report(9).frobenius == 53
-
-    def test_report_carries_the_box(self):
-        assert bn_report(6).apery_box == (6, ((15, 2), (20, 3)))
-        assert bn_report(9).apery_box == (3, ((28, 3),))
-        assert bn_report(12).apery_box == (12, ((66, 2), (220, 3), (495, 2)))
-
     def test_records_are_immutable(self):
         for record, field in ((bn_report(6), "frobenius"), (bn_spec(6), "scale"),
                               (decompose(6, 3), "value"),
@@ -311,25 +271,6 @@ class TestClosedQuantities:
 
 
 class TestDecompose:
-    def test_canonical_examples(self):
-        rep = decompose(10, 3)
-        assert rep.basis == (10, 45, 252)
-        assert rep.coefficients == (12, 0, 0)  # Apery class of 120 is 0 mod 10
-        assert rep.value == 120 and not rep.scaled
-
-        rep = decompose(6, 3)
-        assert rep.coefficients == (0, 0, 1)  # the target is the generator 20
-        assert rep.value == 20
-
-        rep = decompose(50, 7)
-        assert sum(c * b for c, b in zip(rep.coefficients, rep.basis)) == binomial(50, 7)
-
-    def test_scaled_prime_power(self):
-        rep = decompose(9, 2)
-        assert rep.scaled and rep.basis == (3, 28)
-        assert rep.value == binomial(9, 2) // 3
-        assert sum(c * b for c, b in zip(rep.coefficients, rep.basis)) == rep.value
-
     def test_soundness_sweep_up_to_40(self):
         for n in range(4, 41):
             if is_prime(n):
@@ -352,9 +293,6 @@ class TestDecompose:
                     assert 0 <= c < p, (n, m)
 
 
-# the n of the benchmark's point-query pool, plus two near the CLI's bound
-SCALE_NS = [2310, 30030, 60060, 90090, 120120, 4000, 10000, 20000, 50000, 100000,
-            1024, 2187, 15625, 16807, 59049, 510510, 10**6]
 DECOMPOSE_BANDS = 8
 DIGIT_CAP = 10**5
 
@@ -397,21 +335,6 @@ def _bounds_by_value(n):
     return [p for _, p in pairs]
 
 
-class TestIdentityPQ:
-    def test_example_3_5_2(self):
-        lead = identity_pq_check(3, 5, 2)
-        assert lead == -1085 and type(lead) is int
-        assert lead * 15 + 3 * binomial(15, 3) + 5 * binomial(15, 5) == binomial(15, 2)
-
-    def test_r_one(self):
-        lead = identity_pq_check(2, 5, 1)
-        assert lead * 10 + 2 * binomial(10, 2) + 5 * binomial(10, 5) == 10
-
-    def test_example_3_5_7(self):
-        lead = identity_pq_check(3, 5, 7)
-        assert lead * 15 + 3 * binomial(15, 3) + 5 * binomial(15, 5) == binomial(15, 7)
-
-
 class TestIdentityPM:
     def test_lead_integral_exactly_when_p_divides_m_minus_1(self):
         # the numerator is == -(m-1)*p^(m-1) mod p^m for every r coprime to p,
@@ -440,15 +363,6 @@ class TestIdentityPM:
             assert type(lead) is int, r
             fixed = sum(3 ** (i - 2) * binomial(n, 3 ** (i - 1)) for i in range(2, 5))
             assert lead * n + fixed == binomial(n, r), r
-
-
-class TestOracleEquivalence:
-    def test_full_sweep_up_to_200(self):
-        # bn_report no longer lists the Apery set; the comparison lists it
-        for n in range(4, 201):
-            if not is_prime(n):
-                cmp = verify_closed_vs_oracle(n)
-                assert not cmp.mismatches, (n, cmp.mismatches)
 
 
 POINT_NS = [5040, 15625, 30030]
@@ -811,15 +725,8 @@ class TestExistsAdmissible:
                 continue
             base = _box(n).base
             for p in range(2, min(base, 40)):
-                assert _outcome(exists_admissible_bn, n, p) == \
-                    _outcome(reference_exists, n, p), (n, p)
-
-
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
+                assert outcome(exists_admissible_bn, n, p) == \
+                    outcome(reference_exists, n, p), (n, p)
 
 
 def reference_p(base, p):
@@ -873,21 +780,21 @@ class TestPointQueriesAgainstTheListing:
     def test_equal_to_the_definitions(self, n, s, k):
         base = listed_classes(n)[0]
         p = 2 + k % (3 * base)  # below and above the base
-        assert _outcome(algorithm1, n, s, p, force_base=True) == \
-            _outcome(reference_algorithm1, n, s, p), (n, s, p)
-        assert _outcome(exists_admissible_bn, n, p) == \
-            _outcome(reference_exists, n, p), (n, p)
+        assert outcome(algorithm1, n, s, p, force_base=True) == \
+            outcome(reference_algorithm1, n, s, p), (n, s, p)
+        assert outcome(exists_admissible_bn, n, p) == \
+            outcome(reference_exists, n, p), (n, p)
 
     def test_every_small_case_at_12(self):
         # n = 12 is the one box found whose value order is not the
         # coordinate order, so the largest class is picked by value there
         assert not _box(12).ordered
         for p in range(40):
-            assert _outcome(exists_admissible_bn, 12, p) == \
-                _outcome(reference_exists, 12, p), p
+            assert outcome(exists_admissible_bn, 12, p) == \
+                outcome(reference_exists, 12, p), p
             for s in range(-3, 30):
-                assert _outcome(algorithm1, 12, s, p) == \
-                    _outcome(reference_algorithm1, 12, s, p), (s, p)
+                assert outcome(algorithm1, 12, s, p) == \
+                    outcome(reference_algorithm1, 12, s, p), (s, p)
 
 
 def test_algorithm1_count_does_not_match_enumeration_at_n6():

@@ -25,7 +25,11 @@ from cli_contract import CASES, ORACLE_FIELDS, check
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of a call, a usage error's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -122,12 +126,6 @@ class TestReportBox:
 
 
 class TestSemigroup:
-    def test_apery_base_flag(self, capsys):
-        code, env, _ = run_json(capsys, "semigroup", "6", "15", "20", "--apery-base", "15")
-        assert code == 0
-        assert env["result"]["apery_base"] == "15"
-        assert len(env["result"]["apery_set"]) == 15
-
     def test_gaps_listed_up_to_genus_1000(self, capsys):
         code, env, _ = run_json(capsys, "semigroup", "45", "46")
         assert code == 0
@@ -255,12 +253,6 @@ class TestCore:
 
 
 class TestVerify:
-    def test_json_shape(self, capsys):
-        code, env, _ = run_json(capsys, "verify", "--max-n", "6")
-        assert code == 0
-        assert env["result"]["all_passed"] is True
-        assert all(c["passed"] for c in env["result"]["checks"])
-
     def test_refused_exactly_over_the_engine_budget(self, capsys, monkeypatch):
         # the sweep's cost is the engine budget's measure, multiplicity times
         # distinct generators, of each composite n's family, summed up to max_n
@@ -287,19 +279,13 @@ class TestVerify:
             assert (out == "") == over and ("engine budget" in err) == over, max_n
         assert cost > frobinom.cli.ENGINE_BUDGET  # the range reaches past the budget
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_reach_354_passes_within_2_s(self, capsys, fmt):
+    def test_reach_354_passes_within_2_s(self, capsys):
         started = time.perf_counter()
-        code, out, _ = run(capsys, "verify", "--max-n", "354", "--format", fmt)
+        code, out, _ = run(capsys, "verify", "--max-n", "354")
         assert time.perf_counter() - started < 2
         assert code == 0
-        if fmt == "json":
-            checks = json.loads(out)["result"]["checks"]
-            assert all(check["passed"] for check in checks)
-            assert "n=354 genus" in [check["name"] for check in checks]
-        else:
-            assert "FAIL" not in out and "PASS  n=354 genus" in out
-            assert out.endswith("\nall checks passed\n")
+        assert "FAIL" not in out and "PASS  n=354 genus" in out
+        assert out.endswith("\nall checks passed\n")
 
     def test_a_raising_closed_form_is_one_failed_row(self, capsys, monkeypatch):
         real = frobinom.binomial.bn_report
@@ -396,20 +382,10 @@ class TestEnvelope:
         assert out["a"] is out["b"]
 
 
-def run_exit(capsys, *argv):
-    """(exit code, stdout, stderr) of a call, a usage error's SystemExit included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case["argv"])
 def test_contract_row(capsys, case):
     # the table that CI also runs through the installed console script
-    assert check(case, *run_exit(capsys, *case["argv"].split())) == []
+    assert check(case, *run(capsys, *case["argv"].split())) == []
 
 
 class TestParse:
@@ -435,7 +411,7 @@ class TestParse:
         (("core", "--semigroup"), "--semigroup"),
     ])
     def test_usage_error_exits_64_and_names_the_culprit(self, capsys, argv, named):
-        code, out, err = run_exit(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 64
         assert out == ""
         assert err.startswith("usage: ")
@@ -448,19 +424,19 @@ class TestParse:
         ("core", "--gaps", "-3", "2"),
     ])
     def test_negative_option_values_reach_the_handler(self, capsys, argv):
-        assert run_exit(capsys, *argv)[0] == 2
+        assert run(capsys, *argv)[0] == 2
 
     @pytest.mark.parametrize("argv", [("core",), ("core", "--gaps", "1", "--semigroup", "3", "4"),
                                       ("core", "--semigroup", "3", "4", "--gaps")])
     def test_core_takes_exactly_one_source(self, capsys, argv):
-        code, _, err = run_exit(capsys, *argv)
+        code, _, err = run(capsys, *argv)
         assert code == 64
         last = err.splitlines()[-1]
         assert "--gaps" in last and "--semigroup" in last
 
     @pytest.mark.parametrize("argv", [("core", "--gaps"), ("core", "--gaps=3")])
     def test_list_option_forms(self, capsys, argv):
-        assert run_exit(capsys, *argv)[0] == 0
+        assert run(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--format", "json", "-h")])
     def test_top_level_help_names_every_command(self, capsys, argv):
@@ -613,10 +589,10 @@ def check_argv(capsys, argv, variants):
     call and the named variants; the exit code they share."""
     command = next(token for token in argv if token in _COMMANDS)
     at = argv.index(command)
-    text = run_exit(capsys, *argv)
+    text = run(capsys, *argv)
     # --format may go anywhere: the JSON call names it right after the
     # command, the "format first" variant before it, the contract rows last
-    as_json = run_exit(capsys, *argv[:at + 1], "--format", "json", *argv[at + 1:])
+    as_json = run(capsys, *argv[:at + 1], "--format", "json", *argv[at + 1:])
     code = text[0]
     for got, out, err in (text, as_json):
         assert got in (0, 1, 2, 64), (argv, got, err)
@@ -639,14 +615,14 @@ def check_argv(capsys, argv, variants):
     for variant in variants:
         if variant == "equals":
             joined = equals_form(argv, command)
-            assert run_exit(capsys, *joined) == text, (argv, joined)
+            assert run(capsys, *joined) == text, (argv, joined)
         elif variant == "format first":
-            got, out, _ = run_exit(capsys, *argv[:at], "--format", "json", *argv[at:])
+            got, out, _ = run(capsys, *argv[:at], "--format", "json", *argv[at:])
             assert got == code, argv
             if code == 0:
                 assert json.loads(out)["result"] == envelope["result"], argv
         else:  # the last --format wins
-            assert run_exit(capsys, *argv, "--format", "json", "--format", "text") == text, argv
+            assert run(capsys, *argv, "--format", "json", "--format", "text") == text, argv
     return code
 
 

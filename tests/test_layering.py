@@ -24,7 +24,7 @@ import frobinom.cli
 from cli_contract import CASES
 from frobinom import (AdmissiblePairResult, AperyTable, DegenerateSemigroupError,
                       NotANumericalSemigroup, Representation)
-from shared import Index, semigroup_set
+from shared import Index, outcome, semigroup_set
 
 PACKAGE = Path(frobinom.__file__).parent
 
@@ -237,24 +237,14 @@ def entry(name):
     return reduce(getattr, name.split("."), frobinom)
 
 
-def outcome(call, args):
-    """The result, or the exception's type and message.  The engine compares
-    by identity, so its attributes stand for it."""
-    try:
-        result = call(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return vars(result) if isinstance(result, frobinom.NumericalSemigroup) else result
-
-
 @pytest.mark.parametrize("row", INTEGER_ENTRIES, ids=[row[0] for row in INTEGER_ENTRIES])
 def test_integers_are_read_through_index(row):
     name, args, *pinned = row
     call = entry(name)
-    expected = outcome(call, args)
+    expected = outcome(call, *args)
     assert pinned in ([], [expected])
     # an Index equals no int, so one kept in a result or printed in a message shows
-    assert outcome(call, rebuilt(args, lambda x, at: Index(x))) == expected
+    assert outcome(call, *rebuilt(args, lambda x, at: Index(x))) == expected
     spots = []  # the integer positions, as rebuilt visits them
     rebuilt(args, lambda x, at: spots.append(at))
     for spot, number in product(spots, (float, lambda x: x + 0.5)):
@@ -402,7 +392,7 @@ REFUSALS = [
 @pytest.mark.parametrize("row", REFUSALS, ids=[row[0] for row in REFUSALS])
 def test_each_refusal_is_its_row(row):
     name, args, cls, message = row
-    assert outcome(entry(name), args) == (cls, message)
+    assert outcome(entry(name), *args) == (cls, message)
 
 
 def refusal_sites():
@@ -549,7 +539,7 @@ def test_each_call_does_only_its_work(row, monkeypatch):
     monkeypatch.setattr(owner, name, recorded)
     BN.bn_spec.cache_clear()
     BN._box.cache_clear()
-    got = CLI.main(call.split()) if isinstance(call, str) else outcome(*call)
+    got = CLI.main(call.split()) if isinstance(call, str) else outcome(call[0], *call[1])
     assert seen == keys
     assert got == expected or type(got) is expected
 
@@ -609,9 +599,16 @@ FAULTS = [
         apery_base=lambda r: r.apery_base + 1), 6,
      {"n=4 minimal_generators": "closed=(3, 3) oracle=(2, 3)",
       "n=6 minimal_generators": "closed=(7, 15, 20) oracle=(6, 15, 20)"}),
+    # the Apery listing is compared with its base: a wrong element or a
+    # wrong base as `bn_apery_closed` returns them fails the `apery_set` row
     ((BN, "bn_apery_closed"), faulty(lambda out: (out[0], (*out[1][:-1], out[1][-1] + 1))), 6,
-     {"n=4 apery_set": "closed=(0, 4) oracle=(0, 3)",
-      "n=6 apery_set": "closed=(0, 15, 20, 35, 40, 56) oracle=(0, 15, 20, 35, 40, 55)"}),
+     {"n=4 apery_set": "closed=(2, (0, 4)) oracle=(2, (0, 3))",
+      "n=6 apery_set":
+          "closed=(6, (0, 15, 20, 35, 40, 56)) oracle=(6, (0, 15, 20, 35, 40, 55))"}),
+    ((BN, "bn_apery_closed"), faulty(lambda out: (out[0] + 1, out[1])), 6,
+     {"n=4 apery_set": "closed=(3, (0, 3)) oracle=(2, (0, 3))",
+      "n=6 apery_set":
+          "closed=(7, (0, 15, 20, 35, 40, 55)) oracle=(6, (0, 15, 20, 35, 40, 55))"}),
     # a record that drops its last generator and counts one fewer agrees with
     # itself, so only the engine's system fails it
     ((BN, "bn_report"), report_with(
@@ -732,3 +729,32 @@ def test_a_cli_call_loads_no_unused_stdlib_module():
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, check=True)
     assert done.stderr == "0 []\n"
+
+
+PROBE = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_failing_property(x):
+    assert x < 0
+
+
+def test_after_it():
+    pass
+'''
+
+
+def test_a_failing_property_fails_only_its_test(tmp_path):
+    # on a failing @given test, hypothesis's pytest plugin may import libcst,
+    # which warns on import; under filterwarnings = ["error"] that warning
+    # ended the session with INTERNALERROR and exit 3, and no later test ran.
+    # The probe runs under this repo's pytest settings, in its own directory,
+    # as hypothesis and pytest-benchmark write into the working directory
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PACKAGE.parents[1] / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout, done.stdout
