@@ -23,6 +23,7 @@ from frobinom.binomial import (
     decompose,
     exists_admissible_bn,
     identity_pm_check,
+    identity_pq_check,
 )
 from frobinom.cli import main
 from frobinom.corepartitions import ENUM_BOUND, NumericalSet, enumerate_admissible
@@ -70,6 +71,16 @@ class TestSpec:
 
 
 class TestMinimalSystem:
+    def test_examples(self):
+        assert bn_report(12).minimal_generators == (12, 66, 220, 495)
+        assert bn_report(9).minimal_generators == (3, 28)
+        assert bn_report(6).minimal_generators == (6, 15, 20)
+
+    def test_embedding_dimension_examples(self):
+        assert bn_report(12).embedding_dimension == 4
+        assert bn_report(70).embedding_dimension == 4
+        assert bn_report(9).embedding_dimension == 2
+
     def test_built_ascending_up_to_6000(self):
         # the base, then the box values: strictly ascending with no sort
         for n in range(4, 6001):
@@ -262,6 +273,31 @@ class TestRecordCache:
 
 
 class TestClosedQuantities:
+    def test_genus_examples(self):
+        assert bn_report(6).genus == 25
+        assert bn_report(50).genus == 252821217113612
+        assert bn_report(4).genus == 1
+
+    def test_pseudo_frobenius_examples(self):
+        assert bn_report(6).pseudo_frobenius == (49,)
+        assert bn_report(9).pseudo_frobenius == (53,)  # Sylvester on <3,28>: 3*28-3-28
+        assert bn_report(70).pseudo_frobenius == (7241062721,)
+
+    def test_report_fields(self):
+        rep = bn_report(6)
+        assert rep.minimal_generators == (6, 15, 20)
+        assert (rep.frobenius, rep.genus, rep.embedding_dimension) == (49, 25, 3)
+        assert rep.pseudo_frobenius == (49,)
+        assert rep.type == 1 and rep.symmetric and rep.telescopic
+        assert bn_report(50).frobenius == 505642434227223
+        assert bn_report(9).minimal_generators == (3, 28)
+        assert bn_report(9).frobenius == 53
+
+    def test_report_carries_the_box(self):
+        assert bn_report(6).apery_box == (6, ((15, 2), (20, 3)))
+        assert bn_report(9).apery_box == (3, ((28, 3),))
+        assert bn_report(12).apery_box == (12, ((66, 2), (220, 3), (495, 2)))
+
     def test_records_are_immutable(self):
         for record, field in ((bn_report(6), "frobenius"), (bn_spec(6), "scale"),
                               (decompose(6, 3), "value"),
@@ -271,6 +307,25 @@ class TestClosedQuantities:
 
 
 class TestDecompose:
+    def test_canonical_examples(self):
+        rep = decompose(10, 3)
+        assert rep.basis == (10, 45, 252)
+        assert rep.coefficients == (12, 0, 0)  # Apery class of 120 is 0 mod 10
+        assert rep.value == 120 and not rep.scaled
+
+        rep = decompose(6, 3)
+        assert rep.coefficients == (0, 0, 1)  # the target is the generator 20
+        assert rep.value == 20
+
+        rep = decompose(50, 7)
+        assert sum(c * b for c, b in zip(rep.coefficients, rep.basis)) == binomial(50, 7)
+
+    def test_scaled_prime_power(self):
+        rep = decompose(9, 2)
+        assert rep.scaled and rep.basis == (3, 28)
+        assert rep.value == binomial(9, 2) // 3
+        assert sum(c * b for c, b in zip(rep.coefficients, rep.basis)) == rep.value
+
     def test_soundness_sweep_up_to_40(self):
         for n in range(4, 41):
             if is_prime(n):
@@ -333,6 +388,21 @@ def _bounds_by_value(n):
     pairs = sorted((binomial(n, p**j), p)
                    for p, k in spec.factorization for j in range(1, k + 1))
     return [p for _, p in pairs]
+
+
+class TestIdentityPQ:
+    def test_example_3_5_2(self):
+        lead = identity_pq_check(3, 5, 2)
+        assert lead == -1085 and type(lead) is int
+        assert lead * 15 + 3 * binomial(15, 3) + 5 * binomial(15, 5) == binomial(15, 2)
+
+    def test_r_one(self):
+        lead = identity_pq_check(2, 5, 1)
+        assert lead * 10 + 2 * binomial(10, 2) + 5 * binomial(10, 5) == 10
+
+    def test_example_3_5_7(self):
+        lead = identity_pq_check(3, 5, 7)
+        assert lead * 15 + 3 * binomial(15, 3) + 5 * binomial(15, 5) == binomial(15, 7)
 
 
 class TestIdentityPM:

@@ -126,6 +126,12 @@ class TestReportBox:
 
 
 class TestSemigroup:
+    def test_apery_base_flag(self, capsys):
+        code, env, _ = run_json(capsys, "semigroup", "6", "15", "20", "--apery-base", "15")
+        assert code == 0
+        assert env["result"]["apery_base"] == "15"
+        assert len(env["result"]["apery_set"]) == 15
+
     def test_gaps_listed_up_to_genus_1000(self, capsys):
         code, env, _ = run_json(capsys, "semigroup", "45", "46")
         assert code == 0
