@@ -1,5 +1,7 @@
 """Helpers that more than one test module imports."""
 
+import random
+
 from frobinom.corepartitions import NumericalSet
 from frobinom.semigroup import NumericalSemigroup
 
@@ -26,3 +28,12 @@ class Index:
 
     def __index__(self):
         return self.value
+
+
+def cases(seed, count, draw, *fixed):
+    """The fixed cases, then count inputs draw(rng) from one random.Random(seed):
+    the same inputs on every run, so a failure names its input and recurs."""
+    yield from fixed
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield draw(rng)

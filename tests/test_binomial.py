@@ -8,7 +8,6 @@ from math import comb, gcd, lgamma, log
 from operator import lt
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import frobinom.exactmath
 from frobinom.binomial import (
@@ -31,7 +30,15 @@ from frobinom.exactmath import binomial, factorize, is_prime
 from frobinom.oracle import bn_family, verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup
 
-from shared import outcome, semigroup_set
+from shared import cases, outcome, semigroup_set
+
+
+def composite(rng, top):
+    """An n in [4, top], redrawn until it is not prime."""
+    while True:
+        n = rng.randint(4, top)
+        if not is_prime(n):
+            return n
 
 
 class TestSpec:
@@ -127,28 +134,29 @@ class TestAperyLookup:
             assert [apery_lookup(n, r)[0] for r in range(base)] == \
                 [least(r) for r in range(base)], n
 
-    @given(st.integers(4, 3000).filter(lambda n: not is_prime(n)), st.integers(0, 10**12))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_listing_and_rebuilds(self, n, r):
-        base, least, _ = listed_classes(n)
-        gens = _box(n).gens
-        w, coords = apery_lookup(n, r)
-        assert w == least(r % base)
-        assert len(coords) == len(gens)
-        assert all(0 <= c < p for c, (_, p, _) in zip(coords, gens))
-        assert sum(c * value for c, (value, _, _) in zip(coords, gens)) == w
+    def test_matches_listing_and_rebuilds(self):
+        for n, r in cases(401, 150, lambda rng: (composite(rng, 3000), rng.randint(0, 10**12)),
+                          (4, 0)):
+            base, least, _ = listed_classes(n)
+            gens = _box(n).gens
+            w, coords = apery_lookup(n, r)
+            assert w == least(r % base), (n, r)
+            assert len(coords) == len(gens), (n, r)
+            assert all(0 <= c < p for c, (_, p, _) in zip(coords, gens)), (n, r)
+            assert sum(c * value for c, (value, _, _) in zip(coords, gens)) == w, (n, r)
 
-    @given(st.integers(4, 40).filter(lambda n: not is_prime(n)), st.integers(0, 10**6))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_engine_up_to_40(self, n, r):
-        base = _box(n).base
-        engine = NumericalSemigroup(bn_family(n)).apery_set(base)
-        assert apery_lookup(n, r)[0] == engine.entries[r % base]
+    def test_matches_engine_up_to_40(self):
+        for n, r in cases(402, 80, lambda rng: (composite(rng, 40), rng.randint(0, 10**6)),
+                          (4, 0)):
+            base = _box(n).base
+            engine = NumericalSemigroup(bn_family(n)).apery_set(base)
+            assert apery_lookup(n, r)[0] == engine.entries[r % base], (n, r)
 
-    @given(st.sampled_from([59049, 100000, 510510, 10**6]), st.integers(0, 10**12))
-    @settings(max_examples=200, deadline=None)
-    def test_cached_steps_match_the_per_call_solve(self, n, r):
-        assert apery_lookup(n, r) == _per_call_digit_solve(n, r)
+    def test_cached_steps_match_the_per_call_solve(self):
+        ns = [59049, 100000, 510510, 10**6]
+        for n, r in cases(403, 200, lambda rng: (rng.choice(ns), rng.randint(0, 10**12)),
+                          (ns[0], 0)):
+            assert apery_lookup(n, r) == _per_call_digit_solve(n, r), (n, r)
 
 
 def _per_call_digit_solve(n, r):
@@ -203,20 +211,26 @@ class TestBoxOrder:
                 assert sorted(listing) == ap, n
         assert unordered == [12]
 
-    @given(st.sampled_from([6, 12, 30, 64, 81, 2310, 4096, 15625, 30030]), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_margin_bounds_the_value_gap(self, n, data):
+    def test_margin_bounds_the_value_gap(self):
         # where a and b, read from the top, first differ at i with a[i] > b[i],
         # val(a) - val(b) >= margins[i]
-        box = _box(n)
-        vectors = st.tuples(*(st.integers(0, p - 1) for _, p, _ in box.gens))
-        a, b = list(data.draw(vectors)), list(data.draw(vectors))
-        if a == b:
-            return
-        i = max(k for k in range(len(a)) if a[k] != b[k])
-        if a[i] < b[i]:
-            a, b = b, a
-        assert value_of(box, a) - value_of(box, b) >= margins(box)[i]
+        ns = [6, 12, 30, 64, 81, 2310, 4096, 15625, 30030]
+
+        def draw(rng):
+            n = rng.choice(ns)
+            vector = lambda: [rng.randint(0, p - 1) for _, p, _ in _box(n).gens]
+            return n, vector(), vector()
+
+        # the least n, its zero vector against its largest
+        lowest = [0] * len(_box(ns[0]).gens), [p - 1 for _, p, _ in _box(ns[0]).gens]
+        for n, a, b in cases(404, 200, draw, (ns[0], *lowest)):
+            if a == b:
+                continue
+            box = _box(n)
+            i = max(k for k in range(len(a)) if a[k] != b[k])
+            if a[i] < b[i]:
+                a, b = b, a
+            assert value_of(box, a) - value_of(box, b) >= margins(box)[i], (n, a, b)
 
     def test_margin_bound_is_tight(self):
         # one unit of generator i against every lower coordinate at its bound
@@ -842,18 +856,18 @@ class TestPointQueriesAgainstTheListing:
     """The coordinate-order pick of the largest class and the membership
     checks against the definitions, read off the listed Apery set."""
 
-    @given(st.integers(4, 3000).filter(lambda n: not is_prime(n)),
-           st.integers(0, 10**6), st.integers(0, 10**6))
-    @example(12, 5, 7)
-    @example(12, 1, 30)   # p = 32, above the base
-    @settings(max_examples=150, deadline=None)
-    def test_equal_to_the_definitions(self, n, s, k):
-        base = listed_classes(n)[0]
-        p = 2 + k % (3 * base)  # below and above the base
-        assert outcome(algorithm1, n, s, p, force_base=True) == \
-            outcome(reference_algorithm1, n, s, p), (n, s, p)
-        assert outcome(exists_admissible_bn, n, p) == \
-            outcome(reference_exists, n, p), (n, p)
+    def test_equal_to_the_definitions(self):
+        draw = lambda rng: (composite(rng, 3000), rng.randint(0, 10**6), rng.randint(0, 10**6))
+        fixed = ((12, 5, 7),
+                 (12, 1, 30),  # p = 32, above the base
+                 (4, 0, 0))    # the ranges' lower ends
+        for n, s, k in cases(405, 150, draw, *fixed):
+            base = listed_classes(n)[0]
+            p = 2 + k % (3 * base)  # below and above the base
+            assert outcome(algorithm1, n, s, p, force_base=True) == \
+                outcome(reference_algorithm1, n, s, p), (n, s, p)
+            assert outcome(exists_admissible_bn, n, p) == \
+                outcome(reference_exists, n, p), (n, p)
 
     def test_every_small_case_at_12(self):
         # n = 12 is the one box found whose value order is not the

@@ -10,7 +10,6 @@ from math import comb, gcd
 from operator import add
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import frobinom.corepartitions
 from frobinom.corepartitions import (
@@ -27,7 +26,7 @@ from frobinom.corepartitions import (
 )
 from frobinom.semigroup import NumericalSemigroup
 
-from shared import semigroup_set
+from shared import cases, semigroup_set
 
 
 # elements of the well-tempered harmonic semigroup up to 48
@@ -68,8 +67,22 @@ def set_of(partition):
     return NumericalSet([p + i for i, p in enumerate(reversed(partition.parts))])
 
 
-partitions = st.lists(st.integers(1, 60), max_size=30).map(
-    lambda xs: Partition(sorted(xs, reverse=True)))
+def partition(rng):
+    """Up to 30 parts in [1, 60], largest first."""
+    return Partition(sorted((rng.randint(1, 60) for _ in range(rng.randint(0, 30))), reverse=True))
+
+
+# checked before the draws: the empty partition and the range's lower end
+PARTITION_EDGES = (Partition(()), Partition((1,)))
+
+
+def gap_list(rng):
+    """Up to 120 integers in [1, 300], unsorted and possibly repeated."""
+    return [rng.randint(1, 300) for _ in range(rng.randint(0, 120))]
+
+
+# checked before the draws: the empty gap list and the range's lower end
+GAP_LIST_EDGES = ([], [1])
 
 
 def set_with_density(f, density, rng):
@@ -78,11 +91,15 @@ def set_with_density(f, density, rng):
     return NumericalSet([g for g in range(1, f) if rng.random() < density] + [f] if f else [])
 
 
-sets_of_any_density = st.builds(
-    set_with_density, st.integers(0, 400), st.floats(0, 1), st.randoms(use_true_random=False))
-small_semigroup_sets = st.lists(st.integers(1, 40), min_size=1, max_size=4).filter(
-    lambda gens: gcd(*gens) == 1).map(
-    lambda gens: NumericalSet.from_semigroup(NumericalSemigroup(gens)))
+def set_of_any_density_or_semigroup(rng):
+    """Half the draws a set_with_density with f in [0, 400]; half the set of
+    a semigroup on 1 to 4 generators in [1, 40], redrawn until their gcd is 1."""
+    if rng.random() < 0.5:
+        return set_with_density(rng.randint(0, 400), rng.random(), rng)
+    while True:
+        gens = [rng.randint(1, 40) for _ in range(rng.randint(1, 4))]
+        if gcd(*gens) == 1:
+            return NumericalSet.from_semigroup(NumericalSemigroup(gens))
 
 
 class TestNumericalSet:
@@ -114,25 +131,25 @@ class TestNumericalSet:
         assert S.__eq__((0, 1, 3, 4, 7)) is NotImplemented
         assert not S == (0, 1, 3, 4, 7) and S != [2, 5, 6, 8]
 
-    @given(st.lists(st.integers(1, 300), max_size=120))
-    def test_listings_match_membership(self, gaps):
-        S = NumericalSet(gaps)
-        assert S.gaps() == sorted(set(gaps))
-        assert S.members_below_frobenius() == [x for x in range(S.frobenius + 1) if x in S]
+    def test_listings_match_membership(self):
+        for gaps in cases(301, 100, gap_list, *GAP_LIST_EDGES):
+            S = NumericalSet(gaps)
+            assert S.gaps() == sorted(set(gaps)), gaps
+            assert S.members_below_frobenius() == \
+                [x for x in range(S.frobenius + 1) if x in S], gaps
 
-    @given(st.lists(st.integers(1, 60), min_size=1, max_size=5))
-    @example([1])
-    @example([999, 1001])
-    @settings(deadline=None)
-    def test_from_semigroup_is_the_set_of_its_gaps(self, gens):
-        # built from the Apery table, one slice per class
-        try:
-            S = NumericalSemigroup(gens)
-        except ValueError:
-            return  # gcd > 1
-        T = NumericalSet.from_semigroup(S)
-        assert T == NumericalSet(S.gaps())
-        assert T.gaps() == S.gaps()
+    def test_from_semigroup_is_the_set_of_its_gaps(self):
+        # built from the Apery table, one slice per class; [1] is also the
+        # range's lower end
+        draw = lambda rng: [rng.randint(1, 60) for _ in range(rng.randint(1, 5))]
+        for gens in cases(302, 100, draw, [1], [999, 1001]):
+            try:
+                S = NumericalSemigroup(gens)
+            except ValueError:
+                continue  # gcd > 1
+            T = NumericalSet.from_semigroup(S)
+            assert T == NumericalSet(S.gaps()), gens
+            assert T.gaps() == S.gaps(), gens
 
 
 class TestASet:
@@ -157,14 +174,14 @@ class TestASet:
             assert 0 in A
             assert all(x in S for x in A.members_below_frobenius())
 
-    @given(st.one_of(sets_of_any_density, small_semigroup_sets))
-    @example(NumericalSet())               # the whole numbers, F = -1
-    @example(NumericalSet(range(1, 401)))  # every integer up to F a gap
-    @settings(deadline=None)
-    def test_same_frobenius_and_inside_s(self, S):
-        A = a_set(S)
-        assert A.frobenius == S.frobenius
-        assert all(x in S for x in A.members_below_frobenius())
+    def test_same_frobenius_and_inside_s(self):
+        fixed = (NumericalSet(),               # the whole numbers, F = -1: f = 0, or <1>
+                 NumericalSet([400]),          # density 0: F the one gap
+                 NumericalSet(range(1, 401)))  # density 1: every integer up to F a gap
+        for S in cases(303, 100, set_of_any_density_or_semigroup, *fixed):
+            A = a_set(S)
+            assert A.frobenius == S.frobenius, S.gaps()
+            assert all(x in S for x in A.members_below_frobenius()), S.gaps()
 
     @pytest.mark.parametrize("f", [1, 2, 3, 8, 9, 30, 31, 200, 201])
     def test_both_sides_of_the_mirror_switch(self, f):
@@ -228,15 +245,16 @@ class TestAssociatedPartition:
             members_below_f = [x for x in range(S.frobenius) if x in S]
             assert lam.parts[0] == len(members_below_f)
 
-    @given(partitions)
-    def test_roundtrip_through_numerical_set(self, lam):
-        assert partition_of(set_of(lam)) == lam
+    def test_roundtrip_through_numerical_set(self):
+        for lam in cases(304, 100, partition, *PARTITION_EDGES):
+            assert partition_of(set_of(lam)) == lam, lam
 
-    @given(st.lists(st.integers(1, 300), max_size=120))
-    def test_one_part_per_gap(self, gaps):
+    def test_one_part_per_gap(self):
         # part g_i - i for the i-th gap g_i, largest first
-        S = NumericalSet(gaps)
-        assert partition_of(S).parts == tuple([g - i for i, g in enumerate(S.gaps())][::-1])
+        for gaps in cases(305, 100, gap_list, *GAP_LIST_EDGES):
+            S = NumericalSet(gaps)
+            assert partition_of(S).parts == \
+                tuple([g - i for i, g in enumerate(S.gaps())][::-1]), gaps
 
 
 class TestHookSet:
@@ -280,10 +298,9 @@ class TestHookSet:
                     checked += 1
         assert checked == 2**12 - 1
 
-    @given(partitions)
-    @settings(max_examples=200)
-    def test_against_cell_by_cell(self, lam):
-        assert hook_set(lam) == cell_hooks(lam)
+    def test_against_cell_by_cell(self):
+        for lam in cases(306, 200, partition, *PARTITION_EDGES):
+            assert hook_set(lam) == cell_hooks(lam), lam
 
     def test_thin_shapes(self):
         # one row, one column and a hook: few gaps or few members

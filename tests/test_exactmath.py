@@ -17,7 +17,6 @@ from math import comb, isqrt, prod
 from sys import getsizeof
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
 
 import frobinom.exactmath
 from frobinom.cli import MAX_N
@@ -34,6 +33,8 @@ from frobinom.exactmath import (
     p_adic_valuation,
     sun_congruence_holds,
 )
+
+from shared import cases
 
 
 @cache
@@ -83,25 +84,48 @@ def near_thresholds(n):
     return sorted(ks)
 
 
-LARGE_N = st.integers(2 * TREE_MIN_K, 2 * 10**5)
+LARGE_N = range(2 * TREE_MIN_K, 2 * 10**5 + 1)
 
 
-@st.composite
-def block_edge_ranges(draw):
+def block_edge_range(rng):
     """(n, j) with j <= n/2 whose range (n - j, n] holds the primes of index
     lo .. hi - 1: lo and hi on a block edge, one off it or inside a block,
-    from zero to six blocks apart, so the range may be shorter than a block."""
-    primes, block = trial_division_primes(2**16), PRIME_BLOCK
-    offset = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(2, block - 2))
-    top = draw(st.integers(16, len(primes) // block - 1))
-    hi = block * top + draw(offset)
-    lo = block * (top - draw(st.integers(0, 6))) + draw(offset)
-    assume(lo <= hi)
-    # exactly hi primes are <= n and exactly lo are <= n - j
-    n = primes[hi - 1] + draw(st.integers(0, primes[hi] - primes[hi - 1] - 1))
-    m = primes[lo - 1] + draw(st.integers(0, primes[lo] - primes[lo - 1] - 1))
-    assume(1 <= n - m <= n // 2)
-    return n, n - m
+    from zero to six blocks apart, so the range may be shorter than a block.
+    Redrawn until lo <= hi and 1 <= j <= n/2."""
+    primes, block = SIEVE_PRIMES, PRIME_BLOCK
+
+    def offset():
+        return rng.choice([-1, 0, 1]) if rng.random() < 0.5 else rng.randint(2, block - 2)
+
+    while True:
+        top = rng.randint(16, len(primes) // block - 1)
+        hi = block * top + offset()
+        lo = block * (top - rng.randint(0, 6)) + offset()
+        if lo > hi:
+            continue
+        # exactly hi primes are <= n and exactly lo are <= n - j
+        n = primes[hi - 1] + rng.randint(0, primes[hi] - primes[hi - 1] - 1)
+        m = primes[lo - 1] + rng.randint(0, primes[lo] - primes[lo - 1] - 1)
+        if 1 <= n - m <= n // 2:
+            return n, n - m
+
+
+# the lower end of block_edge_range: top block 16, lo = hi one below its
+# edge, and j = 1, so the range (n - 1, n] holds no prime
+LEAST_BLOCK_EDGE_RANGE = SIEVE_PRIMES[16 * PRIME_BLOCK - 2] + 1, 1
+
+
+def growth_limit(rng):
+    """An n from just below the last prime before a block edge to the first
+    prime after it; n <= 2^15 keeps every doubled limit within the
+    reference's 2^16."""
+    b = rng.randint(1, bisect_right(SIEVE_PRIMES, 2**15) // PRIME_BLOCK - 1)
+    return rng.randint(SIEVE_PRIMES[PRIME_BLOCK * b - 1] - 1, SIEVE_PRIMES[PRIME_BLOCK * b])
+
+
+def growth_limits(rng):
+    """1 to 6 growth limits, in the order the cache is asked for them."""
+    return [growth_limit(rng) for _ in range(rng.randint(1, 6))]
 
 
 class TestBinomialDispatch:
@@ -134,47 +158,47 @@ class TestBinomialDispatch:
             for j in range(1, n // 2 + 1):
                 assert frobinom.exactmath._binomial_from_primes(n, j) == comb(n, j), (n, j)
 
-    @settings(max_examples=150, deadline=None)
-    @given(block_edge_ranges())
-    def test_tree_matches_comb_on_and_off_block_edges(self, nj):
-        n, j = nj
-        assert frobinom.exactmath._binomial_from_primes(n, j) == comb(n, j), (n, j)
+    def test_tree_matches_comb_on_and_off_block_edges(self):
+        for n, j in cases(201, 150, block_edge_range, LEAST_BLOCK_EDGE_RANGE):
+            assert frobinom.exactmath._binomial_from_primes(n, j) == comb(n, j), (n, j)
 
-    @settings(max_examples=60, deadline=None)
-    @given(LARGE_N)
-    def test_matches_comb_at_each_threshold(self, n):
-        for k in near_thresholds(n):
+    def test_matches_comb_at_each_threshold(self):
+        for n in cases(202, 60, lambda rng: rng.choice(LARGE_N), LARGE_N[0]):
+            for k in near_thresholds(n):
+                assert binomial(n, k) == comb(n, k), (n, k)
+
+    def test_matches_comb_and_is_symmetric(self):
+        draw = lambda rng: (rng.choice(LARGE_N), rng.randint(0, 2 * 10**4), rng.random() < 0.5)
+        for n, j, mirror in cases(203, 60, draw, (LARGE_N[0], 0, False), (LARGE_N[0], 0, True)):
+            j = min(j, n // 2)
+            k = n - j if mirror else j
+            expected = comb(n, k)
+            assert binomial(n, k) == expected, (n, k)
+            assert binomial(n, n - k) == expected, (n, k)
+
+    def test_matches_comb_for_every_k(self):
+        def draw(rng):
+            n = rng.randint(0, 2 * 10**4)
+            return n, rng.randint(0, n)
+
+        for n, k in cases(204, 40, draw, (0, 0)):
             assert binomial(n, k) == comb(n, k), (n, k)
 
-    @settings(max_examples=60, deadline=None)
-    @given(LARGE_N, st.integers(0, 2 * 10**4), st.booleans())
-    def test_matches_comb_and_is_symmetric(self, n, j, mirror):
-        j = min(j, n // 2)
-        k = n - j if mirror else j
-        expected = comb(n, k)
-        assert binomial(n, k) == expected
-        assert binomial(n, n - k) == expected
+    def test_edges(self):
+        # n = 0 first: verify's Pascal row starts at n = 1
+        for n in cases(205, 100, lambda rng: rng.randint(0, 2 * 10**5), 0):
+            for k in {0, 1, n - 1, n}:
+                if 0 <= k <= n:
+                    assert binomial(n, k) == (1 if k in (0, n) else n), (n, k)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 * 10**4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
-    def test_matches_comb_for_every_k(self, nk):
-        n, k = nk
-        assert binomial(n, k) == comb(n, k)
-
-    @given(st.integers(0, 2 * 10**5))
-    @example(0)  # verify's Pascal row starts at n = 1
-    def test_edges(self, n):
-        for k in {0, 1, n - 1, n}:
-            if 0 <= k <= n:
-                assert binomial(n, k) == (1 if k in (0, n) else n)
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(PRIME_CACHE_CAP + 1, PRIME_CACHE_CAP + 10**5), st.integers(0, 50))
-    def test_above_cache_cap_uses_comb_and_sieves_nothing(self, n, extra):
+    def test_above_cache_cap_uses_comb_and_sieves_nothing(self):
         # both thresholds admit this j, so only the cap keeps it off the tree
-        j = max(dispatch_thresholds(n)) + extra
-        assert binomial(n, j) == comb(n, j)
-        assert frobinom.exactmath._sieve[0] <= PRIME_CACHE_CAP
+        draw = lambda rng: (rng.randint(PRIME_CACHE_CAP + 1, PRIME_CACHE_CAP + 10**5),
+                            rng.randint(0, 50))
+        for n, extra in cases(206, 10, draw, (PRIME_CACHE_CAP + 1, 0)):
+            j = max(dispatch_thresholds(n)) + extra
+            assert binomial(n, j) == comb(n, j), (n, j)
+            assert frobinom.exactmath._sieve[0] <= PRIME_CACHE_CAP, (n, j)
 
     def test_prime_cache_doubles_and_stops_at_the_cap(self, monkeypatch):
         primes_up_to = frobinom.exactmath._primes_up_to
@@ -221,22 +245,19 @@ class TestBinomialDispatch:
         assert all(map(operator.is_, grown.blocks, old.blocks))
         assert len(grown.blocks) > len(old.blocks)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, bisect_right(SIEVE_PRIMES, 2**15) // PRIME_BLOCK - 1).flatmap(
-        lambda b: st.integers(SIEVE_PRIMES[PRIME_BLOCK * b - 1] - 1, SIEVE_PRIMES[PRIME_BLOCK * b])),
-        min_size=1, max_size=6))
-    def test_growths_across_block_edges(self, limits):
+    def test_growths_across_block_edges(self, monkeypatch):
         # each n from just below the last prime of a block to the first of the
-        # next, so a growth ends, or starts, inside a block or on its edge; n
-        # <= 2^15 keeps every doubled limit within the reference's 2^16
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
+        # next, so a growth ends, or starts, inside a block or on its edge; the
+        # least such n, alone, first
+        least = [SIEVE_PRIMES[PRIME_BLOCK - 1] - 1]
+        for limits in cases(207, 40, growth_limits, least):
+            monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
             for n in limits:
                 limit, primes, blocks = frobinom.exactmath._primes_up_to(n)
                 expected = SIEVE_PRIMES[:bisect_right(SIEVE_PRIMES, limit)]
-                assert primes.tolist() == expected, limit
-                assert blocks == [prod(expected[i:i + PRIME_BLOCK])
-                                  for i in range(0, len(expected) - PRIME_BLOCK + 1, PRIME_BLOCK)]
+                assert primes.tolist() == expected, (limits, limit)
+                whole = range(0, len(expected) - PRIME_BLOCK + 1, PRIME_BLOCK)
+                assert blocks == [prod(expected[i:i + PRIME_BLOCK]) for i in whole], (limits, limit)
 
     def test_prime_cache_at_the_cap_is_under_one_megabyte(self):
         # the primes to 10^6 as machine words plus their block products: 0.57 MB;
@@ -248,13 +269,13 @@ class TestBinomialDispatch:
         # one value, defined in exactmath and imported by the CLI
         assert MAX_N == PRIME_CACHE_CAP
 
-    @settings(max_examples=30, deadline=None)
-    @given(LARGE_N, st.integers(0, 2000))
-    def test_kummer_valuation_of_tree_results(self, n, extra):
-        k = min(max(dispatch_thresholds(n)) + extra, n // 2)
-        b = binomial(n, k)
-        for p in (2, 3, 5, 7, 11, 13):
-            assert binomial_valuation_kummer(p, n, k) == p_adic_valuation(p, b), (p, n, k)
+    def test_kummer_valuation_of_tree_results(self):
+        for n, extra in cases(208, 30, lambda rng: (rng.choice(LARGE_N), rng.randint(0, 2000)),
+                              (LARGE_N[0], 0)):
+            k = min(max(dispatch_thresholds(n)) + extra, n // 2)
+            b = binomial(n, k)
+            for p in (2, 3, 5, 7, 11, 13):
+                assert binomial_valuation_kummer(p, n, k) == p_adic_valuation(p, b), (p, n, k)
 
 
 class TestFactorize:
@@ -264,15 +285,15 @@ class TestFactorize:
         assert factorize(27) == [(3, 3)]
         assert factorize(2) == [(2, 1)]
 
-    @given(st.integers(2, 10**6))
-    def test_reconstructs_and_primes_ascend(self, n):
-        fac = factorize(n)
-        prod = 1
-        for p, k in fac:
-            assert is_prime(p)
-            prod *= p**k
-        assert prod == n
-        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+    def test_reconstructs_and_primes_ascend(self):
+        for n in cases(209, 100, lambda rng: rng.randint(2, 10**6), 2):
+            fac = factorize(n)
+            product = 1
+            for p, k in fac:
+                assert is_prime(p), (n, p)
+                product *= p**k
+            assert product == n, n
+            assert [p for p, _ in fac] == sorted({p for p, _ in fac}), n
 
 
 class TestValuations:

@@ -12,7 +12,7 @@ import importlib
 import inspect
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import reduce
 from itertools import product
 from pathlib import Path
@@ -237,7 +237,28 @@ def entry(name):
     return reduce(getattr, name.split("."), frobinom)
 
 
-@pytest.mark.parametrize("row", INTEGER_ENTRIES, ids=[row[0] for row in INTEGER_ENTRIES])
+def shown(x):
+    """x as a row's id shows it: an int as a message shows it (by its bit
+    length past the int-to-str limit), a list or tuple item by item, and
+    anything else by its repr."""
+    if type(x) is int:
+        return frobinom.exactmath._int_text(x)
+    if type(x) in (list, tuple):
+        items = ", ".join(map(shown, x))
+        return f"[{items}]" if type(x) is list else f"({items})"
+    return repr(x)
+
+
+def call_id(name, args):
+    """A row's id, read off its content: the entry and its arguments, so a
+    row added or removed renames no other."""
+    return f"{name}({', '.join(map(shown, args))})"
+
+
+INTEGER_IDS = [call_id(name, args) for name, args, *_ in INTEGER_ENTRIES]
+
+
+@pytest.mark.parametrize("row", INTEGER_ENTRIES, ids=INTEGER_IDS)
 def test_integers_are_read_through_index(row):
     name, args, *pinned = row
     call = entry(name)
@@ -389,7 +410,10 @@ REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("row", REFUSALS, ids=[row[0] for row in REFUSALS])
+REFUSAL_IDS = [call_id(name, args) for name, args, *_ in REFUSALS]
+
+
+@pytest.mark.parametrize("row", REFUSALS, ids=REFUSAL_IDS)
 def test_each_refusal_is_its_row(row):
     name, args, cls, message = row
     assert outcome(entry(name), *args) == (cls, message)
@@ -521,11 +545,15 @@ WORK = [
 
 
 def work_id(row):
+    """The call, as argv or as its function and arguments, and the watched binding."""
     call, _, (_, name), *_ = row
-    return f"{call if isinstance(call, str) else call[0].__name__}-{name}"
+    return f"{call if isinstance(call, str) else call_id(call[0].__name__, call[1])}-{name}"
 
 
-@pytest.mark.parametrize("row", WORK, ids=[work_id(row) for row in WORK])
+WORK_IDS = list(map(work_id, WORK))
+
+
+@pytest.mark.parametrize("row", WORK, ids=WORK_IDS)
 def test_each_call_does_only_its_work(row, monkeypatch):
     call, expected, (owner, name), key, keys = row
     real, seen = getattr(owner, name), []
@@ -659,11 +687,18 @@ def kind(name):
 
 
 def fault_id(row):
+    """The faulty binding, the kinds of verify row it fails and the detail of
+    the first failed row, which tells apart two faults failing the same rows."""
     (_, name), *_, failed = row
-    return f"{name}-{'+'.join(sorted({kind(check).split()[0] for check in failed})) or 'none'}"
+    kinds = "+".join(sorted({kind(check).split()[0] for check in failed})) or "none"
+    detail = failed[min(failed)] if failed else ""
+    return f"{name}-{kinds}" + (f"-{detail}" if detail else "")
 
 
-@pytest.mark.parametrize("row", FAULTS, ids=[fault_id(row) for row in FAULTS])
+FAULT_IDS = list(map(fault_id, FAULTS))
+
+
+@pytest.mark.parametrize("row", FAULTS, ids=FAULT_IDS)
 def test_each_fault_fails_exactly_its_verify_rows(row, monkeypatch):
     (owner, name), wrap, max_n, failed = row
     monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
@@ -676,6 +711,13 @@ def test_each_fault_fails_exactly_its_verify_rows(row, monkeypatch):
         BN.bn_spec.cache_clear()
         BN._box.cache_clear()
     assert {check["name"]: check["detail"] for check in rows if not check["passed"]} == failed
+
+
+def test_each_table_row_has_its_own_id():
+    # pytest numbers a repeated id by its place, so a row inserted above it
+    # would rename it
+    for ids in (INTEGER_IDS, REFUSAL_IDS, WORK_IDS, FAULT_IDS):
+        assert [i for i, count in Counter(ids).items() if count > 1] == []
 
 
 def test_every_kind_of_verify_row_is_failed_by_a_fault():
@@ -729,32 +771,3 @@ def test_a_cli_call_loads_no_unused_stdlib_module():
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, check=True)
     assert done.stderr == "0 []\n"
-
-
-PROBE = '''
-from hypothesis import given, strategies as st
-
-
-@given(st.integers())
-def test_a_failing_property(x):
-    assert x < 0
-
-
-def test_after_it():
-    pass
-'''
-
-
-def test_a_failing_property_fails_only_its_test(tmp_path):
-    # on a failing @given test, hypothesis's pytest plugin may import libcst,
-    # which warns on import; under filterwarnings = ["error"] that warning
-    # ended the session with INTERNALERROR and exit 3, and no later test ran.
-    # The probe runs under this repo's pytest settings, in its own directory,
-    # as hypothesis and pytest-benchmark write into the working directory
-    (tmp_path / "test_probe.py").write_text(PROBE)
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-c", str(PACKAGE.parents[1] / "pyproject.toml"),
-         "-p", "no:cacheprovider", "-q", "test_probe.py"],
-        cwd=tmp_path, capture_output=True, text=True)
-    assert done.returncode == 1, done.stdout + done.stderr
-    assert "1 failed, 1 passed" in done.stdout, done.stdout

@@ -7,7 +7,6 @@ with no shortest-path machinery, so the two routes share nothing.
 from math import gcd
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
 
 from frobinom.exactmath import binomial
 from frobinom.semigroup import (
@@ -16,6 +15,8 @@ from frobinom.semigroup import (
     NumericalSemigroup,
     minimal_generators,
 )
+
+from shared import cases
 
 
 def dp_members(gens, limit):
@@ -53,9 +54,36 @@ def chain_telescopic(raw):
     return True
 
 
-# generator sets with small multiplicity; gcd filtered to 1
-gen_sets = st.lists(st.integers(2, 120), min_size=1, max_size=6).map(
-    lambda xs: sorted(set(xs))).filter(lambda xs: xs[0] <= 40)
+def gen_set(rng):
+    """1 to 6 distinct integers in [2, 120], ascending, redrawn until the
+    least (the multiplicity, if the gcd is 1) is at most 40."""
+    while True:
+        gens = sorted({rng.randint(2, 120) for _ in range(rng.randint(1, 6))})
+        if gens[0] <= 40:
+            return gens
+
+
+def coprime_gen_set(rng):
+    """A gen_set, redrawn until its gcd is 1."""
+    while True:
+        gens = gen_set(rng)
+        if gcd(*gens) == 1:
+            return gens
+
+
+# checked before the draws: the range's lower end, one generator (gcd 2, so
+# refused), and the least numerical semigroup drawn
+GEN_SET_EDGES = ([2], [2, 3])
+
+
+def drawn_semigroups(seed, count):
+    """(gens, S) for each of GEN_SET_EDGES and count gen_sets drawn at the
+    seed whose gcd is 1; the others are drawn and skipped."""
+    for gens in cases(seed, count, gen_set, *GEN_SET_EDGES):
+        try:
+            yield gens, NumericalSemigroup(gens)
+        except NotANumericalSemigroup:
+            pass
 
 
 class TestMinimalGenerators:
@@ -80,26 +108,26 @@ class TestMinimalGenerators:
             NumericalSemigroup([10**5000, 2 * 10**5000])
         assert err.value.gcd == 10**5000
 
-    @given(gen_sets)
-    def test_idempotent_and_order_independent(self, gens):
-        try:
-            mins = minimal_generators(gens)
-        except NotANumericalSemigroup:
-            return
-        assert minimal_generators(mins) == mins
-        assert minimal_generators(list(reversed(gens))) == mins
+    def test_idempotent_and_order_independent(self):
+        for gens in cases(101, 100, gen_set, *GEN_SET_EDGES):
+            try:
+                mins = minimal_generators(gens)
+            except NotANumericalSemigroup:
+                continue
+            assert minimal_generators(mins) == mins, gens
+            assert minimal_generators(list(reversed(gens))) == mins, gens
 
-    @given(gen_sets)
-    def test_agrees_with_dp_redundancy(self, gens):
-        try:
-            mins = minimal_generators(gens)
-        except NotANumericalSemigroup:
-            return
-        kept = set(mins)
-        for g in gens:
-            others = [h for h in gens if h != g]
-            redundant = others and dp_members(others, g)[g]
-            assert (g not in kept) == bool(redundant), (gens, g)
+    def test_agrees_with_dp_redundancy(self):
+        for gens in cases(102, 100, gen_set, *GEN_SET_EDGES):
+            try:
+                mins = minimal_generators(gens)
+            except NotANumericalSemigroup:
+                continue
+            kept = set(mins)
+            for g in gens:
+                others = [h for h in gens if h != g]
+                redundant = others and dp_members(others, g)[g]
+                assert (g not in kept) == bool(redundant), (gens, g)
 
 
 class TestAperySet:
@@ -137,31 +165,26 @@ class TestAperySet:
             with pytest.raises(AttributeError):
                 attempt()
 
-    @given(gen_sets, st.integers(0, 3))
-    @settings(max_examples=60)
-    def test_member_bases_against_dp(self, gens, k):
-        try:
-            S = NumericalSemigroup(gens)
-        except NotANumericalSemigroup:
-            return
-        x = S.generators[-1] + k * S.multiplicity
-        limit = max(S.frobenius(), 0) + 2 * x + 1
-        assert S.apery_set(x).entries == tuple(dp_apery(S.generators, x, limit))
+    def test_member_bases_against_dp(self):
+        for gens, k in cases(103, 60, lambda rng: (gen_set(rng), rng.randint(0, 3)),
+                             *((gens, 0) for gens in GEN_SET_EDGES)):
+            try:
+                S = NumericalSemigroup(gens)
+            except NotANumericalSemigroup:
+                continue
+            x = S.generators[-1] + k * S.multiplicity
+            limit = max(S.frobenius(), 0) + 2 * x + 1
+            assert S.apery_set(x).entries == tuple(dp_apery(S.generators, x, limit)), (gens, k)
 
-    @given(gen_sets)
-    @settings(max_examples=60)
-    def test_structural_invariants(self, gens):
-        try:
-            S = NumericalSemigroup(gens)
-        except NotANumericalSemigroup:
-            return
-        table = S.apery
-        assert len(table.entries) == table.base == S.multiplicity
-        assert table.entries[0] == 0
-        for r, w in enumerate(table.entries):
-            assert w % table.base == r
-            assert w in S
-            assert (w - table.base) not in S
+    def test_structural_invariants(self):
+        for gens, S in drawn_semigroups(104, 60):
+            table = S.apery
+            assert len(table.entries) == table.base == S.multiplicity, gens
+            assert table.entries[0] == 0, gens
+            for r, w in enumerate(table.entries):
+                assert w % table.base == r, (gens, r)
+                assert w in S, (gens, r)
+                assert (w - table.base) not in S, (gens, r)
 
 
 class TestDerivedQuantities:
@@ -188,21 +211,16 @@ class TestDerivedQuantities:
         assert 14 in S
         assert -3 not in S
 
-    @given(gen_sets)
-    @settings(max_examples=60)
-    def test_against_dp_oracle(self, gens):
-        try:
-            S = NumericalSemigroup(gens)
-        except NotANumericalSemigroup:
-            return
-        limit = max(S.frobenius(), 0) + 2 * S.multiplicity + 1
-        member = dp_members(S.generators, limit)
-        gaps = [x for x in range(limit + 1) if not member[x]]
-        assert S.gaps() == gaps
-        assert S.genus() == len(gaps)
-        assert S.frobenius() == (max(gaps) if gaps else -1)
-        for m in range(limit + 1):
-            assert (m in S) == member[m], (gens, m)
+    def test_against_dp_oracle(self):
+        for gens, S in drawn_semigroups(105, 60):
+            limit = max(S.frobenius(), 0) + 2 * S.multiplicity + 1
+            member = dp_members(S.generators, limit)
+            gaps = [x for x in range(limit + 1) if not member[x]]
+            assert S.gaps() == gaps, gens
+            assert S.genus() == len(gaps), gens
+            assert S.frobenius() == (max(gaps) if gaps else -1), gens
+            for m in range(limit + 1):
+                assert (m in S) == member[m], (gens, m)
 
 
 def brute_pseudo_frobenius(S):
@@ -235,16 +253,19 @@ class TestPseudoFrobenius:
         assert len(NumericalSemigroup([6, 15, 20]).pseudo_frobenius()) == 1
         assert len(NumericalSemigroup([2, 3]).pseudo_frobenius()) == 1
 
-    @given(gen_sets)
-    @settings(max_examples=40)
-    def test_against_definition(self, gens):
-        try:
-            S = NumericalSemigroup(gens)
-        except NotANumericalSemigroup:
-            return
-        if S.frobenius() > 500:
-            return
-        assert S.pseudo_frobenius() == brute_pseudo_frobenius(S)
+    def test_against_definition(self):
+        for gens, S in drawn_semigroups(106, 40):
+            if S.frobenius() <= 500:
+                assert S.pseudo_frobenius() == brute_pseudo_frobenius(S), gens
+
+
+def arithmetic_sequence(rng):
+    """(a, k, d) for <a, a+d, ..., a+kd>: a in [2, 3000], k in [1, 40] and
+    d in [1, 60], redrawn until gcd(a, d) = 1."""
+    while True:
+        a, k, d = rng.randint(2, 3000), rng.randint(1, 40), rng.randint(1, 60)
+        if gcd(a, d) == 1:
+            return a, k, d
 
 
 class TestLargeSizes:
@@ -257,13 +278,11 @@ class TestLargeSizes:
         assert S.frobenius() == S.genus() == len(S.pseudo_frobenius()) == m - 1
         assert S.pseudo_frobenius() == list(range(1, m))
 
-    @given(st.integers(2, 3000), st.integers(1, 40), st.integers(1, 60))
-    @settings(max_examples=60, deadline=None)
-    def test_roberts_arithmetic_sequences(self, a, k, d):
+    def test_roberts_arithmetic_sequences(self):
         # Roberts (1956): F(a, a+d, ..., a+kd) = (floor((a-2)/k) + 1) a + (d-1)(a-1) - 1
-        assume(gcd(a, d) == 1)
-        S = NumericalSemigroup([a + i * d for i in range(k + 1)])
-        assert S.frobenius() == ((a - 2) // k + 1) * a + (d - 1) * (a - 1) - 1
+        for a, k, d in cases(107, 60, arithmetic_sequence, (2, 1, 1)):
+            S = NumericalSemigroup([a + i * d for i in range(k + 1)])
+            assert S.frobenius() == ((a - 2) // k + 1) * a + (d - 1) * (a - 1) - 1, (a, k, d)
 
 
 class TestSymmetryAndTelescopic:
@@ -272,15 +291,10 @@ class TestSymmetryAndTelescopic:
         assert NumericalSemigroup([1]).is_symmetric()
         assert not NumericalSemigroup([3, 5, 7]).is_symmetric()
 
-    @given(gen_sets)
-    @settings(max_examples=60)
-    def test_symmetric_implies_odd_frobenius(self, gens):
-        try:
-            S = NumericalSemigroup(gens)
-        except NotANumericalSemigroup:
-            return
-        if S.is_symmetric() and S.frobenius() >= 0:
-            assert S.frobenius() % 2 == 1
+    def test_symmetric_implies_odd_frobenius(self):
+        for gens, S in drawn_semigroups(108, 60):
+            if S.is_symmetric() and S.frobenius() >= 0:
+                assert S.frobenius() % 2 == 1, gens
 
     def test_telescopic_examples(self):
         assert NumericalSemigroup([6, 15, 20]).is_telescopic()
@@ -289,22 +303,16 @@ class TestSymmetryAndTelescopic:
         # d-chain: d_2 = 1 already, and 9 is not in <5, 7>
         assert not NumericalSemigroup([5, 7, 9]).is_telescopic()
 
-    @given(gen_sets)
-    @settings(max_examples=40)
-    def test_telescopic_implies_symmetric(self, gens):
-        try:
-            S = NumericalSemigroup(gens)
-        except NotANumericalSemigroup:
-            return
-        if S.is_telescopic():
-            assert S.is_symmetric()
+    def test_telescopic_implies_symmetric(self):
+        for gens, S in drawn_semigroups(109, 40):
+            if S.is_telescopic():
+                assert S.is_symmetric(), gens
 
-    @given(gen_sets)
-    @example([6, 15, 20]).via("telescopic")
-    @example([8, 12, 18, 27]).via("telescopic, four generators")
-    @example([5, 7, 9]).via("not telescopic")
-    @example([4, 5, 6]).via("not telescopic: 6 is not in <4, 5>")
-    @settings(max_examples=150)
-    def test_telescopic_against_the_chain_definition(self, gens):
-        assume(gcd(*gens) == 1)
-        assert NumericalSemigroup(gens).is_telescopic() == chain_telescopic(gens)
+    def test_telescopic_against_the_chain_definition(self):
+        fixed = ([6, 15, 20],      # telescopic
+                 [8, 12, 18, 27],  # telescopic, four generators
+                 [5, 7, 9],        # not telescopic
+                 [4, 5, 6],        # not telescopic: 6 is not in <4, 5>
+                 [2, 3])           # the least with gcd 1
+        for gens in cases(110, 150, coprime_gen_set, *fixed):
+            assert NumericalSemigroup(gens).is_telescopic() == chain_telescopic(gens), gens
