@@ -10,10 +10,11 @@ Arguments are read from one table, `_COMMANDS` (handler, positionals,
 options and help of each command), without argparse, whose import and
 parser build cost more than a small command's own work.  An option takes
 `--name value` or `--name=value`, with no prefix abbreviations; --format
-may come before the command or anywhere after it, the last one winning;
-negative numbers are values.  A usage error prints the usage and
-`frobinom: error: ...` on stderr and exits 64; -h or --help prints the
-usage on stdout and exits 0.
+may come before the command or anywhere after it, the last one winning.
+A token that `int()` reads is a value, so `-5` and `-1_0` are numbers; any
+other token that starts with `-` is an option.  A usage error prints the
+usage and `frobinom: error: ...` on stderr and exits 64; -h or --help
+prints the usage on stdout and exits 0.
 
 Each handler returns only its result; one renderer makes both views.  A
 text row's label names the result field it shows, with spaces and hyphens
@@ -35,8 +36,9 @@ Exit codes: 0 success, 1 verification mismatch (a closed form that raises
 in `verify` is one), 2 domain error, 3 internal error (an invariant
 violation, a stdout closed by its reader, or any other unexpected
 exception), 64 usage error.  n, multiplicities and --apery-base
-are capped at MAX_N, which is `exactmath.PRIME_CACHE_CAP`, so the prime
-cache covers every n accepted.  One engine budget bounds every engine run,
+are capped at MAX_N = 10^6, the CLI's own bound; a test keeps it at most
+`exactmath.PRIME_CACHE_CAP`, above which every binomial takes
+`math.comb`'s quadratic route.  One engine budget bounds every engine run,
 and is checked before the engine starts: `semigroup` and `core --semigroup`
 refuse a multiplicity (or --apery-base) times number of distinct generators
 above ENGINE_BUDGET, and `verify --max-n` takes 4 up to where the same
@@ -55,7 +57,6 @@ from types import SimpleNamespace
 from . import binomial as bn
 from . import corepartitions as core
 from . import oracle
-from .exactmath import PRIME_CACHE_CAP as MAX_N
 from .semigroup import NumericalSemigroup
 
 EXIT_OK = 0
@@ -64,6 +65,7 @@ EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
 EXIT_USAGE = 64
 
+MAX_N = 10**6          # largest n, multiplicity or --apery-base the CLI takes
 ELIDE_ABOVE = 1000     # text elides lists longer than this; report lists Ap up to this
                        # base, semigroup the gaps up to this genus
 ENGINE_BUDGET = 6 * 10**6  # multiplicity x distinct generators the engine may take, summed
@@ -351,8 +353,13 @@ def _usage(command):
 
 
 def _is_option(token):
-    # a negative number is a value, not an option
-    return token.startswith("-") and not token[1:].isdigit()
+    # a token that int() reads is a value, not an option
+    if token.startswith("-"):
+        try:
+            int(token)
+        except ValueError:
+            return True
+    return False
 
 
 def _parse(argv):

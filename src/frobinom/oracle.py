@@ -180,9 +180,11 @@ def _arithmetic_checks():
                 ok = False
     yield "product tree = math.comb at the dispatch thresholds, n <= 10^4", ok
 
-    # The residue congruence C(n, p^k) == n/p^k (mod n) is provable only for
-    # k <= 2 with p odd, or k = 1 with p = 2 (the p = 2 correction term breaks
-    # it otherwise: C(8,4) = 70 == 6 (mod 8), not 2).  Sweep that domain.
+    # The residue congruence C(n, p^k) == n/p^k (mod n) is proven for k <= 2
+    # with p odd and for k = 1 with p = 2; this row sweeps that subdomain.
+    # Outside it the congruence holds at some n and fails at others: for
+    # n <= 300 it holds in 66 cases, (n, p, k) = (8, 2, 3) and (27, 3, 3)
+    # among them, and fails in 97, the first C(8,4) = 70 == 6 (mod 8), not 2.
     ok = True
     for n in range(2, 301):
         for p, kmax in em.factorize(n):

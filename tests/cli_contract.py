@@ -215,6 +215,8 @@ identity     1997688*50 = 99884400
         "scaled": True, "binomial": "36"}),
     dict(argv="decompose 10 10", exit=2, stdout="",
          stderr="frobinom: decompose(10, 10) requires n >= 2 and 1 <= m <= n-1\n"),
+    dict(argv="decompose 30 -1_0", exit=2, stdout="",
+         stderr="frobinom: decompose(30, -10) requires n >= 2 and 1 <= m <= n-1\n"),
 
     # core: the text view ends with A(S); the JSON gives the hooks, the gaps
     # of A(S), once, and F once, as F(A(S)) = F(S)
@@ -281,6 +283,14 @@ count   11
          stderr="frobinom: need p >= 2, got -5\n"),
     dict(argv="admissible 10 1 -5 --format json", exit=2, stdout="",
          stderr="frobinom: need p >= 2, got -5\n"),
+    # a token that int() reads is a value: -1_0 is -10, and s = -10 answers
+    # as `admissible 30 -10 7` does
+    dict(argv="admissible 30 -1_0 7", exit=0, stderr="", stdout="""\
+triple  (285470, 285471, 285477)
+count   293073
+"""),
+    dict(argv="admissible 10 1 -1_0", exit=2, stdout="",
+         stderr="frobinom: need p >= 2, got -10\n"),
 
     # verify: closed forms against the engine, then the arithmetic rows; the
     # default sweep is every composite n <= 30

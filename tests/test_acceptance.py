@@ -14,7 +14,6 @@ from itertools import combinations
 
 from frobinom.binomial import (
     algorithm1,
-    bn_apery_closed,
     bn_report,
     bn_spec,
     decompose,
@@ -38,6 +37,8 @@ from frobinom.exactmath import (
 )
 from frobinom.oracle import verify_closed_vs_oracle
 from frobinom.semigroup import NumericalSemigroup
+
+from test_binomial import listed_classes
 
 
 def report(number, label, failures, elapsed, limit):
@@ -212,19 +213,17 @@ def test_criterion_9_existence_theorem_as_stated():
     for n in range(4, 21):
         if is_prime(n):
             continue
-        base, ap = bn_apery_closed(n)
-        least = {w % base: w for w in ap}
+        S = listed_classes(n)
         f = bn_report(n).frobenius
         for p in range(2, 8):
-            if p % base == 0 or (p - 1) % base == 0:
+            if p % S.base == 0 or (p - 1) % S.base == 0:
                 continue  # residue collision, excluded by the criterion
             try:
                 s = exists_admissible_bn(n, p)
             except RuntimeError as exc:
                 failures.append((n, p, str(exc)[:60]))
                 continue
-            verified = (s >= 1 and s + p < f
-                        and all(x >= least[x % base] for x in (s, s + 1, s + p)))
+            verified = s >= 1 and s + p < f and all(x in S for x in (s, s + 1, s + p))
             if not verified:
                 failures.append((n, p, s))
     report(9, "verified admissible s, composite n <= 20, p in [2,7]",

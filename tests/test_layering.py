@@ -24,6 +24,7 @@ import frobinom.cli
 from cli_contract import CASES
 from frobinom import (AdmissiblePairResult, AperyTable, DegenerateSemigroupError,
                       NotANumericalSemigroup, Representation)
+from frobinom.cli import MAX_N  # 2^6 5^6, whose Apery set has 10^6 elements of ~35000 digits
 from shared import Index, outcome, semigroup_set
 
 PACKAGE = Path(frobinom.__file__).parent
@@ -45,7 +46,7 @@ LAYERS = {
     "binomial": {"exactmath"},
     "corepartitions": {"exactmath"},
     "oracle": {"exactmath", "binomial", "semigroup"},
-    "cli": LIBRARY,
+    "cli": LIBRARY - {"exactmath"},
     "__init__": LIBRARY,
     # the set layer's tests and shared helpers; S(B_n) is tested beside binomial
     "tests/test_corepartitions.py": {"corepartitions", "semigroup"},
@@ -382,10 +383,11 @@ REFUSALS = [
     ("algorithm1", (7, 1, 2), DegenerateSemigroupError, PRIME(7)),
     ("decompose", (10, 0), ValueError, "decompose(10, 0) requires n >= 2 and 1 <= m <= n-1"),
     ("decompose", (10, 10), ValueError, "decompose(10, 10) requires n >= 2 and 1 <= m <= n-1"),
+    ("decompose", (30, -10), ValueError, "decompose(30, -10) requires n >= 2 and 1 <= m <= n-1"),
     ("decompose", (10, LONG), ValueError,
      f"decompose(10, {BITS}) requires n >= 2 and 1 <= m <= n-1"),
     # the triple's domain: p >= 2 first, then the residue-collision rule
-    *(("algorithm1", (10, 1, p), ValueError, f"need p >= 2, got {p}") for p in (-5, 0, 1)),
+    *(("algorithm1", (10, 1, p), ValueError, f"need p >= 2, got {p}") for p in (-10, -5, 0, 1)),
     ("algorithm1", (10, 1, -LONG), ValueError, f"need p >= 2, got -{BITS}"),
     ("exists_admissible_bn", (6, 1), ValueError, "need p >= 2, got 1"),
     ("algorithm1", (6, 1, 6), ValueError, COLLIDE(6, 6)),
@@ -477,7 +479,6 @@ def seeded(n, p, seeds):
 
 BN, CLI, CORE, EM = frobinom.binomial, frobinom.cli, frobinom.corepartitions, frobinom.exactmath
 ENGINE = frobinom.NumericalSemigroup
-MAX_N = 10**6  # the CLI bound: 2^6 5^6, whose Apery set has 10^6 elements of ~35000 digits
 F30030 = frobinom.bn_report(30030).frobenius
 NO_WALK = "no admissible s for n=30030, p={}: s >= 1 and s + p < F = {} cannot both hold".format
 FIRST = lambda first, *rest: first  # n, for the per-n functions
