@@ -46,7 +46,9 @@ product for each n's engine run, `oracle.engine_cost(n)`, summed over the
 composite n of `oracle.verify_sweep`, stays within it (354).  `verify`
 prints the rows of `oracle.verify_rows`, which compares each n of the same
 sweep and runs the arithmetic self-checks; the CLI keeps only the budget and
-the rendering.
+the rendering.  `verify` alone imports `oracle`, as a JSON call alone
+imports `json`, so no other command loads it; `binomial`, `corepartitions`
+and `semigroup` are imported with the CLI.
 """
 
 import os
@@ -56,7 +58,6 @@ from types import SimpleNamespace
 
 from . import binomial as bn
 from . import corepartitions as core
-from . import oracle
 from .semigroup import NumericalSemigroup
 
 EXIT_OK = 0
@@ -128,6 +129,8 @@ def _check_max_n(max_n):
     named, before any engine work."""
     if max_n < 4:  # below 4, the least composite n, no closed form is checked
         raise UsageError(f"--max-n {max_n} is below 4, the least composite n")
+    from . import oracle  # imported here, so only verify loads it
+
     cost = 0
     for n in oracle.verify_sweep(max_n):
         cost += oracle.engine_cost(n)
@@ -231,6 +234,8 @@ def _run_admissible(args):
 
 
 def _run_verify(args):
+    from . import oracle
+
     _check_max_n(args.max_n)
     checks = oracle.verify_rows(args.max_n)
     all_passed = all(check["passed"] for check in checks)

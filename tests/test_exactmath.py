@@ -200,6 +200,17 @@ class TestBinomialDispatch:
             assert binomial(n, j) == comb(n, j), (n, j)
             assert frobinom.exactmath._sieve[0] <= PRIME_CACHE_CAP, (n, j)
 
+    def test_tree_matches_comb_past_the_cli_bound(self, monkeypatch):
+        # n in (10^6, 2^24], j at or just above the square rule's threshold,
+        # where the tree takes over from math.comb; a growing cache shows the
+        # tree ran.  A fresh cache, so the process keeps no 2^24 sieve
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
+        draw = lambda rng: (rng.randint(MAX_N + 1, PRIME_CACHE_CAP), rng.randint(0, 50))
+        for n, extra in cases(209, 6, draw, (MAX_N + 1, 0), (PRIME_CACHE_CAP, 0)):
+            j = max(dispatch_thresholds(n)) + extra
+            assert binomial(n, j) == comb(n, j), (n, j)
+            assert frobinom.exactmath._sieve.limit >= n, (n, j)
+
     def test_prime_cache_doubles_and_stops_at_the_cap(self, monkeypatch):
         primes_up_to = frobinom.exactmath._primes_up_to
         monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
@@ -208,6 +219,8 @@ class TestBinomialDispatch:
         primes_up_to(PRIME_CACHE_CAP // 2 + 1)
         primes_up_to(PRIME_CACHE_CAP // 2 + 2)
         assert frobinom.exactmath._sieve[0] == PRIME_CACHE_CAP
+        # 1,077,871 primes as machine words and their block products: 8.85 MB
+        assert deep_bytes(frobinom.exactmath._sieve) < 9 * 2**20
 
     @pytest.mark.parametrize("limit", [2, 3, 4, 5, 9, 24, 25, 48, 49, 120, 121, 1000, 1001])
     def test_odd_sieve_against_trial_division(self, monkeypatch, limit):
@@ -259,10 +272,11 @@ class TestBinomialDispatch:
                 whole = range(0, len(expected) - PRIME_BLOCK + 1, PRIME_BLOCK)
                 assert blocks == [prod(expected[i:i + PRIME_BLOCK]) for i in whole], (limits, limit)
 
-    def test_prime_cache_at_the_cap_is_under_one_megabyte(self):
+    def test_prime_cache_at_the_cli_bound_is_under_one_megabyte(self, monkeypatch):
         # the primes to 10^6 as machine words plus their block products: 0.57 MB;
         # as a list of ints they take 2.70 MB
-        frobinom.exactmath._primes_up_to(10**6)
+        monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
+        frobinom.exactmath._primes_up_to(MAX_N)
         assert deep_bytes(frobinom.exactmath._sieve) < 2**20
 
     def test_cache_cap_covers_the_cli_bound(self):

@@ -5,7 +5,8 @@ REFUSALS lists every refusal of the library: a new one is a row of it, with
 its exact class and message.  The table WORK pins the work a call may do: a
 new rule about what a call computes, or must not, is a row of it.  The table
 FAULTS plants one fault per row under `verify` and names the rows it fails:
-a new kind of `verify` row needs a fault that fails it."""
+a new kind of `verify` row needs a fault that fails it.  The table LOADS
+pins the package modules each entry loads in a fresh interpreter."""
 
 import ast
 import importlib
@@ -47,7 +48,9 @@ LAYERS = {
     "corepartitions": {"exactmath"},
     "oracle": {"exactmath", "binomial", "semigroup"},
     "cli": LIBRARY - {"exactmath"},
-    "__init__": LIBRARY,
+    # the package imports no module as it loads: the first read of a name
+    # imports its home module, named in `frobinom._HOME` (all in LIBRARY)
+    "__init__": set(),
     # the set layer's tests and shared helpers; S(B_n) is tested beside binomial
     "tests/test_corepartitions.py": {"corepartitions", "semigroup"},
     "tests/shared.py": {"corepartitions", "semigroup"},
@@ -152,6 +155,23 @@ def test_public_api_is_pinned():
     assert sorted(frobinom.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert hasattr(frobinom, name), name
+
+
+def test_each_public_name_is_the_object_its_home_module_defines():
+    assert set(frobinom._HOME.values()) <= LIBRARY
+    for name, home in frobinom._HOME.items():
+        module = importlib.import_module(f"frobinom.{home}")
+        assert getattr(frobinom, name) is getattr(module, name), name
+        assert getattr(module, name).__module__ == module.__name__, name
+
+
+def test_the_package_namespace_is_its_table():
+    assert set(frobinom.__all__) <= set(dir(frobinom))
+    namespace = {}
+    exec("from frobinom import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == frobinom.__all__
+    with pytest.raises(AttributeError, match="module 'frobinom' has no attribute 'no_such_name'"):
+        frobinom.no_such_name
 
 
 # the names of __all__ that take no integer: the records, the exceptions and
@@ -717,7 +737,7 @@ def test_each_fault_fails_exactly_its_verify_rows(row, monkeypatch):
 def test_each_table_row_has_its_own_id():
     # pytest numbers a repeated id by its place, so a row inserted above it
     # would rename it
-    for ids in (INTEGER_IDS, REFUSAL_IDS, WORK_IDS, FAULT_IDS):
+    for ids in (INTEGER_IDS, REFUSAL_IDS, WORK_IDS, FAULT_IDS, LOAD_IDS):
         assert [i for i, count in Counter(ids).items() if count > 1] == []
 
 
@@ -761,14 +781,35 @@ def test_no_cli_handler_builds_text():
                     (handler.name, ast.unparse(node))
 
 
-def test_a_cli_call_loads_no_unused_stdlib_module():
-    # argv is read from one command table, the records are namedtuples, and
+# The package modules each entry loads in a fresh interpreter: `import
+# frobinom` none, a public name its home module and what that imports, and
+# the CLI the four library layers that perfbench's tracer reads from
+# sys.modules after `import frobinom.cli` (a layer it imported later would
+# be missing there), with `oracle` for verify alone.
+CLI_LAYERS = {"cli", "exactmath", "semigroup", "binomial", "corepartitions"}
+LOADS = [
+    ("import frobinom", set()),
+    ("import frobinom; frobinom.decompose", {"exactmath", "binomial"}),
+    ("import frobinom; frobinom.NumericalSemigroup", {"semigroup"}),
+    ("import frobinom; frobinom.a_set", {"exactmath", "corepartitions"}),
+    ("import frobinom.cli", CLI_LAYERS),
+    ("import frobinom.cli; assert frobinom.cli.main(['report', '30']) == 0", CLI_LAYERS),
+    ("import frobinom.cli; assert frobinom.cli.main(['verify', '--max-n', '20']) == 0",
+     CLI_LAYERS | {"oracle"}),
+]
+LOAD_IDS = [code for code, _ in LOADS]
+
+
+@pytest.mark.parametrize("code, loads", LOADS, ids=LOAD_IDS)
+def test_each_entry_loads_only_what_it_uses(code, loads):
+    # the records are namedtuples, argv is read from one command table, and
     # only a JSON call imports json: importing argparse, dataclasses, inspect
     # or json costs more than a small command's own work
-    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import frobinom.cli; "
-             "code = frobinom.cli.main(['report', '6']); "
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {code}; "
+             "loaded = sorted(m.removeprefix('frobinom.') for m in sys.modules "
+             "if m.startswith('frobinom.')); "
              "unused = {'argparse', 'dataclasses', 'inspect', 'json'} & set(sys.modules); "
-             "print(code, sorted(unused), file=sys.stderr)")
+             "print(loaded, sorted(unused), file=sys.stderr)")
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert done.stderr == "0 []\n"
+    assert done.stderr == f"{sorted(loads)} []\n"
