@@ -267,7 +267,9 @@ def decompose(n: int, m: int) -> Representation:
     spec = bn_spec(n)
     box = _box(n)
     base = box.base
-    value = binomial(n, m) // spec.scale
+    value = binomial(n, m)
+    if spec.scale > 1:  # a division by 1 would copy C(n, m) for nothing
+        value //= spec.scale
     box_coeffs = _coordinates(box, value % base)
     # the division is exact, as _coordinates puts the box sum in the class of
     # value mod base; q < 0 (value below its Apery element) is non-membership

@@ -199,7 +199,8 @@ def _run_decompose(args):
         "coefficients": list(rep.coefficients),
         "value": rep.value,
         "scaled": rep.scaled,
-        "binomial": rep.value * bn.bn_spec(args.n).scale,
+        # `value` itself when the family is unscaled: no multiply by 1
+        "binomial": rep.value * bn.bn_spec(args.n).scale if rep.scaled else rep.value,
     }
     return {"n": args.n, "m": args.m}, result, EXIT_OK
 

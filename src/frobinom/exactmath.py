@@ -34,13 +34,15 @@ The primes are sieved on first use, never at import, into one cache that
 grows to cover the largest n seen, at least doubling its limit each time,
 and never beyond PRIME_CACHE_CAP = 2^24, which bounds its memory; above it
 `binomial` always uses `math.comb`, quadratic as it is, so that no call
-grows the cache past the cap.  A growth extends the cache: it sieves
-only the odd numbers above the old limit, by the cached primes up to the
-square root of the new one (grown to that root first), appends the new
-primes, completes the last partial block and appends the new block
-products.  The record is still replaced whole.  The doubling can leave the
-limit at up to twice the largest n asked for; that is what keeps the
-growths to O(log n).
+grows the cache past the cap.  A growth is one odd-only sieve of
+Eratosthenes over [3, limit], from scratch, that reads primes off its flags
+only above the old limit; it appends them, completes the last partial block
+and appends the new block products.  Clearing the flags costs little (0.4
+of the 11 ms a growth to 510510 takes, same host), but reading them makes
+an int of each odd number read (7.7 ms there), so only the reading is kept
+to the new range.  The record is still replaced whole.  The doubling can
+leave the limit at up to twice the largest n asked for; that is what keeps
+the growths to O(log n).
 
 The cache holds the primes as machine words, an `array('I')` sieved
 straight into the array, and beside it the product of each aligned block
@@ -50,7 +52,7 @@ words, 0.27 MB of block products), against 2.70 MB as a list of ints; at
 8.85 MB (4.48 MB of words, 4.37 MB of block products); sieving there from
 an empty cache took 0.38 s (same host) and peaked at 33.6 MB RSS, 20.5 MB
 above the bare interpreter, as a growth also holds one flag byte per odd
-number it sieves.  A prime read from the array becomes a new
+number up to its new limit.  A prime read from the array becomes a new
 int, so the tree reads primes one by one only up to j, where it must
 test each.  A prime p > j divides C(n, j) once exactly when a
 multiple q p lies in (n - j, n], so above j the factors are the primes in
@@ -113,25 +115,26 @@ def _primes_up_to(n: int) -> _Sieve:
     """The cached sieve record, grown to cover at least n <= PRIME_CACHE_CAP."""
     global _sieve
     if n > _sieve.limit:
+        old = _sieve
         # at least double the limit, so that callers whose n creeps upward
         # sieve O(log n) times rather than once per call
-        limit = min(PRIME_CACHE_CAP, max(n, 2 * _sieve.limit))
-        # only the odd numbers above the old limit are sieved, by the cached
-        # primes up to sqrt(limit), so the cache covers sqrt(limit) first
-        root = isqrt(limit)
-        old = _primes_up_to(root) if root > _sieve.limit else _sieve
-        # flags[i] stands for start + 2i; each odd prime p starts at its least
-        # odd multiple that is in range and at least p * p, and steps by 2p
-        start = old.limit + 1 | 1
-        size = len(range(start, limit + 1, 2))
-        flags = bytearray([1]) * size
-        for p in old.primes[1:bisect_right(old.primes, root)]:
-            i = (p * max(p, -(-start // p) | 1) - start) // 2
-            flags[i::p] = bytes(len(range(i, size, p)))
-        # extended one prime at a time: no list of every prime is ever built;
-        # 2, the one even prime, starts an empty cache
+        limit = min(PRIME_CACHE_CAP, max(n, 2 * old.limit))
+        # one odd-only sieve of [3, limit], from scratch: flags[i] stands for
+        # 2i + 1, and each odd prime p <= sqrt(limit) clears its odd multiples
+        # from p * p on, which lie p apart in the flags
+        flags = bytearray([1]) * ((limit + 1) // 2)
+        for i in range(1, (isqrt(limit) + 1) // 2):
+            if flags[i]:
+                p = 2 * i + 1
+                flags[p * p // 2::p] = bytes(len(range(p * p // 2, len(flags), p)))
+        # only the primes above the old limit are read off the flags, one at a
+        # time: no list of every prime is ever built; 2, the one even prime,
+        # starts an empty cache.  Deleting the flags below is no copy for a
+        # first growth, where a slice would copy them all (3.8 MB more peak
+        # RSS at the cap)
+        del flags[:(old.limit + 1) // 2]
         primes = array("I", old.primes or [2])
-        primes.extend(compress(range(start, limit + 1, 2), flags))
+        primes.extend(compress(range(old.limit + 1 | 1, limit + 1, 2), flags))
         # the last partial block is completed, and the new whole ones appended
         blocks = old.blocks + [prod(primes[i:i + PRIME_BLOCK]) for i in range(
             PRIME_BLOCK * len(old.blocks), len(primes) - PRIME_BLOCK + 1, PRIME_BLOCK)]
@@ -163,19 +166,18 @@ def _binomial_from_primes(n: int, j: int) -> int:
     # above j too it is 1 exactly when a multiple q p lies in (n - j, n], and
     # then only one does: so the primes taken are those in ((n - j)/q, n/q]
     # for q = 1, 2, ... while n/q > j, whole blocks from the cache and the
-    # partial ones at both ends of each range singly
+    # partial ones at both ends of each range singly; a range that holds no
+    # whole block has last = first, and all its primes are taken singly
     whole = []
     q = 1
     while n // q > j:
         lo = max(mid, bisect_right(primes, (n - j) // q))
         hi = bisect_right(primes, n // q)
-        first, last = -(-lo // PRIME_BLOCK), hi // PRIME_BLOCK
-        if first < last:
-            factors += primes[lo:first * PRIME_BLOCK]
-            factors += primes[last * PRIME_BLOCK:hi]
-            whole += blocks[first:last]
-        else:
-            factors += primes[lo:hi]
+        first = -(-lo // PRIME_BLOCK)
+        last = max(first, hi // PRIME_BLOCK)
+        factors += primes[lo:min(hi, first * PRIME_BLOCK)]
+        factors += primes[last * PRIME_BLOCK:hi]
+        whole += blocks[first:last]
         q += 1
     return _product_tree(factors) * _product_tree(whole)
 
@@ -231,6 +233,11 @@ def p_adic_valuation(p: int, x: int) -> int:
     if x < 1:
         raise ValueError(f"p-adic valuation of {_int_text(x)} is undefined here")
     _check_prime(p)
+    return _divide_out(p, x)
+
+
+def _divide_out(p: int, x: int) -> int:
+    """Largest v with p^v dividing x >= 1, for a p its caller checked prime."""
     v = 0
     while x % p == 0:
         x //= p
@@ -277,16 +284,15 @@ def sun_congruence_holds(p: int, a: int, m: int, n2: int) -> bool:
                          f"m={_int_text(m)}, n2={_int_text(n2)}")
     big = binomial(p**a * m, p**a * n2)
     small = binomial(m, n2)
-    if p_adic_valuation(p, big) < p_adic_valuation(p, small):
+    v_small = _divide_out(p, small)
+    if _divide_out(p, big) < v_small:
         raise RuntimeError(
             f"C({p**a * m},{p**a * n2})/C({m},{n2}) is not a {p}-adic integer; "
             "arithmetic bug")
-    exponent = 2 + (p_adic_valuation(p, n2) if n2 else 0)
+    exponent = 2 + (_divide_out(p, n2) if n2 else 0)
     rhs = 1 + (p * n2 * (m - n2) if p == 2 else 0)
     diff = big - rhs * small
-    if diff == 0:
-        return True
-    return p_adic_valuation(p, abs(diff)) >= exponent + p_adic_valuation(p, small)
+    return diff == 0 or _divide_out(p, abs(diff)) >= exponent + v_small
 
 
 def binom_residue_lemma(n: int, p: int, k: int) -> tuple[int, int]:

@@ -6,7 +6,8 @@ criterion with its runtime.
 Criteria 5 and 9 are asserted exactly as stated and FAIL by design: each
 asserts a published congruence/existence claim that is arithmetically false
 on part of its stated grid (counterexamples are enumerated in the assertion
-messages; the refined true statements are covered by the unit-test modules).
+messages).  Criterion 5's lemmas are asserted on their exact domains beside
+it; the refined criterion 9 is covered by the unit-test modules.
 """
 
 import time
@@ -33,6 +34,7 @@ from frobinom.exactmath import (
     binomial,
     factorize,
     is_prime,
+    p_adic_valuation,
     sun_congruence_holds,
 )
 from frobinom.oracle import verify_closed_vs_oracle
@@ -127,6 +129,49 @@ def test_criterion_5_congruence_lemmas_as_stated():
                         failures.append(("quotient", p, a, m, n2))
     report(5, "congruence lemmas on their full stated grids",
            failures, time.perf_counter() - t0, 30.0)
+
+
+def residue_lemma_holds(n, p, k):
+    """Whether C(n, p^k) == n/p^k (mod n), read off p, k and m = n/p^k alone."""
+    m = n // p**k
+    if m == 1:
+        return True
+    if p == 2:
+        return k <= 1 + p_adic_valuation(2, m - 1)
+    return k <= (2 if p == 3 else 3) + p_adic_valuation(p, m * (m - 1))
+
+
+def test_criterion_5_congruence_lemmas_on_their_exact_domain():
+    # Criterion 5's grid, each lemma asserted to hold exactly where its
+    # predicate says, so that a false case turned true fails too.  With
+    # m = n/p^k the residue lemma holds iff m = 1 or k <= 3 + v_p(m(m-1))
+    # for p >= 5, k <= 2 + v_3(m(m-1)) for p = 3, or k <= 1 + v_2(m-1) for
+    # p = 2.  Jacobsthal's congruence along C(m p^j, p^j), j = 1..k, gives
+    # the "if" for p >= 5; the p = 2 rule, like the p = 3 bound and the
+    # "only if", is measured (every p^k | n for n <= 12,000), not proven.
+    # The quotient congruence fails exactly at p = 2, a = 0, n2 >= 1 and
+    # m - n2 odd, where the quotient is 1 and the right side is 3 mod 4.
+    t0 = time.perf_counter()
+    failures, residue, quotient = [], [], []
+    for n in range(2, 301):
+        for p, kmax in factorize(n):
+            for k in range(1, kmax + 1):
+                lhs, rhs = binom_residue_lemma(n, p, k)
+                residue.append(lhs == rhs)
+                if residue[-1] != residue_lemma_holds(n, p, k):
+                    failures.append(("residue", n, p, k, lhs, rhs))
+    for p in (2, 3, 5, 7):
+        for a in range(3):
+            for m in range(13):
+                for n2 in range(m + 1):
+                    quotient.append(sun_congruence_holds(p, a, m, n2))
+                    if quotient[-1] == (p == 2 and a == 0 and n2 >= 1 and (m - n2) % 2 == 1):
+                        failures.append(("quotient", p, a, m, n2))
+    report(5, "congruence lemmas on their exact domains",
+           failures, time.perf_counter() - t0, 30.0)
+    # both directions are reached: the grid holds true and false cases
+    assert (len(residue), residue.count(False)) == (796, 97)
+    assert (len(quotient), quotient.count(False)) == (1092, 36)
 
 
 def test_criterion_6_core_partition_golden_examples():

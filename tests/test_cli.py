@@ -1,6 +1,7 @@
 """CLI surface: exit codes, text output, and the JSON envelope contract."""
 
 import json
+import math
 import os
 import random
 import re
@@ -199,6 +200,15 @@ class TestDecompose:
         assert "Traceback" not in err
         if code:
             assert out == "" and err.startswith("frobinom: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, m, scale", [(30030, 9000, 1), (5**6, 7000, 5)])
+    def test_binomial_is_value_itself_when_unscaled(self, n, m, scale):
+        # an unscaled n takes C(n, m) as it is, with no division or
+        # multiplication by 1 to copy it; a prime power's is p * value
+        _, result, _ = frobinom.cli._run_decompose(frobinom.cli._parse(["decompose", str(n), str(m)]))
+        same = result["binomial"] is result["value"]
+        assert result["binomial"] == math.comb(n, m) == scale * result["value"]
+        assert same == (scale == 1)
 
 
 class TestCore:

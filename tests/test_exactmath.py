@@ -242,19 +242,29 @@ class TestBinomialDispatch:
             assert blocks == [prod(expected[i:i + PRIME_BLOCK])
                               for i in range(0, len(expected) - PRIME_BLOCK + 1, PRIME_BLOCK)], limit
 
-    def test_a_growth_sieves_only_above_the_old_limit(self, monkeypatch):
-        # a growth reads nothing at or below the old limit and keeps its block products
+    @pytest.mark.parametrize("old_limit, limit", [(1, 10**6), (1000, 5000)])
+    def test_a_growth_reads_only_above_the_old_limit(self, monkeypatch, old_limit, limit):
+        # a growth clears its flags from scratch, with no nested growth to its
+        # square root, but reads them once and only above the old limit, and
+        # keeps the old block products
+        primes_up_to = frobinom.exactmath._primes_up_to
         monkeypatch.setattr(frobinom.exactmath, "_sieve", fresh_sieve())
-        old = frobinom.exactmath._primes_up_to(1000)
-        read = []
+        old = primes_up_to(old_limit)
+        read, nested = [], []
 
         def recording(data, selectors):
             read.append(data)
             return compress(data, selectors)
 
+        def recording_growth(n):
+            nested.append(n)
+            return primes_up_to(n)
+
         monkeypatch.setattr(frobinom.exactmath, "compress", recording)
-        grown = frobinom.exactmath._primes_up_to(5000)
-        assert grown.limit == 5000 and read == [range(1001, 5001, 2)]
+        monkeypatch.setattr(frobinom.exactmath, "_primes_up_to", recording_growth)
+        grown = primes_up_to(limit)
+        assert grown.limit == limit and read == [range(old_limit + 1 | 1, limit + 1, 2)]
+        assert nested == []
         assert all(map(operator.is_, grown.blocks, old.blocks))
         assert len(grown.blocks) > len(old.blocks)
 

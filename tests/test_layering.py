@@ -521,6 +521,8 @@ WORK = [
     ((oracle_mismatches, (6, 9, 30, 4096)), [[]] * 4, (ENGINE, "apery_set"), ANY, []),
     # each prefix's membership is read off one table pass: no prefix semigroup
     ((S61520.is_telescopic, ()), True, (frobinom.semigroup, "minimal_generators"), ANY, []),
+    # the quotient congruence checks its prime once, not once per valuation
+    ((frobinom.sun_congruence_holds, (3, 1, 5, 2)), True, (EM, "is_prime"), FIRST, [3]),
     # the spec stage is cached, so each call shares one factorization per n
     ((seeded, (30030, 7, 100)), list, (BN, "factorize"), FIRST, [30030]),
     *((argv + fmt, 0, (BN, "factorize"), FIRST, [30030])
